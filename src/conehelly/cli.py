@@ -10,6 +10,13 @@ strings "p/q" with positive q.  Every subcommand writes a report object
 full instance so a report is self-contained and can be re-verified later
 with --verify.
 
+Each instance subcommand is one entry of COMMANDS: the role its instance
+takes, the function that builds its report, and the checker of the
+certificates in that report.  --verify rebuilds the report from the
+echoed instance - recomputing the cheap fields, taking each hypothesis
+flag from its theorem and copying the certificates - requires it to equal
+the given report, and checks every certificate on its own.
+
 Exit codes: 0 success, 2 malformed input, 3 enumeration capacity
 exceeded, 4 internal-error signal (a theorem-backed assertion fired, or a
 report failed re-verification) - the last one always deserves a bug
@@ -23,11 +30,11 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from .errors import CapacityError, TheoremContradiction
 from .cone import (
     HalfspaceSystem,
-    InfeasibleCone,
     extract_cone,
     lineality_of_polar,
     lineality_space,
@@ -46,7 +53,9 @@ from .gens import (
     verify_tightness_example2,
 )
 from .helly import (
+    HellyBounds,
     bound_h,
+    bound_m,
     check_flat_helly,
     check_lineality_hypothesis,
     corollary_check,
@@ -77,10 +86,6 @@ EXIT_INTERNAL = 4
 
 
 class InputError(ValueError):
-    pass
-
-
-class VerificationFailure(Exception):
     pass
 
 
@@ -200,132 +205,72 @@ def load_instance(args) -> tuple[VectorSet, str]:
     return instance_from_json(obj)
 
 
-def load_halfspaces(args) -> HalfspaceSystem:
-    vs, _role = load_instance(args)
-    try:
-        return HalfspaceSystem(vs)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-
-
 def load_report(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            rep = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read report: {exc}") from exc
-
-
-def _instance_from_report(rep: dict) -> tuple[VectorSet, str]:
-    return instance_from_json(rep.get("inputs", {}))
+    if not isinstance(rep, dict) or not isinstance(rep.get("result"), dict):
+        raise InputError("a report must be a JSON object with a result object")
+    return rep
 
 
 # ---------------------------------------------------------------------------
-# Subcommand implementations
+# Report builders
+#
+# A builder gets the instance, the validated parameters and ``certs``.
+# Computing, ``certs`` is None: the builder runs the searches, which raise
+# TheoremContradiction where a theorem would fail.  Verifying, ``certs`` is
+# the result of the given report: the builder copies its certificates
+# (witness subsets, membership certificates, extracted indices, generators,
+# partitions) and takes each hypothesis flag from the theorem that equates
+# it with its conclusion.  Every other field is recomputed from the
+# instance in both modes, so the two modes build the same report.
 
 
-def cmd_lineality(args) -> dict:
-    if args.verify:
-        return _verify_lineality(load_report(args.verify))
-    vs, role = load_instance(args)
-    ls = lineality_space(vs)
-    return make_report("lineality", instance_to_json(vs, role), {
-        "lineality": subspace_to_json(ls),
-    })
+def _witness(certs: dict, key: str, prop: str, size_bound: int) -> dict:
+    """A witness field: the subset is the certificate; its property and
+    size bound follow from the theorem."""
+    w = certs.get(key)
+    ids = w.get("subset_indices") if isinstance(w, dict) else None
+    return {"subset_indices": ids, "property": prop, "size_bound": size_bound}
 
 
-def _verify_lineality(rep: dict) -> dict:
-    vs, _ = _instance_from_report(rep)
-    basis = [vec(row) for row in rep["result"]["lineality"]["basis"]]
-    ok = len(basis) == rep["result"]["lineality"]["dim"]
-    ok = ok and rank_of_rows([list(v) for v in basis], vs.ambient_dim) == len(basis)
-    for w in basis:
-        ok = ok and membership(w, vs).is_member
-        ok = ok and membership(tuple(-c for c in w), vs).is_member
-    ok = ok and len(basis) == lineality_space(vs).dim
-    return _verdict(rep, ok)
+def _lineality(vs: VectorSet, p: dict, certs) -> dict:
+    return {"lineality": subspace_to_json(lineality_space(vs))}
 
 
-def cmd_membership(args) -> dict:
-    if args.verify:
-        return _verify_membership(load_report(args.verify))
-    vs, role = load_instance(args)
-    if args.point is None:
-        raise InputError("membership requires --point")
-    try:
-        point = vec(args.point.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad point: {exc}") from exc
-    if len(point) != vs.ambient_dim:
-        raise InputError("point has wrong dimension")
-    cert = membership(point, vs)
-    inputs = instance_to_json(vs, role)
-    inputs["point"] = vector_to_json(point)
-    if cert.is_member:
-        result = {
-            "member": True,
-            "combination": [[i, frac_to_json(c)] for i, c in cert.combination],
-        }
-    else:
-        result = {"member": False, "separator": vector_to_json(cert.separator)}
-    return make_report("membership", inputs, result)
+def _membership(vs: VectorSet, p: dict, certs) -> dict:
+    if certs is None:
+        cert = membership(vec(p["point"]), vs)
+        if cert.is_member:
+            certs = {"combination": [[i, frac_to_json(c)] for i, c in cert.combination]}
+        else:
+            certs = {"separator": vector_to_json(cert.separator)}
+    if "combination" in certs:
+        return {"member": True, "combination": certs["combination"]}
+    return {"member": False, "separator": certs.get("separator")}
 
 
-def _verify_membership(rep: dict) -> dict:
-    vs, _ = _instance_from_report(rep)
-    point = vec(rep["inputs"]["point"])
-    res = rep["result"]
-    if res["member"]:
-        total = [Fraction(0)] * vs.ambient_dim
-        ok = True
-        for i, c in res["combination"]:
-            coeff = frac_from_json(c)
-            ok = ok and coeff >= 0 and 0 <= i < len(vs)
-            if not ok:
-                break
-            total = [t + coeff * g for t, g in zip(total, vs[i])]
-        ok = ok and tuple(total) == point
-    else:
-        y = vec(res["separator"])
-        ok = all(dot(y, a) <= 0 for a in vs) and dot(y, point) > 0
-    return _verdict(rep, ok)
+def _posbasis(vs: VectorSet, p: dict, certs) -> dict:
+    if certs is None:
+        certs = {"element_indices": list(extract_positive_basis_indices(vs))}
+    return {
+        "target": subspace_to_json(lineality_space(vs)),
+        "element_indices": certs.get("element_indices"),
+    }
 
 
-def cmd_posbasis(args) -> dict:
-    if args.verify:
-        return _verify_posbasis(load_report(args.verify))
-    vs, role = load_instance(args)
-    kept = extract_positive_basis_indices(vs)
+def _reay(vs: VectorSet, p: dict, certs) -> dict:
     target = lineality_space(vs)
-    return make_report("posbasis", instance_to_json(vs, role), {
-        "target": subspace_to_json(target),
-        "element_indices": list(kept),
-    })
-
-
-def _verify_posbasis(rep: dict) -> dict:
-    vs, _ = _instance_from_report(rep)
-    kept = rep["result"]["element_indices"]
-    target = SubspaceBasis(vs.ambient_dim,
-                           tuple(vec(r) for r in rep["result"]["target"]["basis"]))
-    ok = is_positive_basis(vs.subset(kept), target)
-    return _verdict(rep, ok)
-
-
-def cmd_reay(args) -> dict:
-    if args.verify:
-        return _verify_reay_report(load_report(args.verify))
-    vs, role = load_instance(args)
-    target = lineality_space(vs)
-    if not is_positive_basis(vs, target):
-        raise InputError(
-            "input is not a positive basis of its own lineality space")
-    partition = reay_partition(PositiveBasis(target=target, elements=vs))
-    parts_idx = _parts_as_indices(vs, partition)
-    return make_report("reay", instance_to_json(vs, role), {
-        "target": subspace_to_json(target),
-        "parts": parts_idx,
-    })
+    if certs is None:
+        if not is_positive_basis(vs, target):
+            raise InputError(
+                "input is not a positive basis of its own lineality space")
+        partition = reay_partition(PositiveBasis(target=target, elements=vs))
+        certs = {"parts": _parts_as_indices(vs, partition)}
+    return {"target": subspace_to_json(target), "parts": certs.get("parts")}
 
 
 def _parts_as_indices(vs: VectorSet, partition: ReayPartition) -> list[list[int]]:
@@ -341,236 +286,281 @@ def _parts_as_indices(vs: VectorSet, partition: ReayPartition) -> list[list[int]
     return out
 
 
-def _verify_reay_report(rep: dict) -> dict:
-    vs, _ = _instance_from_report(rep)
-    parts_idx = rep["result"]["parts"]
-    flat = [i for p in parts_idx for i in p]
-    ok = sorted(flat) == list(range(len(vs)))
-    partition = ReayPartition(vs.ambient_dim,
-                              tuple(vs.subset(p) for p in parts_idx))
-    ok = ok and verify_reay(partition)
-    return _verdict(rep, ok)
-
-
-def cmd_maxcone(args) -> dict:
-    if args.verify:
-        return _verify_recompute(load_report(args.verify), "max_cone_dim",
-                                 lambda h: max_cone_dim(h))
-    h = load_halfspaces(args)
-    return make_report("maxcone", instance_to_json(h.normals, "normals"), {
+def _maxcone(h: HalfspaceSystem, p: dict, certs) -> dict:
+    return {
         "max_cone_dim": max_cone_dim(h),
         "lineality_dim": lineality_space(h.normals).dim,
-    })
+    }
 
 
-def cmd_solution_rank(args) -> dict:
-    if args.verify:
-        return _verify_recompute(load_report(args.verify), "rank",
-                                 lambda h: solution_space_rank(h))
-    h = load_halfspaces(args)
-    return make_report("solution-rank", instance_to_json(h.normals, "normals"), {
-        "rank": solution_space_rank(h),
-    })
+def _solution_rank(h: HalfspaceSystem, p: dict, certs) -> dict:
+    return {"rank": solution_space_rank(h)}
 
 
-def _verify_recompute(rep: dict, field: str, func) -> dict:
-    vs, _ = _instance_from_report(rep)
-    h = HalfspaceSystem(vs)
-    ok = rep["result"][field] == func(h)
-    return _verdict(rep, ok)
+def _polar_lineality(h: HalfspaceSystem, p: dict, certs) -> dict:
+    return {"lineality_of_polar": subspace_to_json(lineality_of_polar(h))}
 
 
-def cmd_polar_lineality(args) -> dict:
-    if args.verify:
-        return _verify_polar(load_report(args.verify))
-    h = load_halfspaces(args)
-    return make_report("polar-lineality", instance_to_json(h.normals, "normals"), {
-        "lineality_of_polar": subspace_to_json(lineality_of_polar(h)),
-    })
+def _extract_cone(h: HalfspaceSystem, p: dict, certs) -> dict:
+    k = p["k"]
+    if certs is None:
+        out = extract_cone(h, k)
+        certs = {}
+        if isinstance(out, VectorSet):
+            certs["generators"] = [vector_to_json(v) for v in out]
+    mcd = max_cone_dim(h)
+    if k <= mcd:
+        return {"feasible": True, "generators": certs.get("generators")}
+    return {
+        "feasible": False,
+        "max_cone_dim": mcd,
+        "lineality_dim": h.ambient_dim - mcd,
+    }
 
 
-def _verify_polar(rep: dict) -> dict:
-    vs, _ = _instance_from_report(rep)
-    res = rep["result"]["lineality_of_polar"]
-    basis = [vec(r) for r in res["basis"]]
-    d = vs.ambient_dim
-    ok = len(basis) == res["dim"]
-    ok = ok and rank_of_rows([list(v) for v in basis], d) == len(basis)
-    ok = ok and all(dot(a, w) == 0 for a in vs for w in basis)
-    ok = ok and res["dim"] == d - rank_of_rows([list(v) for v in vs], d)
-    return _verdict(rep, ok)
-
-
-def cmd_extract_cone(args) -> dict:
-    if args.verify:
-        return _verify_extract(load_report(args.verify))
-    h = load_halfspaces(args)
-    k = _require_k(args)
-    out = extract_cone(h, k)
-    inputs = instance_to_json(h.normals, "normals")
-    inputs["k"] = k
-    if isinstance(out, InfeasibleCone):
-        result = {
-            "feasible": False,
-            "max_cone_dim": out.max_dim,
-            "lineality_dim": out.lineality_dim,
-        }
-    else:
-        result = {
-            "feasible": True,
-            "generators": [vector_to_json(v) for v in out],
-        }
-    return make_report("extract-cone", inputs, result)
-
-
-def _verify_extract(rep: dict) -> dict:
-    vs, _ = _instance_from_report(rep)
-    h = HalfspaceSystem(vs)
-    k = rep["inputs"]["k"]
-    res = rep["result"]
-    if res["feasible"]:
-        gens = VectorSet(vs.ambient_dim,
-                         tuple(vec(r) for r in res["generators"]))
-        ok = verify_cone_generators(h, gens, k)
-    else:
-        ok = max_cone_dim(h) < k and res["max_cone_dim"] == max_cone_dim(h)
-    return _verdict(rep, ok)
-
-
-def cmd_helly_pos(args) -> dict:
-    if args.verify:
-        return _verify_helly_pos(load_report(args.verify))
-    vs, role = load_instance(args)
-    k = _require_k(args)
-    hypothesis = check_lineality_hypothesis(vs, k)
+def _helly_pos(vs: VectorSet, p: dict, certs) -> dict:
+    k = p["k"]
     ldim = lineality_space(vs).dim
+    h = bound_h(k, vs.ambient_dim)
+    hypothesis = ldim <= k
+    if certs is None:
+        # One minimal-witness search decides the hypothesis; when the
+        # conclusion fails it is the enumerative witness, and it raises if
+        # none exists within h(k,d).
+        if ldim > k:
+            certs = {"witness_enum": witness_to_json(witness_lineality_enum(vs, k)),
+                     "witness_reay": witness_to_json(witness_lineality_reay(vs, k))}
+            hypothesis = False
+        else:
+            hypothesis = check_lineality_hypothesis(vs, k)
     result = {
         "hypothesis": hypothesis,
         "conclusion": ldim <= k,
         "lineality_dim": ldim,
-        "h": bound_h(k, vs.ambient_dim),
+        "h": h,
     }
     if ldim > k:
-        result["witness_enum"] = witness_to_json(witness_lineality_enum(vs, k))
-        result["witness_reay"] = witness_to_json(witness_lineality_reay(vs, k))
-    inputs = instance_to_json(vs, role)
-    inputs["k"] = k
-    return make_report("helly-pos", inputs, result)
+        for key in ("witness_enum", "witness_reay"):
+            result[key] = _witness(certs, key, "lineality_dim_exceeds", h)
+    return result
 
 
-def _verify_helly_pos(rep: dict) -> dict:
-    vs, _ = _instance_from_report(rep)
-    k = rep["inputs"]["k"]
-    res = rep["result"]
-    ldim = lineality_space(vs).dim
-    ok = res["lineality_dim"] == ldim and res["conclusion"] == (ldim <= k)
-    for key in ("witness_enum", "witness_reay"):
-        if key in res:
-            w = res[key]
-            ids = w["subset_indices"]
-            ok = ok and len(ids) <= w["size_bound"]
-            ok = ok and lineality_space(vs.subset(ids)).dim > k
-    return _verdict(rep, ok)
-
-
-def cmd_helly_cone(args) -> dict:
-    if args.verify:
-        return _verify_helly_cone(load_report(args.verify))
-    h = load_halfspaces(args)
-    k = _require_k(args)
-    rep = verify_cone_helly(h, k)
-    inputs = instance_to_json(h.normals, "normals")
-    inputs["k"] = k
-    result = {
-        "hypothesis": rep.hypothesis,
-        "conclusion": rep.conclusion,
-        "max_cone_dim": rep.max_cone_dim,
-        "lineality_dim": rep.lineality_dim,
-    }
-    if rep.witness is not None:
-        result["witness"] = witness_to_json(rep.witness)
-    return make_report("helly-cone", inputs, result, bounds=rep.bounds)
-
-
-def _verify_helly_cone(rep: dict) -> dict:
-    vs, _ = _instance_from_report(rep)
-    h = HalfspaceSystem(vs)
-    k = rep["inputs"]["k"]
-    res = rep["result"]
+def _helly_cone(h: HalfspaceSystem, p: dict, certs) -> dict:
+    k = p["k"]
     mcd = max_cone_dim(h)
-    ok = res["max_cone_dim"] == mcd and res["conclusion"] == (mcd >= k)
-    if "witness" in res:
-        ids = res["witness"]["subset_indices"]
-        ok = ok and len(ids) <= res["witness"]["size_bound"]
-        ok = ok and max_cone_dim(h.subsystem(ids)) < k
-    else:
-        ok = ok and res["conclusion"]
-    return _verdict(rep, ok)
-
-
-def cmd_corollary(args) -> dict:
-    if args.verify:
-        return _verify_corollary(load_report(args.verify))
-    h = load_halfspaces(args)
-    k = _require_k(args)
-    rep = corollary_check(h, k)
-    inputs = instance_to_json(h.normals, "normals")
-    inputs["k"] = k
+    hypothesis = mcd >= k
+    if certs is None:
+        rep = verify_cone_helly(h, k)
+        hypothesis = rep.hypothesis
+        certs = {"witness": rep.witness and witness_to_json(rep.witness)}
     result = {
-        "rank": rep.rank,
-        "global_holds": rep.global_holds,
-        "subsystems_hold": rep.subsystems_hold,
+        "hypothesis": hypothesis,
+        "conclusion": mcd >= k,
+        "max_cone_dim": mcd,
+        "lineality_dim": h.ambient_dim - mcd,
     }
-    if rep.witness is not None:
-        result["witness"] = witness_to_json(rep.witness)
-    return make_report("corollary", inputs, result, bounds=rep.bounds)
+    if mcd < k:
+        result["witness"] = _witness(certs, "witness", "no_k_dim_cone",
+                                     bound_m(k, h.ambient_dim))
+    return result
 
 
-def _verify_corollary(rep: dict) -> dict:
-    vs, _ = _instance_from_report(rep)
-    h = HalfspaceSystem(vs)
-    k = rep["inputs"]["k"]
-    res = rep["result"]
-    ok = res["rank"] == solution_space_rank(h)
-    ok = ok and res["global_holds"] == (res["rank"] >= k)
-    if "witness" in res:
-        ids = res["witness"]["subset_indices"]
-        ok = ok and len(ids) <= res["witness"]["size_bound"]
-        ok = ok and solution_space_rank(h.subsystem(ids)) < k
-    return _verdict(rep, ok)
-
-
-def cmd_flat_helly(args) -> dict:
-    if args.verify:
-        return _verify_flat(load_report(args.verify))
-    h = load_halfspaces(args)
-    if args.k is None:
-        raise InputError("--k is required")
-    rep = check_flat_helly(h, args.k)
-    inputs = instance_to_json(h.normals, "normals")
-    inputs["k"] = args.k
+def _corollary(h: HalfspaceSystem, p: dict, certs) -> dict:
+    k = p["k"]
+    r = solution_space_rank(h)
+    subsystems_hold = r >= k
+    if certs is None:
+        rep = corollary_check(h, k)
+        subsystems_hold = rep.subsystems_hold
+        certs = {"witness": rep.witness and witness_to_json(rep.witness)}
     result = {
-        "polar_lineality_dim": rep.polar_lineality_dim,
-        "normal_rank": rep.normal_rank,
-        "subspace_conclusion": rep.subspace_conclusion,
-        "all_small_subsets_dependent": rep.all_small_subsets_dependent,
+        "rank": r,
+        "global_holds": r >= k,
+        "subsystems_hold": subsystems_hold,
     }
-    if rep.witness is not None:
-        result["witness"] = witness_to_json(rep.witness)
-    return make_report("flat-helly", inputs, result)
+    if r < k:
+        result["witness"] = _witness(certs, "witness", "solution_rank_below_k",
+                                     bound_m(k, h.ambient_dim))
+    return result
 
 
-def _verify_flat(rep: dict) -> dict:
-    vs, _ = _instance_from_report(rep)
-    k = rep["inputs"]["k"]
-    res = rep["result"]
-    d = vs.ambient_dim
-    ok = res["polar_lineality_dim"] == d - rank_of_rows([list(v) for v in vs], d)
-    if "witness" in res:
-        ids = res["witness"]["subset_indices"]
-        ok = ok and len(ids) == k + 1
-        ok = ok and rank_of_rows([list(vs[i]) for i in ids], d) == k + 1
-    return _verdict(rep, ok)
+def _flat_helly(h: HalfspaceSystem, p: dict, certs) -> dict:
+    k, d = p["k"], h.ambient_dim
+    polar_dim = lineality_of_polar(h).dim
+    conclusion = polar_dim >= d - k
+    all_dependent = conclusion
+    if certs is None:
+        rep = check_flat_helly(h, k)
+        all_dependent = rep.all_small_subsets_dependent
+        certs = {"witness": rep.witness and witness_to_json(rep.witness)}
+    result = {
+        "polar_lineality_dim": polar_dim,
+        "normal_rank": rank_of_rows([list(v) for v in h.normals], d),
+        "subspace_conclusion": conclusion,
+        "all_small_subsets_dependent": all_dependent,
+    }
+    if not conclusion:
+        result["witness"] = _witness(certs, "witness", "independent_normals", k + 1)
+    return result
+
+
+# ---------------------------------------------------------------------------
+# Certificate checkers: each sees a report already equal to its rebuild,
+# so its fields are present and its witnesses carry the right property
+# and size bound.
+
+
+def _indices_ok(ids, n: int) -> bool:
+    """A strictly increasing list of indices into n vectors."""
+    return (isinstance(ids, list) and all(type(i) is int for i in ids)
+            and ids == sorted(set(ids)) and all(0 <= i < n for i in ids))
+
+
+def _check_membership(vs: VectorSet, inputs: dict, res: dict) -> bool:
+    point = vec(inputs["point"])
+    if not res["member"]:
+        y = vec(res["separator"])
+        return (len(y) == vs.ambient_dim and all(dot(y, a) <= 0 for a in vs)
+                and dot(y, point) > 0)
+    pairs = res["combination"]
+    if not _indices_ok([pair[0] for pair in pairs], len(vs)):
+        return False
+    total = [Fraction(0)] * vs.ambient_dim
+    for i, c in pairs:
+        coeff = frac_from_json(c)
+        if coeff < 0:
+            return False
+        total = [t + coeff * g for t, g in zip(total, vs[i])]
+    return tuple(total) == point
+
+
+def _check_posbasis(vs: VectorSet, inputs: dict, res: dict) -> bool:
+    kept = res["element_indices"]
+    return (_indices_ok(kept, len(vs))
+            and is_positive_basis(vs.subset(kept), lineality_space(vs)))
+
+
+def _check_reay(vs: VectorSet, inputs: dict, res: dict) -> bool:
+    parts = res["parts"]
+    if sorted(i for part in parts for i in part) != list(range(len(vs))):
+        return False
+    return verify_reay(ReayPartition(vs.ambient_dim,
+                                     tuple(vs.subset(part) for part in parts)))
+
+
+def _check_generators(h: HalfspaceSystem, inputs: dict, res: dict) -> bool:
+    if not res["feasible"]:
+        return True
+    gens = VectorSet(h.ambient_dim, tuple(vec(r) for r in res["generators"]))
+    return verify_cone_generators(h, gens, inputs["k"])
+
+
+# What each witness property claims of its subset, decided on that subset.
+_WITNESS_PROPERTIES = {
+    "lineality_dim_exceeds":
+        lambda vs, ids, k: lineality_space(vs.subset(ids)).dim > k,
+    "no_k_dim_cone":
+        lambda h, ids, k: max_cone_dim(h.subsystem(ids)) < k,
+    "solution_rank_below_k":
+        lambda h, ids, k: solution_space_rank(h.subsystem(ids)) < k,
+    "independent_normals":
+        lambda h, ids, k: rank_of_rows([list(h.normals[i]) for i in ids],
+                                       h.ambient_dim) == k + 1,
+}
+
+
+def _witness_ok(x, k: int, w: dict) -> bool:
+    ids = w["subset_indices"]
+    return (_indices_ok(ids, len(x)) and len(ids) <= w["size_bound"]
+            and _WITNESS_PROPERTIES[w["property"]](x, ids, k))
+
+
+# ---------------------------------------------------------------------------
+# The command table
+
+
+class Command(NamedTuple):
+    role: str  # "generators": any instance; "normals": a halfspace system
+    build: Callable
+    check: Callable | None = None
+    k_min: int | None = None  # lowest --k accepted; None: no --k
+    point: bool = False  # takes --point
+    bounds: bool = False  # the report carries the Helly bounds of (k, d)
+
+
+COMMANDS = {
+    "lineality": Command("generators", _lineality),
+    "membership": Command("generators", _membership, _check_membership,
+                          point=True),
+    "posbasis": Command("generators", _posbasis, _check_posbasis),
+    "reay": Command("generators", _reay, _check_reay),
+    "maxcone": Command("normals", _maxcone),
+    "extract-cone": Command("normals", _extract_cone, _check_generators, k_min=0),
+    "solution-rank": Command("normals", _solution_rank),
+    "polar-lineality": Command("normals", _polar_lineality),
+    "helly-pos": Command("generators", _helly_pos, k_min=1),
+    "helly-cone": Command("normals", _helly_cone, k_min=1, bounds=True),
+    "corollary": Command("normals", _corollary, k_min=1, bounds=True),
+    "flat-helly": Command("normals", _flat_helly, k_min=0),
+}
+
+
+def _params(cmd: Command, d: int, raw: dict) -> dict:
+    """The validated parameters beyond the instance, as the report echoes
+    them; ``raw`` holds "k" and "point" from the flags or the report."""
+    if cmd.k_min is not None:
+        k = raw.get("k")
+        if k is None:
+            raise InputError("--k is required")
+        if not cmd.k_min <= k <= d:
+            raise ValueError(f"k must lie in [{cmd.k_min}, {d}], got {k}")
+        return {"k": k}
+    if cmd.point:
+        if raw.get("point") is None:
+            raise InputError("membership requires --point")
+        try:
+            point = vec(raw["point"])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"bad point: {exc}") from exc
+        if len(point) != d:
+            raise InputError("point has wrong dimension")
+        return {"point": vector_to_json(point)}
+    return {}
+
+
+def _build_report(name: str, vs: VectorSet, role: str, raw: dict, certs):
+    """(the instance the command works on, its report)."""
+    cmd = COMMANDS[name]
+    x = vs
+    if cmd.role == "normals":
+        try:
+            x, role = HalfspaceSystem(vs), "normals"
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+    params = _params(cmd, vs.ambient_dim, raw)
+    result = cmd.build(x, params, certs)
+    bounds = HellyBounds.of(params["k"], vs.ambient_dim) if cmd.bounds else None
+    return x, make_report(name, instance_to_json(vs, role) | params, result, bounds)
+
+
+def _verify_report(name: str, rep: dict) -> dict:
+    """Rebuild the report from its echoed instance and certificates,
+    require it to equal the given one, then check every certificate."""
+    inputs = rep.get("inputs")
+    x, expected = _build_report(name, *instance_from_json(inputs),
+                                inputs, rep["result"])
+    ok = json.dumps(expected, sort_keys=True) == json.dumps(rep, sort_keys=True)
+    if ok:
+        res = rep["result"]
+        check = COMMANDS[name].check
+        ok = all(_witness_ok(x, inputs.get("k"), w)
+                 for key, w in res.items() if key.startswith("witness"))
+        ok = ok and (check is None or check(x, inputs, res))
+    return {
+        "operation": "verify",
+        "inputs": {"operation": rep.get("operation")},
+        "result": {"verified": bool(ok)},
+    }
 
 
 def cmd_gen(args) -> dict:
@@ -655,37 +645,8 @@ def cmd_fuzz(args) -> tuple[dict, int]:
     return report, (EXIT_INTERNAL if failures else EXIT_OK)
 
 
-def _require_k(args) -> int:
-    if args.k is None:
-        raise InputError("--k is required")
-    return args.k
-
-
-def _verdict(rep: dict, ok: bool) -> dict:
-    return {
-        "operation": "verify",
-        "inputs": {"operation": rep.get("operation")},
-        "result": {"verified": bool(ok)},
-    }
-
-
 # ---------------------------------------------------------------------------
 # Argument parsing and dispatch
-
-_INSTANCE_COMMANDS = {
-    "lineality": cmd_lineality,
-    "membership": cmd_membership,
-    "posbasis": cmd_posbasis,
-    "reay": cmd_reay,
-    "maxcone": cmd_maxcone,
-    "extract-cone": cmd_extract_cone,
-    "solution-rank": cmd_solution_rank,
-    "polar-lineality": cmd_polar_lineality,
-    "helly-pos": cmd_helly_pos,
-    "helly-cone": cmd_helly_cone,
-    "corollary": cmd_corollary,
-    "flat-helly": cmd_flat_helly,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -694,7 +655,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact polyhedral-cone computations and Helly checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in _INSTANCE_COMMANDS:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--input", help="instance JSON path (default: stdin)")
         p.add_argument("--k", type=int)
@@ -738,29 +699,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built on first use
+
+
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
+        code = EXIT_OK
         if args.command == "gen":
-            emit(cmd_gen(args), args.pretty)
-            return EXIT_OK
-        if args.command == "verify-tightness":
-            emit(cmd_verify_tightness(args), args.pretty)
-            return EXIT_OK
-        if args.command == "fuzz":
+            report = cmd_gen(args)
+        elif args.command == "verify-tightness":
+            report = cmd_verify_tightness(args)
+        elif args.command == "fuzz":
             report, code = cmd_fuzz(args)
-            emit(report, args.pretty)
-            return code
-        handler = _INSTANCE_COMMANDS[args.command]
-        report = handler(args)
+        elif args.verify:
+            report = _verify_report(args.command, load_report(args.verify))
+            code = EXIT_OK if report["result"]["verified"] else EXIT_INTERNAL
+        else:
+            point = None if args.point is None else args.point.split(",")
+            _, report = _build_report(args.command, *load_instance(args),
+                                      {"k": args.k, "point": point}, None)
         emit(report, args.pretty)
-        if args.verify and not report["result"]["verified"]:
-            return EXIT_INTERNAL
-        return EXIT_OK
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -95,11 +95,9 @@ class FuzzSummary:
 
 
 def trial_instance(config: FuzzConfig, index: int) -> tuple[int, VectorSet]:
-    """(trial seed, instance) for one trial index."""
-    base = SplitMix64(config.seed)
-    for _ in range(index):
-        base.next_u64()
-    trial_seed = base.next_u64()
+    """(trial seed, instance) for one trial index, in O(1): the trial seed
+    is output ``index`` of SplitMix64(config.seed)."""
+    trial_seed = SplitMix64(config.seed).skip(index).next_u64()
     rng = SplitMix64(trial_seed)
     d = rng.next_in_range(1, config.d_max)
     n = rng.next_in_range(1, config.n_max)
@@ -140,19 +138,15 @@ def check_pos_helly(vs: VectorSet) -> None:
         if conc:
             continue
         h = bound_h(k, d)
-        for name, witness in (
-            ("enum", witness_lineality_enum(vs, k)),
-            ("reay", witness_lineality_reay(vs, k)),
-        ):
-            ids = witness.subset_indices
+        enum = witness_lineality_enum(vs, k).subset_indices
+        reay = witness_lineality_reay(vs, k).subset_indices
+        for name, ids in (("enum", enum), ("reay", reay)):
             _require(len(ids) <= h, f"{name} witness exceeds h(k,d) at k={k}")
             _require(
                 lineality_space(vs.subset(ids)).dim > k,
                 f"{name} witness does not violate the bound at k={k}",
             )
-        enum_size = len(witness_lineality_enum(vs, k).subset_indices)
-        reay_size = len(witness_lineality_reay(vs, k).subset_indices)
-        _require(enum_size <= reay_size,
+        _require(len(enum) <= len(reay),
                  f"enumerative witness larger than Reay witness at k={k}")
 
 
@@ -241,13 +235,8 @@ def run_trial_checks(vs: VectorSet, checks=ALL_CHECKS) -> dict:
 def run_fuzz(config: FuzzConfig) -> FuzzSummary:
     summary = FuzzSummary(config=config,
                           checks_passed={name: 0 for name in config.checks})
-    base = SplitMix64(config.seed)
     for trial in range(config.trials):
-        trial_seed = base.next_u64()
-        rng = SplitMix64(trial_seed)
-        d = rng.next_in_range(1, config.d_max)
-        n = rng.next_in_range(1, config.n_max)
-        vs = gen_random(d, n, config.bound, rng.next_u64())
+        trial_seed, vs = trial_instance(config, trial)
         summary.trials_run += 1
         for name in config.checks:
             try:

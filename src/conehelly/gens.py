@@ -56,6 +56,12 @@ class SplitMix64:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         return z ^ (z >> 31)
 
+    def skip(self, n: int) -> "SplitMix64":
+        """Pass over the next n outputs in O(1): the state is a counter
+        that each output advances by the golden gamma."""
+        self.state = (self.state + n * _GOLDEN) & _MASK64
+        return self
+
     def next_in_range(self, lo: int, hi: int) -> int:
         """Uniform-ish integer in [lo, hi] via modulo (bias is irrelevant
         here; determinism is the contract)."""

@@ -1,9 +1,11 @@
+import copy
 import io
 import json
 import os
 
 import pytest
 
+import conehelly.cli as cli
 from conehelly.cli import (
     EXIT_CAPACITY,
     EXIT_INPUT,
@@ -132,6 +134,15 @@ class TestPipelines:
         parts = json.loads(out)["result"]["parts"]
         assert sorted(len(p) for p in parts) == [2, 2]
 
+    def test_parser_built_once(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        for _ in range(3):
+            gen_out(capsys, monkeypatch, ["gen", "--example", "simplex", "--d", "2"])
+        assert built == [1]
+
     def test_pretty_mode_runs(self, capsys, monkeypatch):
         inst = gen_out(capsys, monkeypatch, ["gen", "--example", "simplex", "--d", "2"])
         code, out, _ = invoke(capsys, monkeypatch, ["lineality", "--pretty"],
@@ -166,6 +177,14 @@ class TestExitCodes:
 
     def test_unknown_command(self, capsys, monkeypatch):
         assert run(["frobnicate"]) == EXIT_INPUT
+
+    def test_report_not_an_object(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "report.json"
+        for text in ("[]", json.dumps({"operation": "lineality", "result": []})):
+            path.write_text(text)
+            code, _, err = invoke(capsys, monkeypatch,
+                                  ["lineality", "--verify", str(path)])
+            assert code == EXIT_INPUT and "result object" in err
 
     def test_reay_on_non_basis(self, capsys, monkeypatch):
         code, _, _ = invoke(capsys, monkeypatch, ["reay"], stdin=json.dumps(
@@ -235,6 +254,103 @@ class TestVerifyMode:
                               ["helly-cone", "--verify", str(path)])
         assert code == EXIT_INTERNAL
         assert json.loads(out)["result"]["verified"] is False
+
+
+# (gen arguments, command arguments, a result field the report must carry):
+# small instances on which every optional field of every instance
+# subcommand appears.
+TAMPER_CASES = [
+    (["--example", "simplex", "--d", "3"], ["lineality"], "lineality"),
+    (["--example", "simplex", "--d", "2"], ["membership", "--point", "0,1"],
+     "combination"),
+    (["--example", "axis-pairs", "--k", "1", "--d", "2"],
+     ["membership", "--point", "0,1"], "separator"),
+    (["--example", "axis-pairs", "--k", "2", "--d", "3"], ["posbasis"],
+     "element_indices"),
+    (["--example", "axis-pairs", "--k", "2", "--d", "3"], ["reay"], "parts"),
+    (["--example", "axis-pairs", "--k", "2", "--d", "3"], ["helly-pos", "--k", "1"],
+     "witness_reay"),
+    (["--example", "example2", "--d", "4", "--k", "2"], ["maxcone"], "lineality_dim"),
+    (["--example", "example2", "--d", "4", "--k", "2"], ["extract-cone", "--k", "1"],
+     "generators"),
+    (["--example", "example2", "--d", "4", "--k", "2"], ["extract-cone", "--k", "2"],
+     "lineality_dim"),
+    (["--example", "example2", "--d", "4", "--k", "2"], ["solution-rank"], "rank"),
+    (["--example", "example2", "--d", "4", "--k", "2"], ["polar-lineality"],
+     "lineality_of_polar"),
+    (["--example", "example2", "--d", "4", "--k", "2"], ["helly-cone", "--k", "2"],
+     "witness"),
+    (["--example", "example2", "--d", "4", "--k", "2"], ["corollary", "--k", "2"],
+     "witness"),
+    (["--example", "example2", "--d", "4", "--k", "2"], ["flat-helly", "--k", "1"],
+     "witness"),
+]
+
+
+def tampered(report):
+    """One copy of the report per result and bounds field, with that field
+    made wrong."""
+    fields = [("result", key) for key in report["result"]]
+    fields += [("bounds", key) for key in report.get("bounds", {})]
+    for section, key in fields:
+        bad = copy.deepcopy(report)
+        holder = bad[section]
+        value = holder[key]
+        if isinstance(value, bool):
+            holder[key] = not value
+        elif isinstance(value, int):
+            holder[key] = value + 1
+        elif key.startswith("witness"):
+            del holder[key]
+        elif isinstance(value, dict):  # a subspace: shrink it, or grow {0}
+            d = report["inputs"]["d"]
+            holder[key] = ({"dim": value["dim"] - 1, "basis": value["basis"][:-1]}
+                           if value["dim"] else
+                           {"dim": 1, "basis": [[int(j == 0) for j in range(d)]]})
+        elif key == "combination":
+            value[0][1] = frac_to_json(Fraction(value[0][1]) + 1)
+        elif key == "separator":
+            holder[key] = [frac_to_json(-Fraction(c)) for c in value]
+        else:  # a list of indices, parts or generators
+            holder[key] = value[:-1]
+        yield f"{section}.{key}", bad
+
+
+class TestTamper:
+    def _verdict(self, capsys, monkeypatch, tmp_path, report):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        code, out, err = invoke(capsys, monkeypatch,
+                                [report["operation"], "--verify", str(path)])
+        assert out, err
+        return code, json.loads(out)["result"]["verified"]
+
+    @pytest.mark.parametrize("gen, argv, field", TAMPER_CASES,
+                             ids=[f"{' '.join(c[1])} on {c[0][1]}" for c in TAMPER_CASES])
+    def test_every_field_is_checked(self, capsys, monkeypatch, tmp_path,
+                                    gen, argv, field):
+        inst = gen_out(capsys, monkeypatch, ["gen"] + gen)
+        code, out, err = invoke(capsys, monkeypatch, argv, stdin=inst)
+        assert code == EXIT_OK, err
+        report = json.loads(out)
+        assert field in report["result"]
+        assert self._verdict(capsys, monkeypatch, tmp_path, report) == (EXIT_OK, True)
+        for name, bad in tampered(report):
+            assert self._verdict(capsys, monkeypatch, tmp_path, bad) \
+                == (EXIT_INTERNAL, False), name
+
+    def test_posbasis_target_is_checked(self, capsys, monkeypatch, tmp_path):
+        # +-e1 is a positive basis of span(e1), but the lineality space of
+        # +-e1, +-e2 is the whole plane
+        inst = gen_out(capsys, monkeypatch,
+                       ["gen", "--example", "axis-pairs", "--k", "2", "--d", "2"])
+        code, out, err = invoke(capsys, monkeypatch, ["posbasis"], stdin=inst)
+        assert code == EXIT_OK, err
+        report = json.loads(out)
+        report["result"]["target"] = {"dim": 1, "basis": [[1, 0]]}
+        report["result"]["element_indices"] = [0, 1]
+        assert self._verdict(capsys, monkeypatch, tmp_path, report) \
+            == (EXIT_INTERNAL, False)
 
 
 class TestFuzzCommand:

@@ -39,6 +39,10 @@ class TestDeterminism:
             d = rng.next_in_range(1, cfg.d_max)
             n = rng.next_in_range(1, cfg.n_max)
             assert vs == gen_random(d, n, cfg.bound, rng.next_u64())
+        # an index far into the stream, which trial_instance reaches in one step
+        for _ in range(cfg.trials, 1234):
+            base.next_u64()
+        assert trial_instance(cfg, 1234)[0] == base.next_u64()
 
     def test_summaries_identical(self):
         cfg = FuzzConfig(d_max=3, n_max=5, bound=2, trials=10, seed=3,
