@@ -28,6 +28,7 @@ from .cone import (
     solution_space_rank,
     verify_cone_generators,
 )
+from .errors import TheoremContradiction
 from .gens import SplitMix64, gen_random
 from .helly import (
     bound_h,
@@ -132,13 +133,18 @@ def check_pos_helly(vs: VectorSet) -> None:
     d = vs.ambient_dim
     ldim = lineality_space(vs).dim
     for k in range(1, d + 1):
-        hyp = check_lineality_hypothesis(vs, k)
-        conc = ldim <= k
-        _require(hyp == conc, f"hypothesis/conclusion mismatch at k={k}")
-        if conc:
+        mismatch = f"hypothesis/conclusion mismatch at k={k}"
+        if ldim <= k:
+            _require(check_lineality_hypothesis(vs, k), mismatch)
             continue
+        # The conclusion fails, so the hypothesis must fail as well: the
+        # enumerative witness search is the hypothesis search, and it
+        # raises where it finds no witness within h(k,d).
+        try:
+            enum = witness_lineality_enum(vs, k).subset_indices
+        except TheoremContradiction as exc:
+            raise CheckFailed(mismatch) from exc
         h = bound_h(k, d)
-        enum = witness_lineality_enum(vs, k).subset_indices
         reay = witness_lineality_reay(vs, k).subset_indices
         for name, ids in (("enum", enum), ("reay", reay)):
             _require(len(ids) <= h, f"{name} witness exceeds h(k,d) at k={k}")

@@ -2,8 +2,12 @@
 
 Standard form: minimize c.x subject to A x = b, x >= 0.  Bland's rule
 (smallest eligible index enters, smallest basic variable leaves on ratio
-ties) guarantees termination, and every number is a Fraction, so the
-outcome is a decision, not an estimate.
+ties) guarantees termination, and the arithmetic is exact, so the
+outcome is a decision, not an estimate.  Data and results are Fractions;
+the tableau itself is kept as integers over one positive common
+denominator and pivoted integer-preservingly (Edmonds, J. Res. NBS 71B,
+1967): every division is exact and every sign and ratio test reads the
+same as on the rational tableau, so the pivots are the same.
 
 When the system is infeasible the phase-1 multipliers give a Farkas
 vector y with y.A <= 0 componentwise and y.b > 0; callers turn that into
@@ -15,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -32,44 +36,64 @@ class LPResult:
     farkas: list[Fraction] | None = None  # infeasible case: y.A <= 0, y.b > 0
 
 
-def _pivot(tab: list[list[Fraction]], basis: list[int], r: int, c: int) -> None:
-    piv = tab[r][c]
-    if piv != 1:
-        tab[r] = [v / piv for v in tab[r]]
+def _pivot(tab: list[list[int]], basis: list[int], den: int, r: int, c: int) -> int:
+    """Pivot the rational tableau tab/den on (r, c) and return its new
+    denominator, the pivot entry made positive.
+
+    The pivot row keeps its integers; every other row becomes
+    (p * row - f * pivot row) / den, an exact division.  A negative pivot
+    negates the pivot row first, which negates the whole new tableau over
+    a positive denominator and leaves the fractions unchanged.
+    """
     prow = tab[r]
-    for i in range(len(tab)):
-        if i != r and tab[i][c] != 0:
-            f = tab[i][c]
-            tab[i] = [a - f * b for a, b in zip(tab[i], prow)]
+    p = prow[c]
+    if p < 0:
+        prow = tab[r] = [-v for v in prow]
+        p = -p
+    for i, row in enumerate(tab):
+        if i != r:
+            f = row[c]
+            if f:
+                tab[i] = [(p * a - f * b) // den for a, b in zip(row, prow)]
+            elif p != den:
+                tab[i] = [p * a // den for a in row]
     basis[r] = c
+    return p
 
 
-def _run_simplex(tab: list[list[Fraction]], basis: list[int], ncols: int) -> str:
-    """Iterate Bland pivots on a tableau whose last row is the reduced-cost
-    row and last column the rhs.  Returns OPTIMAL or UNBOUNDED."""
+def _run_simplex(tab: list[list[int]], basis: list[int], ncols: int,
+                 den: int) -> tuple[str, int]:
+    """Iterate Bland pivots on a tableau tab/den whose last row is the
+    reduced-cost row and last column the rhs.  Returns OPTIMAL or
+    UNBOUNDED and the final denominator.  As den > 0, signs are read off
+    the integers, and ratios rhs/entry are compared by cross-multiplying."""
     m = len(tab) - 1
-    cost = tab[m]
     while True:
-        enter = -1
-        for j in range(ncols):
-            if cost[j] < 0:
-                enter = j
-                break
+        cost = tab[m]
+        enter = next((j for j in range(ncols) if cost[j] < 0), -1)
         if enter < 0:
-            return OPTIMAL
+            return OPTIMAL, den
         leave = -1
-        best: Fraction | None = None
+        best_num = best_den = 0
         for i in range(m):
             a = tab[i][enter]
             if a > 0:
-                ratio = tab[i][ncols] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+                num = tab[i][ncols]
+                if leave < 0:
+                    better = True
+                else:
+                    lhs, rhs = num * best_den, best_num * a
+                    better = lhs < rhs or (lhs == rhs and basis[i] < basis[leave])
+                if better:
+                    leave, best_num, best_den = i, num, a
         if leave < 0:
-            return UNBOUNDED
-        _pivot(tab, basis, leave, enter)
-        cost = tab[m]
+            return UNBOUNDED, den
+        den = _pivot(tab, basis, den, leave, enter)
+
+
+def _scaled(values, scale: int) -> list[int]:
+    """scale * values as ints; scale is a multiple of every denominator."""
+    return [v.numerator * (scale // v.denominator) for v in values]
 
 
 def solve_standard_form(
@@ -86,32 +110,32 @@ def solve_standard_form(
     if len(b) != m:
         raise ValueError("rhs of wrong length")
 
-    # Flip rows so the rhs is nonnegative, then start from an artificial basis.
-    sign = [(-_ONE if b[i] < 0 else _ONE) for i in range(m)]
-    tab: list[list[Fraction]] = []
+    # Flip rows so the rhs is nonnegative, then start from an artificial
+    # basis.  One integer scale for all structural columns and the rhs
+    # keeps every sign and ratio test of the rational tableau; scaling
+    # rows apart would change the phase-1 cost row and so Bland's choices.
+    scale = lcm(*(v.denominator for row in a for v in row), *(v.denominator for v in b))
+    sign = [-1 if b[i] < 0 else 1 for i in range(m)]
+    tab: list[list[int]] = []
     for i in range(m):
-        row = [sign[i] * v for v in a[i]]
-        art = [_ONE if j == i else _ZERO for j in range(m)]
-        tab.append(row + art + [sign[i] * b[i]])
+        s = sign[i] * scale
+        art = [1 if j == i else 0 for j in range(m)]
+        tab.append(_scaled(a[i], s) + art + _scaled((b[i],), s))
     ncols = n + m
     basis = [n + i for i in range(m)]
 
     # Phase-1 reduced costs: minimize the sum of artificials.
-    cost = [_ZERO] * (ncols + 1)
+    cost = [-sum(row[j] for row in tab) for j in range(ncols + 1)]
     for i in range(m):
-        for j in range(ncols + 1):
-            cost[j] -= tab[i][j]
-    for i in range(m):
-        cost[n + i] = _ZERO
+        cost[n + i] = 0
     tab.append(cost)
 
-    status = _run_simplex(tab, basis, ncols)
+    status, den = _run_simplex(tab, basis, ncols, 1)
     assert status == OPTIMAL  # phase 1 is bounded below by 0
-    infeas = -tab[m][ncols]
-    if infeas > 0:
+    if tab[m][ncols] < 0:
         # Simplex multipliers off the artificial columns: y_i = 1 - redcost_i,
         # then undo the row flips.  This is the Farkas certificate.
-        y = [sign[i] * (_ONE - tab[m][n + i]) for i in range(m)]
+        y = [Fraction(sign[i] * (den - tab[m][n + i]), den) for i in range(m)]
         return LPResult(INFEASIBLE, farkas=y)
 
     # Drive leftover artificials out of the basis; an all-zero row is a
@@ -123,28 +147,30 @@ def solve_standard_form(
             if enter is None:
                 drop_rows.append(i)
             else:
-                _pivot(tab, basis, i, enter)
+                den = _pivot(tab, basis, den, i, enter)
     if drop_rows:
         for i in reversed(drop_rows):
             del tab[i]
             del basis[i]
         m = len(basis)
 
-    # Slice off artificial columns and install the real objective.
+    # Slice off artificial columns and install the real objective, scaled
+    # to integers and put over the tableau's denominator.
     tab = [row[:n] + [row[ncols]] for row in tab[:m]]
-    cost = list(c) + [_ZERO]
+    c_int = _scaled(c, lcm(*(v.denominator for v in c)))
+    cost = [v * den for v in c_int] + [0]
     for i in range(m):
-        cb = c[basis[i]]
+        cb = c_int[basis[i]]
         if cb != 0:
             cost = [x - cb * y for x, y in zip(cost, tab[i])]
     tab.append(cost)
 
-    status = _run_simplex(tab, basis, n)
+    status, den = _run_simplex(tab, basis, n, den)
     if status == UNBOUNDED:
         return LPResult(UNBOUNDED)
     x = [_ZERO] * n
     for i in range(m):
-        x[basis[i]] = tab[i][n]
+        x[basis[i]] = Fraction(tab[i][n], den)
     obj = sum((ci * xi for ci, xi in zip(c, x)), _ZERO)
     return LPResult(OPTIMAL, x=x, objective=obj)
 

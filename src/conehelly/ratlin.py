@@ -1,10 +1,13 @@
 """Exact rational linear algebra.
 
 Everything in this package reduces to rank and kernel questions over the
-rationals, so this module is deliberately boring: dense Gauss-Jordan on
-tuples of ``fractions.Fraction``.  No floating point appears anywhere;
-rank and dimension decisions are therefore exact, which is what makes the
-Helly checkers in the rest of the package trustworthy.
+rationals, so this module is deliberately boring: dense Gauss-Jordan
+elimination.  Vectors and results are tuples of ``fractions.Fraction``;
+inside, each row is scaled to integers and eliminated fraction-free in
+the manner of Bareiss (Math. Comp. 22, 1968), so the arithmetic is on
+Python ints and every division is exact.  No floating point appears
+anywhere; rank and dimension decisions are therefore exact, which is
+what makes the Helly checkers in the rest of the package trustworthy.
 
 Vectors are plain tuples of Fractions.  Matrices and subspaces get small
 frozen dataclasses so they can be hashed and memoized.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Q = Fraction
@@ -168,47 +172,89 @@ class SubspaceBasis:
         return rank_of_rows(rows, self.ambient_dim) == self.dim
 
 
-def rref_rows(rows: list[list[Fraction]], ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """In-place Gauss-Jordan to reduced row echelon form.
+def _int_rows(rows: Iterable[Sequence]) -> list[list[int]]:
+    """Each row times the lcm of its denominators: the same row space, and
+    the same rref, in integers."""
+    out = []
+    for r in rows:
+        den = lcm(*(x.denominator for x in r))
+        if den == 1:
+            out.append([x.numerator for x in r])
+        else:
+            out.append([x.numerator * (den // x.denominator) for x in r])
+    return out
+
+
+def rref_rows(rows: Sequence[Sequence[Fraction]],
+              ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form and its pivot columns, by fraction-free
+    Gauss-Jordan on the integer-scaled rows.
 
     Pivot selection is the first nonzero entry scanning rows top-down, so
     the computation (not just the canonical result) is deterministic.
+    Each step replaces every other row by (p * row - f * pivot row) / prev,
+    where p is the new pivot and prev the one before it.  Every entry then
+    stays a minor of the scaled matrix, so the division is exact, and
+    every pivot row ends up holding the last pivot, which divides out into
+    the Fraction result.  Rows past the rank come back as zero rows.
     """
-    nrows = len(rows)
+    m = _int_rows(rows)
+    nrows = len(m)
     pivots: list[int] = []
+    prev = 1
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pr = i
-                break
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
         if pr is None:
             continue
-        if pr != r:
-            rows[r], rows[pr] = rows[pr], rows[r]
-        p = rows[r][c]
-        if p != 1:
-            rows[r] = [x / p for x in rows[r]]
-        prow = rows[r]
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        p = prow[c]
         for i in range(nrows):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+            if i != r:
+                row = m[i]
+                f = row[c]
+                if f:
+                    m[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+                elif p != prev:
+                    m[i] = [p * a // prev for a in row]
+        prev = p
         pivots.append(c)
         r += 1
         if r == nrows:
             break
-    return rows, pivots
+    out = [[Fraction(a, prev) for a in m[i]] for i in range(r)]
+    out += [[Fraction(0)] * ncols for _ in range(nrows - r)]
+    return out, pivots
 
 
-def rank_of_rows(rows: list[list[Fraction]], ncols: int) -> int:
-    return len(rref_rows([list(r) for r in rows], ncols)[1])
+def rank_of_rows(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
+    """Rank by forward-only Bareiss elimination; builds no Fraction."""
+    m = _int_rows(rows)
+    nrows = len(m)
+    prev = 1
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        prow = m[r]
+        p = prow[c]
+        for i in range(r + 1, nrows):
+            row = m[i]
+            f = row[c]
+            m[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+        prev = p
+        r += 1
+        if r == nrows:
+            break
+    return r
 
 
 def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
     """Reduced row echelon form of ``m`` and its pivot column indices."""
-    rows, pivots = rref_rows([list(r) for r in m.rows], m.ncols)
+    rows, pivots = rref_rows(m.rows, m.ncols)
     return RationalMatrix(tuple(tuple(r) for r in rows), m.ncols), tuple(pivots)
 
 
@@ -218,14 +264,14 @@ def rank(m: RationalMatrix) -> int:
 
 def span_basis(s: VectorSet) -> SubspaceBasis:
     """Canonical basis of the linear span: the nonzero rows of the rref."""
-    rows, pivots = rref_rows([list(v) for v in s.vectors], s.ambient_dim)
+    rows, pivots = rref_rows(s.vectors, s.ambient_dim)
     basis = tuple(tuple(rows[i]) for i in range(len(pivots)))
     return SubspaceBasis(s.ambient_dim, basis)
 
 
 def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
     """Canonical basis of ``{x : m x = 0}``; dimension is ncols - rank."""
-    rows, pivots = rref_rows([list(r) for r in m.rows], m.ncols)
+    rows, pivots = rref_rows(m.rows, m.ncols)
     pivot_set = set(pivots)
     free = [c for c in range(m.ncols) if c not in pivot_set]
     basis = []

@@ -1,4 +1,6 @@
-"""Brute-force oracles, independent of the simplex code path.
+"""Brute-force oracles, independent of the simplex code path, and the
+Fraction reference kernels that the integer kernels of ``ratlin`` and
+``lp`` must reproduce.
 
 Membership in a positive hull is decided here by conic Caratheodory:
 b lies in pos(A) iff b is a nonnegative combination of some linearly
@@ -9,9 +11,136 @@ naive integer coefficient grid, which would need entries up to the
 Cramer denominators to be sound.
 """
 
+from fractions import Fraction
 from itertools import combinations
 
+from conehelly.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 from conehelly.ratlin import VectorSet, rank_of_rows, rref_rows
+
+
+# ---------------------------------------------------------------------------
+# Reference kernels: plain Gauss-Jordan and the two-phase Bland simplex on
+# Fractions, the arithmetic the library used before it moved to integers.
+
+
+def ref_rref_rows(rows, ncols):
+    """Gauss-Jordan on Fractions, pivoting on the first nonzero entry
+    scanning rows top-down; returns (rows, pivot columns)."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    nrows = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        p = rows[r][c]
+        rows[r] = [x / p for x in rows[r]]
+        prow = rows[r]
+        for i in range(nrows):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], prow)]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def ref_kernel_basis(rows, ncols):
+    """Kernel basis read off the reference rref: one vector per free
+    column, with a 1 in that column."""
+    red, pivots = ref_rref_rows(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for i, p in enumerate(pivots):
+            v[p] = -red[i][f]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def _ref_pivot(tab, basis, r, c):
+    piv = tab[r][c]
+    tab[r] = [v / piv for v in tab[r]]
+    prow = tab[r]
+    for i in range(len(tab)):
+        if i != r and tab[i][c] != 0:
+            f = tab[i][c]
+            tab[i] = [a - f * b for a, b in zip(tab[i], prow)]
+    basis[r] = c
+
+
+def _ref_run_simplex(tab, basis, ncols):
+    m = len(tab) - 1
+    while True:
+        enter = next((j for j in range(ncols) if tab[m][j] < 0), -1)
+        if enter < 0:
+            return OPTIMAL
+        leave, best = -1, None
+        for i in range(m):
+            a = tab[i][enter]
+            if a > 0:
+                ratio = tab[i][ncols] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave < 0:
+            return UNBOUNDED
+        _ref_pivot(tab, basis, leave, enter)
+
+
+def ref_solve_standard_form(a, b, c):
+    """Two-phase Bland simplex on a Fraction tableau: minimize c.x subject
+    to a x = b, x >= 0, with the phase-1 Farkas vector when infeasible."""
+    m, n = len(a), len(c)
+    one, zero = Fraction(1), Fraction(0)
+    sign = [-one if b[i] < 0 else one for i in range(m)]
+    tab = [[sign[i] * v for v in a[i]] + [one if j == i else zero for j in range(m)]
+           + [sign[i] * b[i]] for i in range(m)]
+    ncols = n + m
+    basis = [n + i for i in range(m)]
+    cost = [zero] * (ncols + 1)
+    for i in range(m):
+        for j in range(ncols + 1):
+            cost[j] -= tab[i][j]
+    for i in range(m):
+        cost[n + i] = zero
+    tab.append(cost)
+    _ref_run_simplex(tab, basis, ncols)
+    if -tab[m][ncols] > 0:
+        return LPResult(INFEASIBLE, farkas=[sign[i] * (one - tab[m][n + i]) for i in range(m)])
+    drop = []
+    for i in range(m):
+        if basis[i] >= n:
+            enter = next((j for j in range(n) if tab[i][j] != 0), None)
+            if enter is None:
+                drop.append(i)
+            else:
+                _ref_pivot(tab, basis, i, enter)
+    for i in reversed(drop):
+        del tab[i]
+        del basis[i]
+    m = len(basis)
+    tab = [row[:n] + [row[ncols]] for row in tab[:m]]
+    cost = [Fraction(x) for x in c] + [zero]
+    for i in range(m):
+        cb = c[basis[i]]
+        if cb != 0:
+            cost = [x - cb * y for x, y in zip(cost, tab[i])]
+    tab.append(cost)
+    if _ref_run_simplex(tab, basis, n) == UNBOUNDED:
+        return LPResult(UNBOUNDED)
+    x = [zero] * n
+    for i in range(m):
+        x[basis[i]] = tab[i][n]
+    return LPResult(OPTIMAL, x=x, objective=sum((ci * xi for ci, xi in zip(c, x)), zero))
+
+
+# ---------------------------------------------------------------------------
+# Brute-force oracles
 
 
 def _solve_columns(cols, b, d):

@@ -53,6 +53,32 @@ class TestDeterminism:
         assert a.failures == b.failures
 
 
+class TestPosHelly:
+    def test_one_witness_search_per_k(self, monkeypatch):
+        # axis pairs in the plane: lineality 2, so the conclusion fails at
+        # k=1 (the witness search alone decides) and holds at k=2
+        from conehelly.gens import gen_axis_pairs
+
+        calls = []
+        hyp = fuzzing.check_lineality_hypothesis
+        monkeypatch.setattr(fuzzing, "check_lineality_hypothesis",
+                            lambda vs, k: calls.append(k) or hyp(vs, k))
+        fuzzing.check_pos_helly(gen_axis_pairs(2, 2))
+        assert calls == [2]
+
+    def test_missing_witness_is_a_mismatch(self, monkeypatch):
+        from conehelly.errors import TheoremContradiction
+        from conehelly.gens import gen_axis_pairs
+
+        def no_witness(vs, k):
+            raise TheoremContradiction("no witness")
+
+        monkeypatch.setattr(fuzzing, "witness_lineality_enum", no_witness)
+        with pytest.raises(fuzzing.CheckFailed,
+                           match="hypothesis/conclusion mismatch at k=1"):
+            fuzzing.check_pos_helly(gen_axis_pairs(2, 2))
+
+
 class TestFailureRecording:
     def test_failure_is_captured_with_instance(self, monkeypatch):
         def broken(vs):

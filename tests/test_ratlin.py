@@ -13,7 +13,9 @@ from conehelly.ratlin import (
     orth_complement,
     project_onto_complement,
     rank,
+    rank_of_rows,
     rref,
+    rref_rows,
     span_basis,
     unit_vec,
     vadd,
@@ -21,7 +23,8 @@ from conehelly.ratlin import (
     vsub,
 )
 
-from conftest import rational_matrices
+from conftest import rational_matrices, small_fraction
+from oracles import ref_kernel_basis, ref_rref_rows
 
 F = Fraction
 
@@ -63,6 +66,57 @@ class TestRref:
             return
         m = RationalMatrix(rows, ncols)
         assert rank(m) == rank(m.transpose())
+
+
+@st.composite
+def low_rank_rows(draw, max_rows=5, max_cols=5):
+    """Rational rows with denominators up to 7; most rows are combinations
+    of at most three drawn rows, so the rank is often short of full.  Zero
+    rows and the empty matrix occur."""
+    ncols = draw(st.integers(1, max_cols))
+    entry = small_fraction(max_num=6, max_den=7)
+    row = st.lists(entry, min_size=ncols, max_size=ncols)
+    base = draw(st.lists(row, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(0, max_rows))):
+        if base and draw(st.booleans()):
+            coef = draw(st.lists(small_fraction(max_num=3, max_den=4),
+                                 min_size=len(base), max_size=len(base)))
+            rows.append([sum((q * b[j] for q, b in zip(coef, base)), F(0))
+                         for j in range(ncols)])
+        else:
+            rows.append(draw(row))
+    return rows, ncols
+
+
+class TestAgainstReference:
+    """The integer kernels equal plain Fraction Gauss-Jordan."""
+
+    @given(low_rank_rows())
+    def test_rref_rows(self, data):
+        rows, ncols = data
+        assert rref_rows([list(r) for r in rows], ncols) == ref_rref_rows(rows, ncols)
+
+    @given(low_rank_rows())
+    def test_rank_of_rows(self, data):
+        rows, ncols = data
+        assert rank_of_rows(rows, ncols) == len(ref_rref_rows(rows, ncols)[1])
+
+    @given(low_rank_rows())
+    def test_kernel_basis(self, data):
+        rows, ncols = data
+        m = RationalMatrix(tuple(tuple(r) for r in rows), ncols)
+        assert kernel_basis(m).basis == ref_kernel_basis(rows, ncols)
+
+    def test_empty_matrix(self):
+        assert rref_rows([], 3) == ([], [])
+        assert rank_of_rows([], 3) == 0
+        assert kernel_basis(RationalMatrix((), 2)).basis == (vec([1, 0]), vec([0, 1]))
+
+    def test_zero_rows_stay_below(self):
+        red, piv = rref_rows([[F(0), F(0)], [F(1, 2), F(1, 3)], [F(3), F(2)]], 2)
+        assert red == [[F(1), F(2, 3)], [F(0), F(0)], [F(0), F(0)]]
+        assert piv == [0]
 
 
 class TestRank:
