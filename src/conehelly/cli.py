@@ -395,7 +395,7 @@ def _flat_helly(h: HalfspaceSystem, p: dict, certs) -> dict:
         certs = {"witness": rep.witness and witness_to_json(rep.witness)}
     result = {
         "polar_lineality_dim": polar_dim,
-        "normal_rank": rank_of_rows([list(v) for v in h.normals], d),
+        "normal_rank": rank_of_rows(h.normals.vectors, d),
         "subspace_conclusion": conclusion,
         "all_small_subsets_dependent": all_dependent,
     }
@@ -464,7 +464,7 @@ _WITNESS_PROPERTIES = {
     "solution_rank_below_k":
         lambda h, ids, k: solution_space_rank(h.subsystem(ids)) < k,
     "independent_normals":
-        lambda h, ids, k: rank_of_rows([list(h.normals[i]) for i in ids],
+        lambda h, ids, k: rank_of_rows([h.normals[i] for i in ids],
                                        h.ambient_dim) == k + 1,
 }
 

@@ -282,7 +282,7 @@ def extract_cone(h: HalfspaceSystem, k: int) -> VectorSet | InfeasibleCone:
     for cand in complement:
         if len(u) == k:
             break
-        if rank_of_rows([list(v) for v in u] + [list(cand)], d) > len(u):
+        if rank_of_rows(u + [cand], d) > len(u):
             u.append(cand)
     implicit = set(implicit_normal_indices(h))
     active = [a for i, a in enumerate(h.normals) if i not in implicit]
@@ -303,7 +303,7 @@ def extract_cone(h: HalfspaceSystem, k: int) -> VectorSet | InfeasibleCone:
 def verify_cone_generators(h: HalfspaceSystem, gens: VectorSet, k: int) -> bool:
     """Independent check of an extract_cone answer: the generators span
     exactly k dimensions and satisfy every inequality exactly."""
-    if rank_of_rows([list(v) for v in gens.vectors], gens.ambient_dim) != k:
+    if rank_of_rows(gens.vectors, gens.ambient_dim) != k:
         return False
     return all(dot(a, g) <= 0 for a in h.normals for g in gens)
 

@@ -15,15 +15,20 @@ TheoremContradiction instead of being reported as an ordinary result.
 Minimal witnesses have useful structure: a smallest subset B with
 dim lpos B > k must satisfy pos B = lin B (every element reversible
 inside B, otherwise dropping an irreversible element gives a smaller
-witness).  Such "linear" subsets are exactly the unions of positive
-circuits, so the enumeration walks bitmasks against the circuit list and
-only runs an exact rank on the rare survivors.
+witness).  Its lineality dimension is then its rank, so the enumeration
+asks of each candidate only whether it is linear
+(:func:`posbasis.is_linear`, one LP behind a cheap sign test) and, if
+so, its exact rank.  Wherever a witness is checked, its property is
+decided afresh on its own subset by the certified lineality computation.
+The cone checkers put the same question to the outer normals, since
+m(k,d) = h(d-k,d), so the search is memoized.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import CapacityError, TheoremContradiction
 from .cone import (
@@ -35,10 +40,9 @@ from .cone import (
     solution_space_rank,
 )
 from .posbasis import (
-    covered_union,
     subset_rank,
     extract_positive_basis_indices,
-    positive_circuits,
+    is_linear,
     reay_partition,
     PositiveBasis,
 )
@@ -120,28 +124,28 @@ class Witness:
             raise ValueError("witness larger than its size bound")
 
 
+@lru_cache(maxsize=2048)
 def _minimal_lineality_witness(a: VectorSet, threshold: int,
                                size_cap: int) -> tuple[int, ...] | None:
     """Lexicographically-first smallest subset B with
     dim lineality_space(B) > threshold and |B| <= size_cap, or None.
 
-    At the minimal cardinality every witness is a linear subset (a union
-    of positive circuits), so only those are tested; sizes are scanned in
-    ascending order, subsets in index-lexicographic order.
+    At the minimal cardinality every witness B is linear (pos B = lin B),
+    so a candidate qualifies iff it is linear and its rank exceeds the
+    threshold; linearity is asked first, as nearly every candidate has
+    the rank.  Sizes are scanned in ascending order, subsets of the
+    reversible generators in index-lexicographic order.  Memoized: the
+    pos check at threshold k and the cone and corollary checks at
+    k' = d - k all ask for (a, k, h(k,d)).
     """
     members = reversible_indices(a)
-    if rank_of_rows([list(a[i]) for i in members], a.ambient_dim) <= threshold:
+    if subset_rank(a, members) <= threshold:
         return None  # dim lpos(a) itself is within the threshold
-    circuits = positive_circuits(a)
     top = min(size_cap, len(members))
     for size in range(threshold + 2, top + 1):
         for combo in itertools.combinations(members, size):
-            mask = 0
-            for i in combo:
-                mask |= 1 << i
-            if covered_union(mask, circuits) != mask:
-                continue
-            if subset_rank(a, combo) > threshold:
+            if is_linear(a[i] for i in combo) and \
+                    subset_rank(a, combo) > threshold:
                 return combo
     return None
 
@@ -202,7 +206,7 @@ def witness_lineality_reay(a: VectorSet, k: int) -> Witness:
             used[v] = used.get(v, 0)
             taken.append(options[used[v]])
             used[v] += 1
-        if rank_of_rows([list(a[i]) for i in taken], d) > k:
+        if rank_of_rows([a[i] for i in taken], d) > k:
             if len(taken) > h:
                 raise TheoremContradiction(
                     "Reay prefix witness exceeds h(k,d)")
@@ -317,7 +321,7 @@ def check_flat_helly(h: HalfspaceSystem, k: int) -> FlatHellyReport:
     witness = None
     all_dependent = True
     for combo in itertools.combinations(range(len(h)), k + 1):
-        if rank_of_rows([list(h.normals[i]) for i in combo], d) == k + 1:
+        if rank_of_rows([h.normals[i] for i in combo], d) == k + 1:
             all_dependent = False
             witness = Witness(subset_indices=combo,
                               property="independent_normals",
@@ -326,7 +330,7 @@ def check_flat_helly(h: HalfspaceSystem, k: int) -> FlatHellyReport:
     if conclusion != all_dependent:
         raise TheoremContradiction(
             "polar lineality dimension disagrees with normal rank")
-    rank_n = rank_of_rows([list(v) for v in h.normals], d)
+    rank_n = rank_of_rows(h.normals.vectors, d)
     return FlatHellyReport(k=k, d=d, polar_lineality_dim=polar_dim,
                            normal_rank=rank_n,
                            subspace_conclusion=conclusion,

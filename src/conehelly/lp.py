@@ -178,9 +178,9 @@ def solve_standard_form(
 def nonneg_combination(columns: list[list[Fraction]], target: list[Fraction]) -> LPResult:
     """Feasibility of ``sum_i alpha_i columns[i] = target`` with alpha >= 0.
 
-    Column vectors all live in the same dimension as ``target``.  Returns
-    an OPTIMAL result whose x is one valid alpha, or an INFEASIBLE result
-    carrying the Farkas vector.
+    Column vectors all live in the same dimension as ``target``; entries
+    may be Fractions or ints.  Returns an OPTIMAL result whose x is one
+    valid alpha, or an INFEASIBLE result carrying the Farkas vector.
     """
     d = len(target)
     n = len(columns)

@@ -155,7 +155,7 @@ class SubspaceBasis:
         for v in self.basis:
             if len(v) != self.ambient_dim:
                 raise ValueError("basis vector of wrong length")
-        if rank_of_rows([list(v) for v in self.basis], self.ambient_dim) != len(self.basis):
+        if rank_of_rows(self.basis, self.ambient_dim) != len(self.basis):
             raise ValueError("basis vectors are linearly dependent")
 
     @property
@@ -168,8 +168,7 @@ class SubspaceBasis:
             raise ValueError("dimension mismatch")
         if is_zero(v):
             return True
-        rows = [list(b) for b in self.basis] + [list(v)]
-        return rank_of_rows(rows, self.ambient_dim) == self.dim
+        return rank_of_rows([*self.basis, v], self.ambient_dim) == self.dim
 
 
 def _int_rows(rows: Iterable[Sequence]) -> list[list[int]]:

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from conehelly import helly
 from conehelly.errors import CapacityError
 from conehelly.cone import HalfspaceSystem, lineality_space, max_cone_dim
 from conehelly.gens import gen_axis_pairs, gen_example2, gen_simplex_like
@@ -192,6 +193,21 @@ class TestConeHelly:
     def test_k_out_of_range(self):
         with pytest.raises(ValueError):
             verify_cone_helly(HalfspaceSystem(vs([[-1, 0]], 2)), 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(int_vector_sets(max_d=3, max_n=6, bound=2, min_n=1, nonzero=True))
+    def test_cone_and_corollary_share_the_lex_first_witness(self, a):
+        h = HalfspaceSystem(a)
+        d = a.ambient_dim
+        for k in range(1, d + 1):
+            # Each side runs its own search, not the other's memoized one.
+            helly._minimal_lineality_witness.cache_clear()
+            cone = verify_cone_helly(h, k).witness
+            helly._minimal_lineality_witness.cache_clear()
+            cor = corollary_check(h, k).witness
+            expect = oracle_minimal_witness(a, d - k, bound_m(k, d))
+            got = [None if w is None else w.subset_indices for w in (cone, cor)]
+            assert got == [expect, expect]
 
 
 class TestCorollary:

@@ -10,14 +10,15 @@ from conehelly.posbasis import (
     ReayPartition,
     extract_positive_basis,
     extract_positive_basis_indices,
+    is_linear,
     is_positive_basis,
-    positive_circuits,
     reay_partition,
     verify_reay,
 )
 from conehelly.ratlin import SubspaceBasis, VectorSet, span_basis, vec
 
 from conftest import int_vector_sets
+from oracles import oracle_reversible
 
 F = Fraction
 
@@ -164,19 +165,21 @@ class TestVerifyReay:
         assert verify_reay(ReayPartition(2, ()))
 
 
-class TestCircuits:
-    def test_opposite_pair_is_a_circuit(self):
-        a = vs([[1, 0], [-1, 0], [0, 1]], 2)
-        assert positive_circuits(a) == (0b011,)
+class TestLinear:
+    def test_opposite_pair_is_linear(self):
+        assert is_linear(vs([[1, 0], [-1, 0]], 2))
+        assert not is_linear(vs([[1, 0], [-1, 0], [0, 1]], 2))
 
-    def test_simplex_like_single_circuit(self):
-        a = gen_simplex_like(2)
-        assert positive_circuits(a) == (0b111,)
+    def test_simplex_like_is_linear(self):
+        assert is_linear(gen_simplex_like(2))
 
-    def test_duplicate_vectors_are_not_a_circuit(self):
-        a = vs([[1, 0], [1, 0]], 2)
-        assert positive_circuits(a) == ()
+    def test_duplicate_vectors_are_not_linear(self):
+        assert not is_linear(vs([[1, 0], [1, 0]], 2))
 
     def test_scaled_opposites(self):
-        a = vs([[2, 0], [-3, 0]], 2)
-        assert positive_circuits(a) == (0b11,)
+        assert is_linear(vs([[2, 0], [-3, 0]], 2))
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_vector_sets(max_d=4, max_n=6, bound=2))
+    def test_matches_exhaustive_reversibility(self, a):
+        assert is_linear(a) == (len(oracle_reversible(a)) == len(a))
