@@ -34,7 +34,6 @@ from .cone import (
     membership,
     project_out_lineality,
     relative_interior_point,
-    solution_space_rank,
     verify_cone_generators,
 )
 from .posbasis import (

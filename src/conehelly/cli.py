@@ -40,7 +40,6 @@ from .cone import (
     lineality_space,
     max_cone_dim,
     membership,
-    solution_space_rank,
     verify_cone_generators,
 )
 from .fuzzing import ALL_CHECKS, FuzzConfig, run_fuzz
@@ -68,7 +67,7 @@ from .posbasis import (
     ReayPartition,
     extract_positive_basis_indices,
     is_positive_basis,
-    reay_partition,
+    reay_parts,
     verify_reay,
 )
 from .ratlin import (
@@ -265,25 +264,13 @@ def _posbasis(vs: VectorSet, p: dict, certs) -> dict:
 def _reay(vs: VectorSet, p: dict, certs) -> dict:
     target = lineality_space(vs)
     if certs is None:
-        if not is_positive_basis(vs, target):
+        try:
+            basis = PositiveBasis(target=target, elements=vs)
+        except ValueError:
             raise InputError(
-                "input is not a positive basis of its own lineality space")
-        partition = reay_partition(PositiveBasis(target=target, elements=vs))
-        certs = {"parts": _parts_as_indices(vs, partition)}
+                "input is not a positive basis of its own lineality space") from None
+        certs = {"parts": [list(part) for part in reay_parts(basis)]}
     return {"target": subspace_to_json(target), "parts": certs.get("parts")}
-
-
-def _parts_as_indices(vs: VectorSet, partition: ReayPartition) -> list[list[int]]:
-    remaining = {i: vs[i] for i in range(len(vs))}
-    out = []
-    for part in partition.parts:
-        ids = []
-        for v in part:
-            i = next(i for i, w in remaining.items() if w == v)
-            del remaining[i]
-            ids.append(i)
-        out.append(sorted(ids))
-    return out
 
 
 def _maxcone(h: HalfspaceSystem, p: dict, certs) -> dict:
@@ -294,7 +281,7 @@ def _maxcone(h: HalfspaceSystem, p: dict, certs) -> dict:
 
 
 def _solution_rank(h: HalfspaceSystem, p: dict, certs) -> dict:
-    return {"rank": solution_space_rank(h)}
+    return {"rank": max_cone_dim(h)}
 
 
 def _polar_lineality(h: HalfspaceSystem, p: dict, certs) -> dict:
@@ -367,7 +354,7 @@ def _helly_cone(h: HalfspaceSystem, p: dict, certs) -> dict:
 
 def _corollary(h: HalfspaceSystem, p: dict, certs) -> dict:
     k = p["k"]
-    r = solution_space_rank(h)
+    r = max_cone_dim(h)
     subsystems_hold = r >= k
     if certs is None:
         rep = corollary_check(h, k)
@@ -462,7 +449,7 @@ _WITNESS_PROPERTIES = {
     "no_k_dim_cone":
         lambda h, ids, k: max_cone_dim(h.subsystem(ids)) < k,
     "solution_rank_below_k":
-        lambda h, ids, k: solution_space_rank(h.subsystem(ids)) < k,
+        lambda h, ids, k: max_cone_dim(h.subsystem(ids)) < k,
     "independent_normals":
         lambda h, ids, k: rank_of_rows([h.normals[i] for i in ids],
                                        h.ambient_dim) == k + 1,

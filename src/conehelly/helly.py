@@ -16,10 +16,11 @@ Minimal witnesses have useful structure: a smallest subset B with
 dim lpos B > k must satisfy pos B = lin B (every element reversible
 inside B, otherwise dropping an irreversible element gives a smaller
 witness).  Its lineality dimension is then its rank, so the enumeration
-asks of each candidate only whether it is linear
-(:func:`posbasis.is_linear`, one LP behind a cheap sign test) and, if
-so, its exact rank.  Wherever a witness is checked, its property is
-decided afresh on its own subset by the certified lineality computation.
+asks of each candidate only whether it is linear (:func:`cone.is_linear`,
+one LP certificate checked by substitution, behind a cheap sign test)
+and, if so, its exact rank.  Wherever a witness is checked, its property
+is decided afresh on its own subset by the certified lineality
+computation.
 The cone checkers put the same question to the outer normals, since
 m(k,d) = h(d-k,d), so the search is memoized.
 """
@@ -33,17 +34,16 @@ from functools import lru_cache
 from .errors import CapacityError, TheoremContradiction
 from .cone import (
     HalfspaceSystem,
+    is_linear,
     lineality_of_polar,
     lineality_space,
     max_cone_dim,
     reversible_indices,
-    solution_space_rank,
 )
 from .posbasis import (
     subset_rank,
     extract_positive_basis_indices,
-    is_linear,
-    reay_partition,
+    reay_parts,
     PositiveBasis,
 )
 from .ratlin import VectorSet, rank_of_rows
@@ -181,32 +181,29 @@ def witness_lineality_enum(a: VectorSet, k: int) -> Witness:
                    size_bound=h)
 
 
+@lru_cache(maxsize=256)
+def _reay_input_parts(a: VectorSet) -> tuple[tuple[int, ...], ...]:
+    """Input indices of the parts, in order, of the Reay partition of the
+    extracted positive basis of the lineality space.  Nothing here
+    depends on k, so it is memoized for the witnesses at every k."""
+    kept = extract_positive_basis_indices(a)
+    basis = PositiveBasis(target=lineality_space(a), elements=a.subset(kept))
+    return tuple(tuple(kept[i] for i in part) for part in reay_parts(basis))
+
+
 def witness_lineality_reay(a: VectorSet, k: int) -> Witness:
     """Witness read off the Reay partition of a positive basis of the
-    lineality space: the first prefix whose span dimension exceeds k."""
+    lineality space: the first prefix whose span dimension exceeds k.
+    The Reay search certified that prefix B_j spans |B_j| - j dimensions."""
     d = a.ambient_dim
     _check_k(k, d)
     _check_capacity(len(a))
     _require_lineality_excess(a, k)
     h = bound_h(k, d)
-    kept = extract_positive_basis_indices(a)
-    basis = PositiveBasis(target=lineality_space(a), elements=a.subset(kept))
-    partition = reay_partition(basis)
-    # Positions within the extracted basis follow input order, so prefix
-    # parts map straight back to original indices by value matching the
-    # kept index list.
-    pos_of_vec: dict = {}
-    for orig in kept:
-        pos_of_vec.setdefault(a[orig], []).append(orig)
     taken: list[int] = []
-    used: dict = {}
-    for part in partition.parts:
-        for v in part:
-            options = pos_of_vec[v]
-            used[v] = used.get(v, 0)
-            taken.append(options[used[v]])
-            used[v] += 1
-        if rank_of_rows([a[i] for i in taken], d) > k:
+    for j, part in enumerate(_reay_input_parts(a), start=1):
+        taken.extend(part)
+        if len(taken) - j > k:
             if len(taken) > h:
                 raise TheoremContradiction(
                     "Reay prefix witness exceeds h(k,d)")
@@ -277,12 +274,17 @@ class CorollaryReport:
 def corollary_check(h: HalfspaceSystem, k: int) -> CorollaryReport:
     """Biconditional for homogeneous inequality systems: the system has at
     least k linearly independent solutions iff every subsystem of size at
-    most m(k,d) does."""
+    most m(k,d) does.
+
+    The maximum number of linearly independent solutions of {a.x <= 0}
+    is max_cone_dim, since the solution set is a full-dimensional cone in
+    the complement of the normals' lineality space; extract_cone at this
+    k produces explicit such solutions."""
     d = h.ambient_dim
     _check_k(k, d)
     _check_capacity(len(h))
     bounds = HellyBounds.of(k, d)
-    r = solution_space_rank(h)
+    r = max_cone_dim(h)
     global_holds = r >= k
     combo = _minimal_lineality_witness(h.normals, d - k,
                                        min(bounds.m, len(h)))

@@ -6,36 +6,22 @@ splits into parts X_1, ..., X_r with nonincreasing sizes >= 2 such that
 every prefix union B_j is itself a positive basis of its span and that
 span has dimension |B_j| - j.
 
-Both ways of asking "pos X = L" come down to linear programs:
-
-* certificates: +w and -w are verified membership combinations for every
-  basis vector w of L (:func:`is_positive_basis`, :func:`verify_reay`);
-* searches: pos X = L exactly when X is linear (pos X is a subspace) and
-  spans L, and :func:`is_linear` decides linearity with one phase-1 LP.
-
-Everything the searches produce is re-checked by the certificates in the
-type invariants and the test suite.
+pos X = L exactly when X lies in L, has rank dim L and is linear (pos X
+is a subspace).  Linearity has one mechanism, :func:`cone.is_linear`:
+one phase-1 LP whose answer, a zero combination with every coefficient
+at least 1 or a separating functional, is checked by substitution.  So
+a positive basis is certified by |X| + 1 linearity certificates, and a
+Reay prefix B_j by the same test with dim L = |B_j| - j.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import mul
-from typing import Iterable
 
-from . import lp
 from .errors import TheoremContradiction
-from .cone import lineality_space, membership, reversible_indices
-from .ratlin import (
-    SubspaceBasis,
-    Vec,
-    VectorSet,
-    _int_rows,
-    rank_of_rows,
-    span_basis,
-    vneg,
-)
+from .cone import is_linear, lineality_space, reversible_indices
+from .ratlin import SubspaceBasis, Vec, VectorSet, rank_of_rows
 
 __all__ = [
     "PositiveBasis",
@@ -44,37 +30,29 @@ __all__ = [
     "extract_positive_basis",
     "extract_positive_basis_indices",
     "reay_partition",
+    "reay_parts",
     "verify_reay",
-    "is_linear",
     "subset_rank",
 ]
 
 
-def positively_spans(x: VectorSet, target: SubspaceBasis) -> bool:
-    """Certified test of pos(x) = target for a subspace target: every x
-    lies in the target and +/- every basis vector of the target is a
-    verified membership combination."""
-    if x.ambient_dim != target.ambient_dim:
+def _minimally_spans(vectors: list[Vec], d: int, dim: int) -> bool:
+    """pos(vectors) is a linear subspace of dimension dim, and no set with
+    one element removed has both properties."""
+    if rank_of_rows(vectors, d) != dim or not is_linear(vectors):
         return False
-    if not all(target.contains(v) for v in x):
-        return False
-    for w in target.basis:
-        if not membership(w, x).is_member:
-            return False
-        if not membership(vneg(w), x).is_member:
+    for i in range(len(vectors)):
+        rest = vectors[:i] + vectors[i + 1:]
+        if rank_of_rows(rest, d) == dim and is_linear(rest):
             return False
     return True
 
 
 def is_positive_basis(x: VectorSet, target: SubspaceBasis) -> bool:
     """pos(x) = target and no single element can be dropped."""
-    if not positively_spans(x, target):
-        return False
-    for i in range(len(x)):
-        rest = x.subset([j for j in range(len(x)) if j != i])
-        if positively_spans(rest, target):
-            return False
-    return True
+    return (x.ambient_dim == target.ambient_dim
+            and all(target.contains(v) for v in x)
+            and _minimally_spans(list(x.vectors), x.ambient_dim, target.dim))
 
 
 @dataclass(frozen=True)
@@ -112,35 +90,6 @@ class ReayPartition:
         for p in self.parts:
             vectors.extend(p.vectors)
         return VectorSet(self.ambient_dim, tuple(vectors))
-
-
-def is_linear(vectors: Iterable[Vec]) -> bool:
-    """True iff pos(vectors) is a linear subspace.
-
-    That holds iff sum_i lambda_i s_i = 0 for some lambda >= 1: such a
-    combination makes every s_i reversible, and conversely, when every
-    s_i is, adding up one zero-combination per i that gives s_i the
-    coefficient 1 yields one.  So it holds iff -sum_i s_i is a
-    nonnegative combination of the s_i, which one phase-1 LP decides
-    (Farkas; Schrijver, Theory of Linear and Integer Programming, 1986).
-    Rescaling each vector to integers changes no positive hull.
-    """
-    rows = _int_rows(vectors)
-    if not rows:
-        return True
-    # On a linear set a functional positive somewhere is negative
-    # somewhere.  Trying the coordinates and x -> v.x for each nonzero v
-    # settles about half of the witness-search candidates of the fuzz
-    # streams without the LP, which raised pos_helly benchmark throughput
-    # by 15-30% in paired runs on a 2-core x86 VM.
-    for col in zip(*rows):
-        if (min(col) < 0) != (max(col) > 0):
-            return False
-    for v in rows:
-        if any(v) and all(sum(map(mul, v, w)) >= 0 for w in rows):
-            return False
-    target = [-sum(col) for col in zip(*rows)]
-    return lp.nonneg_combination(rows, target).status == lp.OPTIMAL
 
 
 def subset_rank(vs: VectorSet, indices) -> int:
@@ -182,34 +131,20 @@ def _profiles(n: int, r: int, cap: int):
             yield (first,) + rest
 
 
-def _prefix_ok(vs: VectorSet, prefix: list[int], nparts: int) -> bool:
-    """Reay prefix condition for B_j (j = nparts): dimension identity,
-    positive spanning of the own span, and minimality."""
-    want_dim = len(prefix) - nparts
-    if subset_rank(vs, prefix) != want_dim:
-        return False
-    if not is_linear(vs[i] for i in prefix):
-        return False
-    for drop in prefix:
-        rest = [i for i in prefix if i != drop]
-        if subset_rank(vs, rest) == want_dim and is_linear(vs[i] for i in rest):
-            return False  # still positively spans: not minimal
-    return True
-
-
-def reay_partition(x: PositiveBasis) -> ReayPartition:
-    """A partition satisfying the Reay invariants, found by backtracking
-    over ordered set partitions: size profiles in descending lexicographic
-    order, parts filled in lexicographic index order, first solution wins.
-    The output is therefore canonical for a given input order.  Existence
-    is guaranteed, so exhausting the search raises TheoremContradiction."""
+def reay_parts(x: PositiveBasis) -> tuple[tuple[int, ...], ...]:
+    """Indices into x.elements of the parts of a partition satisfying the
+    Reay invariants, found by backtracking over ordered set partitions:
+    size profiles in descending lexicographic order, parts filled in
+    lexicographic index order, first solution wins.  The output is
+    therefore canonical for a given input order, and each part is sorted.
+    Existence is guaranteed, so exhausting the search raises
+    TheoremContradiction."""
     elements = x.elements
     n = len(elements)
-    d = elements.ambient_dim
     if n == 0:
-        return ReayPartition(d, ())
-    dim = x.target.dim
-    r = n - dim
+        return ()
+    d = elements.ambient_dim
+    r = n - x.target.dim
 
     def search(remaining: list[int], chosen: list[tuple[int, ...]],
                sizes: tuple[int, ...]) -> list[tuple[int, ...]] | None:
@@ -218,8 +153,8 @@ def reay_partition(x: PositiveBasis) -> ReayPartition:
             return chosen if not remaining else None
         size = sizes[j]
         for combo in itertools.combinations(remaining, size):
-            prefix = [i for c in chosen for i in c] + list(combo)
-            if not _prefix_ok(elements, prefix, j + 1):
+            prefix = [elements[i] for c in chosen + [combo] for i in c]
+            if not _minimally_spans(prefix, d, len(prefix) - j - 1):
                 continue
             rest = [i for i in remaining if i not in combo]
             out = search(rest, chosen + [combo], sizes)
@@ -230,15 +165,21 @@ def reay_partition(x: PositiveBasis) -> ReayPartition:
     for sizes in _profiles(n, r, n):
         out = search(list(range(n)), [], sizes)
         if out is not None:
-            return ReayPartition(d, tuple(elements.subset(part) for part in out))
+            return tuple(out)
     raise TheoremContradiction(
         "no Reay partition found for a verified positive basis")
+
+
+def reay_partition(x: PositiveBasis) -> ReayPartition:
+    """The partition of :func:`reay_parts` as vector sets."""
+    return ReayPartition(x.elements.ambient_dim,
+                         tuple(x.elements.subset(p) for p in reay_parts(x)))
 
 
 def verify_reay(p: ReayPartition) -> bool:
     """Exact check of every Reay invariant: part sizes nonincreasing and
     at least 2, parts disjoint, and every prefix union a positive basis of
-    its span with dimension |B_j| - j.  Uses the certified spanning test."""
+    its span with dimension |B_j| - j."""
     sizes = [len(part) for part in p.parts]
     if any(s < 2 for s in sizes):
         return False
@@ -253,10 +194,6 @@ def verify_reay(p: ReayPartition) -> bool:
     prefix: list = []
     for j, part in enumerate(p.parts, start=1):
         prefix.extend(part.vectors)
-        b = VectorSet(p.ambient_dim, tuple(prefix))
-        span = span_basis(b)
-        if span.dim != len(b) - j:
-            return False
-        if not is_positive_basis(b, span):
+        if not _minimally_spans(prefix, p.ambient_dim, len(prefix) - j):
             return False
     return True

@@ -185,6 +185,28 @@ def oracle_lineality_contains(vs: VectorSet, w) -> bool:
     return oracle_in_pos(w, vs) and oracle_in_pos(tuple(-c for c in w), vs)
 
 
+def _oracle_positively_spans(x: VectorSet, target) -> bool:
+    """pos(x) = target: x lies in the target, and +- every basis vector of
+    the target lies in pos(x), each decided by oracle_in_pos."""
+    d = x.ambient_dim
+    dim = len(target.basis)
+    basis = [list(w) for w in target.basis]
+    if any(rank_of_rows(basis + [list(v)], d) > dim for v in x):
+        return False
+    return all(oracle_in_pos(w, x) and oracle_in_pos(tuple(-c for c in w), x)
+               for w in target.basis)
+
+
+def oracle_is_positive_basis(x: VectorSet, target) -> bool:
+    """pos(x) = target, and pos(x minus any one element) is not."""
+    if not _oracle_positively_spans(x, target):
+        return False
+    return not any(
+        _oracle_positively_spans(x.subset([j for j in range(len(x)) if j != i]),
+                                 target)
+        for i in range(len(x)))
+
+
 def oracle_check_hypothesis(vs: VectorSet, k: int, cap: int) -> bool:
     """Direct subset scan: every subset of size <= cap has oracle
     lineality dimension <= k."""

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conehelly import lp
 from conehelly.cone import (
     FarkasCertificate,
     HalfspaceSystem,
     InfeasibleCone,
     extract_cone,
+    is_linear,
     is_pointed,
     lineality_of_polar,
     lineality_space,
@@ -17,9 +19,10 @@ from conehelly.cone import (
     membership,
     project_out_lineality,
     relative_interior_point,
-    solution_space_rank,
+    reversible_indices,
     verify_cone_generators,
 )
+from conehelly.errors import TheoremContradiction
 from conehelly.gens import gen_axis_pairs, gen_example2, gen_simplex_like
 from conehelly.ratlin import VectorSet, dot, vec
 
@@ -233,9 +236,9 @@ class TestPolarQuantities:
     def test_solution_rank_examples(self):
         for d in range(1, 6):
             for k in range(1, d + 1):
-                assert solution_space_rank(gen_example2(d, k)) == k - 1
-        assert solution_space_rank(HalfspaceSystem(VectorSet(3, ()))) == 3
-        assert solution_space_rank(HalfspaceSystem(gen_simplex_like(3))) == 0
+                assert max_cone_dim(gen_example2(d, k)) == k - 1
+        assert max_cone_dim(HalfspaceSystem(VectorSet(3, ()))) == 3
+        assert max_cone_dim(HalfspaceSystem(gen_simplex_like(3))) == 0
 
     def test_duality_identity(self):
         for d in range(1, 6):
@@ -277,6 +280,33 @@ class TestOracleCrossChecks:
 
     def test_reversible_set_equals_oracle(self):
         a = vs([[1, 0], [-1, 0], [0, 1], [1, 1]], 2)
-        from conehelly.cone import reversible_indices
-
         assert tuple(reversible_indices(a)) == oracle_reversible(a)
+
+    @settings(max_examples=100, deadline=None)
+    @given(int_vector_sets(max_d=4, max_n=7, bound=2))
+    def test_deflation_matches_oracle(self, a):
+        assert reversible_indices(a) == oracle_reversible(a)
+
+
+class TestLinearityCertificate:
+    """is_linear substitutes the LP's answer back before trusting it."""
+
+    # Both sets pass the sign pretest, so each answer comes from the LP.
+    LINEAR = [[1, 0], [0, 1], [-1, -1]]
+    HALFPLANE = [[-1, -1], [-1, 0], [1, 1]]
+
+    def test_lp_answers_pass_their_checks(self):
+        assert is_linear(vs(self.LINEAR, 2))
+        assert not is_linear(vs(self.HALFPLANE, 2))
+
+    def test_wrong_combination_raises(self, monkeypatch):
+        monkeypatch.setattr(lp, "nonneg_combination", lambda cols, target: lp.LPResult(
+            lp.OPTIMAL, x=[F(0), F(0), F(5)]))
+        with pytest.raises(TheoremContradiction):
+            is_linear(vs(self.LINEAR, 2))
+
+    def test_wrong_farkas_vector_raises(self, monkeypatch):
+        monkeypatch.setattr(lp, "nonneg_combination", lambda cols, target: lp.LPResult(
+            lp.INFEASIBLE, farkas=[F(1), F(0)]))
+        with pytest.raises(TheoremContradiction):
+            is_linear(vs(self.HALFPLANE, 2))

@@ -114,12 +114,15 @@ class TestGenRandom:
 
 
 class TestTightness:
+    # Neither term of m(k,d) = max(d+1, 2(d-k+1)) can be lowered, for every
+    # d <= 6: the simplex-like system needs all d+1 members, the axis-pair
+    # system all 2(d-k+1) halfspaces.
     def test_example1_small(self):
-        for d in range(1, 5):
+        for d in range(1, 7):
             assert verify_tightness_example1(d)
 
     def test_example2_small(self):
-        for d in range(1, 5):
+        for d in range(1, 7):
             for k in range(1, d + 1):
                 assert verify_tightness_example2(d, k)
 

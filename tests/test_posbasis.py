@@ -2,15 +2,15 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conehelly.cone import lineality_space
+from conehelly.cone import is_linear, lineality_space, reversible_indices
 from conehelly.gens import gen_axis_pairs, gen_simplex_like
 from conehelly.posbasis import (
     PositiveBasis,
     ReayPartition,
     extract_positive_basis,
     extract_positive_basis_indices,
-    is_linear,
     is_positive_basis,
     reay_partition,
     verify_reay,
@@ -18,7 +18,7 @@ from conehelly.posbasis import (
 from conehelly.ratlin import SubspaceBasis, VectorSet, span_basis, vec
 
 from conftest import int_vector_sets
-from oracles import oracle_reversible
+from oracles import oracle_is_positive_basis, oracle_reversible
 
 F = Fraction
 
@@ -52,6 +52,30 @@ class TestIsPositiveBasis:
 
     def test_empty_set_is_basis_of_zero_subspace(self):
         assert is_positive_basis(VectorSet(2, ()), SubspaceBasis(2, ()))
+
+    def test_spanning_but_not_minimal(self):
+        a = vs([[1, 0], [0, 1], [-1, 0], [0, -1], [-1, -1]], 2)
+        full = span_basis(a)
+        assert not is_positive_basis(a, full)
+        assert not oracle_is_positive_basis(a, full)
+        assert is_positive_basis(a.subset([0, 1, 4]), full)
+        assert oracle_is_positive_basis(a.subset([0, 1, 4]), full)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_on_subsets(self, data):
+        # Negated copies give the instance a lineality space; the reversible
+        # generators minus a few then span it, minimally or not, while
+        # arbitrary subsets mostly do not.
+        base = data.draw(int_vector_sets(max_d=3, max_n=4, bound=2, min_n=1))
+        negate = sorted(data.draw(st.sets(st.sampled_from(range(len(base))))))
+        a = VectorSet(base.ambient_dim, base.vectors + tuple(
+            tuple(-c for c in base[i]) for i in negate))
+        target = lineality_space(a)
+        pool = data.draw(st.sampled_from([range(len(a)), reversible_indices(a)]))
+        drop = data.draw(st.sets(st.sampled_from(pool))) if pool else set()
+        x = a.subset([i for i in pool if i not in drop])
+        assert is_positive_basis(x, target) == oracle_is_positive_basis(x, target)
 
 
 class TestExtract:
