@@ -8,7 +8,6 @@ and bounded witnesses throughout.  All arithmetic is exact rational.
 
 from .errors import CapacityError, TheoremContradiction
 from .ratlin import (
-    Q,
     RationalMatrix,
     SubspaceBasis,
     Vec,
@@ -17,8 +16,6 @@ from .ratlin import (
     kernel_basis,
     orth_complement,
     project_onto_complement,
-    rank,
-    rref,
     span_basis,
     vec,
 )

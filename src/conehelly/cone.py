@@ -4,16 +4,18 @@ The positive hull of a finite vector set A is ``pos A``, the set of all
 nonnegative combinations of A.  Everything downstream needs three exact
 questions answered about it:
 
-* membership: is b in pos A?  Decided by phase-1 simplex; the answer is
-  returned as a :class:`FarkasCertificate` that re-verifies by plain
-  substitution, so callers never have to trust the solver.
-* linearity: is pos A a linear subspace?  Decided by one phase-1 LP
-  behind a sign pretest; either answer comes with a certificate that is
-  checked by substitution on integers before it is used.  The lineality
-  space, positive bases and Reay prefixes all rest on this one question.
+* membership: is b in pos A?
+* linearity: is pos A a linear subspace?  It is iff -sum A is in pos A,
+  so this is membership again, behind a sign pretest.  The lineality
+  space, positive bases and Reay prefixes all rest on it.
 * polar quantities of a homogeneous halfspace system {x : a.x <= 0}: the
   largest dimension of a cone inside the intersection, a relative
   interior point, and an explicit k-dimensional cone when one exists.
+
+The first two are asked of a VectorSet's integer rows, which have the
+same positive hull, and one phase-1 LP answers both; :func:`_checked`
+verifies its integer answer by substitution before it is used.
+Membership turns its certificate back into Fractions.
 
 All cones have apex at the origin.
 """
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Iterable
+from typing import Sequence
 
 from . import lp
 from .errors import TheoremContradiction
@@ -33,8 +35,8 @@ from .ratlin import (
     SubspaceBasis,
     Vec,
     VectorSet,
-    _int_rows,
     dot,
+    int_row,
     is_zero,
     kernel_basis,
     orth_complement,
@@ -108,32 +110,48 @@ class HalfspaceSystem:
         return HalfspaceSystem(self.normals.subset(indices))
 
 
+def _checked(rows: Sequence[Sequence[int]], t: Sequence[int],
+             res: lp.LPResult) -> lp.LPResult:
+    """Return an integer answer to "t in pos(rows)?" after checking it by
+    substitution: a yes is x >= 0 with sum_i x_i r_i = den t, a no is y
+    with y.r <= 0 on every row and y.t > 0.  A failed check can only come
+    from a solver bug and raises TheoremContradiction."""
+    if res.status == lp.OPTIMAL:
+        x = res.x
+        residual = [res.den * tj for tj in t]
+        for xi, r in zip(x, rows):
+            if xi:
+                residual = [a - xi * b for a, b in zip(residual, r)]
+        ok = (len(x) == len(rows) and res.den > 0 and min(x, default=0) >= 0
+              and not any(residual))
+    else:
+        y = res.farkas
+        ok = (len(y) == len(t) and all(sum(map(mul, y, r)) <= 0 for r in rows)
+              and sum(map(mul, y, t)) > 0)
+    if not ok:
+        raise TheoremContradiction("pos certificate failed substitution")
+    return res
+
+
 def membership(b: Vec, gens: VectorSet) -> FarkasCertificate:
     """Decide b in pos(gens) and return a certificate either way.
 
-    The phase-1 simplex answer is re-verified by substitution before it is
-    returned; a verification failure raises TheoremContradiction since it
-    can only come from a solver bug.
+    The LP runs on the generators' integer rows and the point times its
+    integer scale c_b, and its answer is checked by :func:`_checked`.
+    Coefficient i is then x_i c_i / (den c_b), with c_i the scale of
+    generator i, and the separator is y / den.
     """
     if len(b) != gens.ambient_dim:
         raise ValueError("query point has wrong dimension")
-    res = lp.nonneg_combination([list(v) for v in gens.vectors], list(b))
+    rows = gens.int_rows
+    cb, t = int_row(b)
+    res = _checked(rows, t, lp.nonneg_combination(rows, t))
     if res.status == lp.OPTIMAL:
-        assert res.x is not None
-        comb = tuple((i, c) for i, c in enumerate(res.x) if c != 0)
-        total = zero_vec(gens.ambient_dim)
-        for i, c in comb:
-            if c < 0:
-                raise TheoremContradiction("negative coefficient from phase-1 simplex")
-            total = vadd(total, vscale(c, gens[i]))
-        if total != tuple(b):
-            raise TheoremContradiction("combination certificate failed substitution")
-        return FarkasCertificate(combination=comb)
-    assert res.farkas is not None
-    y = tuple(res.farkas)
-    if any(dot(y, a) > 0 for a in gens) or dot(y, b) <= 0:
-        raise TheoremContradiction("separator certificate failed substitution")
-    return FarkasCertificate(separator=y)
+        scale = res.den * cb
+        return FarkasCertificate(combination=tuple(
+            (i, Fraction(x * c, scale))
+            for i, (x, c) in enumerate(zip(res.x, gens.int_scales)) if x))
+    return FarkasCertificate(separator=tuple(Fraction(v, res.den) for v in res.farkas))
 
 
 def _sign_separator(rows: list[list[int]]) -> list[int] | None:
@@ -157,42 +175,34 @@ def _sign_separator(rows: list[list[int]]) -> list[int] | None:
     return None
 
 
-def _separator(rows: list[list[int]]) -> list[int] | None:
+def _separator(rows: Sequence[Sequence[int]]) -> list[int] | None:
     """None when pos(rows) is a linear subspace; otherwise an integer
     functional y with y.r <= 0 on every row and y.r < 0 on at least one.
 
     pos S is linear iff sum_i lambda_i s_i = 0 for some lambda >= 1: such
     a combination makes every s_i reversible, and conversely, when every
     s_i is, adding up one zero-combination per i that gives s_i the
-    coefficient 1 yields one.  So it is linear iff -sum_i s_i is a
-    nonnegative combination x of the s_i, with lambda = 1 + x, which one
-    phase-1 LP decides; when it is not, the LP's Farkas vector is y
-    (Farkas; Schrijver, Theory of Linear and Integer Programming, 1986).
-    Either answer is scaled to integers and checked by substitution
-    before it is used; a failed check raises TheoremContradiction.
+    coefficient 1 yields one.  So it is linear iff t = -sum_i s_i is in
+    pos S: a checked x >= 0 with sum_i x_i s_i = den t gives lambda =
+    den + x, and a checked Farkas vector is the y above, since y.t > 0
+    makes y negative somewhere on S (Farkas; Schrijver, Theory of Linear
+    and Integer Programming, 1986).  The sign pretest's y is checked the
+    same way.
     """
     if not rows:
         return None
+    t = [-sum(col) for col in zip(*rows)]
     y = _sign_separator(rows)
-    if y is None:
-        res = lp.nonneg_combination(rows, [-sum(col) for col in zip(*rows)])
-        if res.status == lp.OPTIMAL:
-            [lam] = _int_rows([[1 + c for c in res.x]])
-            if min(lam) <= 0 or any(sum(map(mul, lam, col)) for col in zip(*rows)):
-                raise TheoremContradiction("linearity certificate failed substitution")
-            return None
-        [y] = _int_rows([res.farkas])
-    values = [sum(map(mul, y, r)) for r in rows]
-    if max(values) > 0 or min(values) >= 0:
-        raise TheoremContradiction("separator certificate failed substitution")
-    return y
+    res = (lp.nonneg_combination(rows, t) if y is None
+           else lp.LPResult(lp.INFEASIBLE, farkas=y))
+    return _checked(rows, t, res).farkas
 
 
-def is_linear(vectors: Iterable[Vec]) -> bool:
-    """True iff pos(vectors) is a linear subspace, decided by the checked
-    certificate of :func:`_separator`.  Rescaling each vector to integers
-    changes no positive hull."""
-    return _separator(_int_rows(vectors)) is None
+def is_linear(rows: Sequence[Sequence[int]]) -> bool:
+    """True iff pos(rows) is a linear subspace, for integer rows such as
+    those of :attr:`VectorSet.int_rows`; decided by the checked
+    certificate of :func:`_separator`."""
+    return _separator(rows) is None
 
 
 @lru_cache(maxsize=4096)
@@ -208,7 +218,7 @@ def reversible_indices(gens: VectorSet) -> tuple[int, ...]:
     Once the live set is linear, each of its generators is reversible in
     it, hence in gens.  Each round drops at least one generator.
     """
-    rows = _int_rows(gens)
+    rows = gens.int_rows
     live = list(range(len(rows)))
     while (y := _separator([rows[i] for i in live])) is not None:
         live = [i for i in live if sum(map(mul, y, rows[i])) == 0]
@@ -250,9 +260,10 @@ def max_cone_dim(h: HalfspaceSystem) -> int:
 
 def implicit_normal_indices(h: HalfspaceSystem) -> tuple[int, ...]:
     """Normals a with a.x = 0 on every feasible point, i.e. the normals
-    lying in the lineality space of pos(normals)."""
-    ls = lineality_space(h.normals)
-    return tuple(i for i, a in enumerate(h.normals) if ls.contains(a))
+    lying in the lineality space of pos(normals).  Those are exactly the
+    reversible normals: a and -a both lie in that subspace, and a
+    reversible a has a and -a in pos(normals)."""
+    return reversible_indices(h.normals)
 
 
 def relative_interior_point(h: HalfspaceSystem) -> Vec:

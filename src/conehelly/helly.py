@@ -41,7 +41,6 @@ from .cone import (
     reversible_indices,
 )
 from .posbasis import (
-    subset_rank,
     extract_positive_basis_indices,
     reay_parts,
     PositiveBasis,
@@ -138,14 +137,15 @@ def _minimal_lineality_witness(a: VectorSet, threshold: int,
     pos check at threshold k and the cone and corollary checks at
     k' = d - k all ask for (a, k, h(k,d)).
     """
+    rows, d = a.int_rows, a.ambient_dim
     members = reversible_indices(a)
-    if subset_rank(a, members) <= threshold:
+    if rank_of_rows([rows[i] for i in members], d) <= threshold:
         return None  # dim lpos(a) itself is within the threshold
     top = min(size_cap, len(members))
     for size in range(threshold + 2, top + 1):
         for combo in itertools.combinations(members, size):
-            if is_linear(a[i] for i in combo) and \
-                    subset_rank(a, combo) > threshold:
+            sub = [rows[i] for i in combo]
+            if is_linear(sub) and rank_of_rows(sub, d) > threshold:
                 return combo
     return None
 
@@ -314,25 +314,31 @@ class FlatHellyReport:
 def check_flat_helly(h: HalfspaceSystem, k: int) -> FlatHellyReport:
     """Subspace version with Helly number k+1: the intersection contains a
     subspace of dimension d-k iff every k+1 outer normals are linearly
-    dependent.  k = 0 is allowed and trivial."""
+    dependent.  k = 0 is allowed and trivial.  The witness, the
+    lexicographically first independent (k+1)-subset of normals, is the
+    greedy basis of the matroid truncated to rank k+1 (Gale, J. Comb.
+    Theory 4, 1968), found with one rank test per normal."""
     d = h.ambient_dim
     _check_k(k, d, lowest=0)
     _check_capacity(len(h))
     polar_dim = lineality_of_polar(h).dim
     conclusion = polar_dim >= d - k
-    witness = None
-    all_dependent = True
-    for combo in itertools.combinations(range(len(h)), k + 1):
-        if rank_of_rows([h.normals[i] for i in combo], d) == k + 1:
-            all_dependent = False
-            witness = Witness(subset_indices=combo,
-                              property="independent_normals",
-                              size_bound=k + 1)
+    rows = h.normals.int_rows
+    kept: list[int] = []
+    for i in range(len(h)):
+        if len(kept) == k + 1:
             break
+        if rank_of_rows([rows[j] for j in kept] + [rows[i]], d) > len(kept):
+            kept.append(i)
+    all_dependent = len(kept) <= k
+    witness = None
+    if not all_dependent:
+        witness = Witness(subset_indices=tuple(kept),
+                          property="independent_normals", size_bound=k + 1)
     if conclusion != all_dependent:
         raise TheoremContradiction(
             "polar lineality dimension disagrees with normal rank")
-    rank_n = rank_of_rows(h.normals.vectors, d)
+    rank_n = rank_of_rows(rows, d)
     return FlatHellyReport(k=k, d=d, polar_lineality_dim=polar_dim,
                            normal_rank=rank_n,
                            subspace_conclusion=conclusion,

@@ -3,11 +3,16 @@
 Standard form: minimize c.x subject to A x = b, x >= 0.  Bland's rule
 (smallest eligible index enters, smallest basic variable leaves on ratio
 ties) guarantees termination, and the arithmetic is exact, so the
-outcome is a decision, not an estimate.  Data and results are Fractions;
-the tableau itself is kept as integers over one positive common
-denominator and pivoted integer-preservingly (Edmonds, J. Res. NBS 71B,
-1967): every division is exact and every sign and ratio test reads the
-same as on the rational tableau, so the pivots are the same.
+outcome is a decision, not an estimate.  The tableau is kept as integers
+over one positive common denominator and pivoted integer-preservingly
+(Edmonds, J. Res. NBS 71B, 1967): every division is exact and every sign
+and ratio test reads the same as on the rational tableau, so the pivots
+are the same.
+
+:func:`solve_standard_form` takes and returns Fractions.  Its phase 1
+serves :func:`nonneg_combination`, which takes integer columns; positive
+column and rhs scales change no Bland pivot (each scales a column's
+reduced costs, or a ratio test's ratios, alike).
 
 When the system is infeasible the phase-1 multipliers give a Farkas
 vector y with y.A <= 0 componentwise and y.b > 0; callers turn that into
@@ -31,9 +36,10 @@ UNBOUNDED = "unbounded"
 @dataclass
 class LPResult:
     status: str
-    x: list[Fraction] | None = None
+    x: list | None = None
     objective: Fraction | None = None
-    farkas: list[Fraction] | None = None  # infeasible case: y.A <= 0, y.b > 0
+    farkas: list | None = None  # infeasible case: y.A <= 0, y.b > 0
+    den: int = 1  # nonneg_combination: x and farkas are integers over den
 
 
 def _pivot(tab: list[list[int]], basis: list[int], den: int, r: int, c: int) -> int:
@@ -96,6 +102,31 @@ def _scaled(values, scale: int) -> list[int]:
     return [v.numerator * (scale // v.denominator) for v in values]
 
 
+def _phase1(a: list[list[int]], b: list[int], n: int):
+    """Phase 1 for a x = b, x >= 0 on integer data: flip rows so the rhs
+    is nonnegative, then minimize the sum of artificials from the
+    artificial basis.  Returns the tableau (last row the reduced costs,
+    last column the rhs), its basis and denominator, and, when the system
+    is infeasible, den times the Farkas vector: the simplex multipliers
+    off the artificial columns, y_i = 1 - redcost_i, row flips undone."""
+    m = len(a)
+    sign = [-1 if b[i] < 0 else 1 for i in range(m)]
+    tab = [[sign[i] * v for v in a[i]] + [1 if j == i else 0 for j in range(m)]
+           + [sign[i] * b[i]] for i in range(m)]
+    ncols = n + m
+    basis = [n + i for i in range(m)]
+    cost = [-sum(row[j] for row in tab) for j in range(ncols + 1)]
+    for i in range(m):
+        cost[n + i] = 0
+    tab.append(cost)
+    status, den = _run_simplex(tab, basis, ncols, 1)
+    assert status == OPTIMAL  # phase 1 is bounded below by 0
+    farkas = None
+    if tab[m][ncols] < 0:
+        farkas = [sign[i] * (den - tab[m][n + i]) for i in range(m)]
+    return tab, basis, den, farkas
+
+
 def solve_standard_form(
     a: list[list[Fraction]],
     b: list[Fraction],
@@ -110,33 +141,15 @@ def solve_standard_form(
     if len(b) != m:
         raise ValueError("rhs of wrong length")
 
-    # Flip rows so the rhs is nonnegative, then start from an artificial
-    # basis.  One integer scale for all structural columns and the rhs
-    # keeps every sign and ratio test of the rational tableau; scaling
-    # rows apart would change the phase-1 cost row and so Bland's choices.
+    # One integer scale for all structural columns and the rhs keeps every
+    # sign and ratio test of the rational tableau; scaling rows apart
+    # would change the phase-1 cost row and so Bland's choices.
     scale = lcm(*(v.denominator for row in a for v in row), *(v.denominator for v in b))
-    sign = [-1 if b[i] < 0 else 1 for i in range(m)]
-    tab: list[list[int]] = []
-    for i in range(m):
-        s = sign[i] * scale
-        art = [1 if j == i else 0 for j in range(m)]
-        tab.append(_scaled(a[i], s) + art + _scaled((b[i],), s))
+    tab, basis, den, farkas = _phase1([_scaled(row, scale) for row in a],
+                                      _scaled(b, scale), n)
+    if farkas is not None:
+        return LPResult(INFEASIBLE, farkas=[Fraction(v, den) for v in farkas])
     ncols = n + m
-    basis = [n + i for i in range(m)]
-
-    # Phase-1 reduced costs: minimize the sum of artificials.
-    cost = [-sum(row[j] for row in tab) for j in range(ncols + 1)]
-    for i in range(m):
-        cost[n + i] = 0
-    tab.append(cost)
-
-    status, den = _run_simplex(tab, basis, ncols, 1)
-    assert status == OPTIMAL  # phase 1 is bounded below by 0
-    if tab[m][ncols] < 0:
-        # Simplex multipliers off the artificial columns: y_i = 1 - redcost_i,
-        # then undo the row flips.  This is the Farkas certificate.
-        y = [Fraction(sign[i] * (den - tab[m][n + i]), den) for i in range(m)]
-        return LPResult(INFEASIBLE, farkas=y)
 
     # Drive leftover artificials out of the basis; an all-zero row is a
     # redundant constraint and is dropped.
@@ -175,14 +188,22 @@ def solve_standard_form(
     return LPResult(OPTIMAL, x=x, objective=obj)
 
 
-def nonneg_combination(columns: list[list[Fraction]], target: list[Fraction]) -> LPResult:
-    """Feasibility of ``sum_i alpha_i columns[i] = target`` with alpha >= 0.
+def nonneg_combination(columns, target) -> LPResult:
+    """Feasibility of ``sum_i alpha_i columns[i] = target`` with alpha >= 0,
+    on integer columns and target, by phase 1 alone.
 
-    Column vectors all live in the same dimension as ``target``; entries
-    may be Fractions or ints.  Returns an OPTIMAL result whose x is one
-    valid alpha, or an INFEASIBLE result carrying the Farkas vector.
+    Returns an OPTIMAL result whose x / den is one valid alpha (the point
+    where phase 1 stops; driving out artificials at level zero would
+    change no value), or an INFEASIBLE result whose farkas / den is the
+    Farkas vector y: y.columns[i] <= 0 for every i and y.target > 0.
     """
-    d = len(target)
     n = len(columns)
-    a = [[columns[j][i] for j in range(n)] for i in range(d)]
-    return solve_standard_form(a, list(target), [_ZERO] * n)
+    a = [[col[i] for col in columns] for i in range(len(target))]
+    tab, basis, den, farkas = _phase1(a, list(target), n)
+    if farkas is not None:
+        return LPResult(INFEASIBLE, farkas=farkas, den=den)
+    x = [0] * n
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = tab[i][-1]
+    return LPResult(OPTIMAL, x=x, den=den)

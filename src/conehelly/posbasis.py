@@ -8,10 +8,11 @@ span has dimension |B_j| - j.
 
 pos X = L exactly when X lies in L, has rank dim L and is linear (pos X
 is a subspace).  Linearity has one mechanism, :func:`cone.is_linear`:
-one phase-1 LP whose answer, a zero combination with every coefficient
-at least 1 or a separating functional, is checked by substitution.  So
+one phase-1 LP whose answer, a zero combination with positive
+coefficients or a separating functional, is checked by substitution.  So
 a positive basis is certified by |X| + 1 linearity certificates, and a
-Reay prefix B_j by the same test with dim L = |B_j| - j.
+Reay prefix B_j by the same test with dim L = |B_j| - j.  Ranks and
+linearity are read off the integer rows of the vector sets.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import TheoremContradiction
 from .cone import is_linear, lineality_space, reversible_indices
-from .ratlin import SubspaceBasis, Vec, VectorSet, rank_of_rows
+from .ratlin import SubspaceBasis, VectorSet, rank_of_rows
 
 __all__ = [
     "PositiveBasis",
@@ -32,17 +33,16 @@ __all__ = [
     "reay_partition",
     "reay_parts",
     "verify_reay",
-    "subset_rank",
 ]
 
 
-def _minimally_spans(vectors: list[Vec], d: int, dim: int) -> bool:
-    """pos(vectors) is a linear subspace of dimension dim, and no set with
-    one element removed has both properties."""
-    if rank_of_rows(vectors, d) != dim or not is_linear(vectors):
+def _minimally_spans(rows: list, d: int, dim: int) -> bool:
+    """pos(rows) is a linear subspace of dimension dim, and no set with
+    one element removed has both properties; rows are integer rows."""
+    if rank_of_rows(rows, d) != dim or not is_linear(rows):
         return False
-    for i in range(len(vectors)):
-        rest = vectors[:i] + vectors[i + 1:]
+    for i in range(len(rows)):
+        rest = rows[:i] + rows[i + 1:]
         if rank_of_rows(rest, d) == dim and is_linear(rest):
             return False
     return True
@@ -52,7 +52,7 @@ def is_positive_basis(x: VectorSet, target: SubspaceBasis) -> bool:
     """pos(x) = target and no single element can be dropped."""
     return (x.ambient_dim == target.ambient_dim
             and all(target.contains(v) for v in x)
-            and _minimally_spans(list(x.vectors), x.ambient_dim, target.dim))
+            and _minimally_spans(list(x.int_rows), x.ambient_dim, target.dim))
 
 
 @dataclass(frozen=True)
@@ -92,21 +92,18 @@ class ReayPartition:
         return VectorSet(self.ambient_dim, tuple(vectors))
 
 
-def subset_rank(vs: VectorSet, indices) -> int:
-    return rank_of_rows([vs[i] for i in indices], vs.ambient_dim)
-
-
 def extract_positive_basis_indices(a: VectorSet) -> tuple[int, ...]:
     """Original indices of a minimal positive basis of the lineality space
     of pos(a), obtained by restricting to the reversible generators and
     then greedily deleting in input order while positive spanning holds."""
+    rows = a.int_rows
     members = list(reversible_indices(a))
     target_dim = lineality_space(a).dim
     keep = list(members)
     for idx in members:
         trial = [i for i in keep if i != idx]
-        if subset_rank(a, trial) == target_dim and \
-                is_linear(a[i] for i in trial):
+        sub = [rows[i] for i in trial]
+        if rank_of_rows(sub, a.ambient_dim) == target_dim and is_linear(sub):
             keep = trial
     return tuple(keep)
 
@@ -144,6 +141,7 @@ def reay_parts(x: PositiveBasis) -> tuple[tuple[int, ...], ...]:
     if n == 0:
         return ()
     d = elements.ambient_dim
+    rows = elements.int_rows
     r = n - x.target.dim
 
     def search(remaining: list[int], chosen: list[tuple[int, ...]],
@@ -153,7 +151,7 @@ def reay_parts(x: PositiveBasis) -> tuple[tuple[int, ...], ...]:
             return chosen if not remaining else None
         size = sizes[j]
         for combo in itertools.combinations(remaining, size):
-            prefix = [elements[i] for c in chosen + [combo] for i in c]
+            prefix = [rows[i] for c in chosen + [combo] for i in c]
             if not _minimally_spans(prefix, d, len(prefix) - j - 1):
                 continue
             rest = [i for i in remaining if i not in combo]
@@ -193,7 +191,7 @@ def verify_reay(p: ReayPartition) -> bool:
             seen.add(v)
     prefix: list = []
     for j, part in enumerate(p.parts, start=1):
-        prefix.extend(part.vectors)
+        prefix.extend(part.int_rows)
         if not _minimally_spans(prefix, p.ambient_dim, len(prefix) - j):
             return False
     return True

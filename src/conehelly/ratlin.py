@@ -11,16 +11,21 @@ what makes the Helly checkers in the rest of the package trustworthy.
 
 Vectors are plain tuples of Fractions.  Matrices and subspaces get small
 frozen dataclasses so they can be hashed and memoized.
+
+:func:`int_row`, a vector times the lcm of its denominators, is the one
+Fraction-to-integer converter.  A positive scale changes no rank, rref or
+positive hull, so a :class:`VectorSet` converts its vectors once and the
+cone, positive-basis and Helly code computes on those integer rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 from typing import Iterable, Sequence
 
-Q = Fraction
 Vec = tuple[Fraction, ...]
 
 
@@ -76,32 +81,17 @@ class RationalMatrix:
             if len(r) != self.ncols:
                 raise ValueError("ragged matrix")
 
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable], ncols: int | None = None) -> "RationalMatrix":
-        rs = tuple(vec(r) for r in rows)
-        if ncols is None:
-            if not rs:
-                raise ValueError("ncols required for an empty matrix")
-            ncols = len(rs[0])
-        return cls(rs, ncols)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    def transpose(self) -> "RationalMatrix":
-        cols = tuple(tuple(row[j] for row in self.rows) for j in range(self.ncols))
-        return RationalMatrix(cols, self.nrows)
-
 
 @dataclass(frozen=True)
 class VectorSet:
     """Finite ordered list of vectors in a common ambient dimension.
 
     Used both for cone generators and for the outer normals of a
-    homogeneous halfspace system.  Duplicates are permitted (callers that
-    care can ask for them); zero vectors are permitted here but rejected
-    by :class:`conehelly.cone.HalfspaceSystem`.
+    homogeneous halfspace system.  Duplicates are permitted; zero vectors
+    are permitted here but rejected by
+    :class:`conehelly.cone.HalfspaceSystem`.  The integer form is a cache
+    outside the dataclass fields, so equality, hashing and memo keys see
+    the vectors only.
     """
 
     ambient_dim: int
@@ -129,18 +119,21 @@ class VectorSet:
     def subset(self, indices: Iterable[int]) -> "VectorSet":
         return VectorSet(self.ambient_dim, tuple(self.vectors[i] for i in indices))
 
-    def matrix(self) -> RationalMatrix:
-        return RationalMatrix(self.vectors, self.ambient_dim)
+    @cached_property
+    def _int_form(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        pairs = [int_row(v) for v in self.vectors]
+        return tuple(c for c, _ in pairs), tuple(r for _, r in pairs)
 
-    def duplicate_indices(self) -> list[int]:
-        """Indices of vectors that already occurred earlier in the list."""
-        seen: set[Vec] = set()
-        dups = []
-        for i, v in enumerate(self.vectors):
-            if v in seen:
-                dups.append(i)
-            seen.add(v)
-        return dups
+    @property
+    def int_scales(self) -> tuple[int, ...]:
+        """Per vector, the lcm of its denominators."""
+        return self._int_form[0]
+
+    @property
+    def int_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each vector times its integer scale, converted once per instance:
+        the same ranks and positive hulls, in integers."""
+        return self._int_form[1]
 
 
 @dataclass(frozen=True)
@@ -171,20 +164,22 @@ class SubspaceBasis:
         return rank_of_rows([*self.basis, v], self.ambient_dim) == self.dim
 
 
-def _int_rows(rows: Iterable[Sequence]) -> list[list[int]]:
-    """Each row times the lcm of its denominators: the same row space, and
-    the same rref, in integers."""
-    out = []
-    for r in rows:
-        den = lcm(*(x.denominator for x in r))
-        if den == 1:
-            out.append([x.numerator for x in r])
-        else:
-            out.append([x.numerator * (den // x.denominator) for x in r])
-    return out
+def int_row(v: Sequence) -> tuple[int, tuple[int, ...]]:
+    """(c, c v) for c the lcm of the denominators of v: the least positive
+    multiple of v with integer entries."""
+    c = lcm(*(x.denominator for x in v))
+    if c == 1:
+        return 1, tuple(x.numerator for x in v)
+    return c, tuple(x.numerator * (c // x.denominator) for x in v)
 
 
-def rref_rows(rows: Sequence[Sequence[Fraction]],
+def _int_matrix(rows: Iterable[Sequence]) -> list[Sequence[int]]:
+    """The rows as integer rows: integer rows as they are, the others
+    through :func:`int_row`.  Same row space, same rref."""
+    return [r if all(type(x) is int for x in r) else int_row(r)[1] for r in rows]
+
+
+def rref_rows(rows: Sequence[Sequence],
               ncols: int) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form and its pivot columns, by fraction-free
     Gauss-Jordan on the integer-scaled rows.
@@ -197,7 +192,7 @@ def rref_rows(rows: Sequence[Sequence[Fraction]],
     every pivot row ends up holding the last pivot, which divides out into
     the Fraction result.  Rows past the rank come back as zero rows.
     """
-    m = _int_rows(rows)
+    m = _int_matrix(rows)
     nrows = len(m)
     pivots: list[int] = []
     prev = 1
@@ -227,9 +222,10 @@ def rref_rows(rows: Sequence[Sequence[Fraction]],
     return out, pivots
 
 
-def rank_of_rows(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
-    """Rank by forward-only Bareiss elimination; builds no Fraction."""
-    m = _int_rows(rows)
+def rank_of_rows(rows: Sequence[Sequence], ncols: int) -> int:
+    """Rank of rational or integer rows by forward-only Bareiss
+    elimination; builds no Fraction."""
+    m = _int_matrix(rows)
     nrows = len(m)
     prev = 1
     r = 0
@@ -249,16 +245,6 @@ def rank_of_rows(rows: Sequence[Sequence[Fraction]], ncols: int) -> int:
         if r == nrows:
             break
     return r
-
-
-def rref(m: RationalMatrix) -> tuple[RationalMatrix, tuple[int, ...]]:
-    """Reduced row echelon form of ``m`` and its pivot column indices."""
-    rows, pivots = rref_rows(m.rows, m.ncols)
-    return RationalMatrix(tuple(tuple(r) for r in rows), m.ncols), tuple(pivots)
-
-
-def rank(m: RationalMatrix) -> int:
-    return len(rref(m)[1])
 
 
 def span_basis(s: VectorSet) -> SubspaceBasis:
@@ -289,35 +275,15 @@ def orth_complement(s: SubspaceBasis) -> SubspaceBasis:
     return kernel_basis(m)
 
 
-def solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a nonsingular square system exactly (used for Gram systems)."""
-    n = len(rows)
-    aug = [list(rows[i]) + [rhs[i]] for i in range(n)]
-    red, pivots = rref_rows(aug, n + 1)
-    if len(pivots) != n or any(p >= n for p in pivots):
-        raise ValueError("singular system")
-    return [red[i][n] for i in range(n)]
-
-
-def project_onto_subspace(s: SubspaceBasis, v: Vec) -> Vec:
-    """Orthogonal projection of ``v`` onto the subspace spanned by ``s``."""
+def project_onto_complement(s: SubspaceBasis, v: Vec) -> Vec:
+    """Orthogonal projection of ``v`` onto the orthogonal complement of ``s``:
+    ``v`` minus sum_j c_j b_j, where c solves the Gram system
+    (b_i . b_j) c = (b_i . v), nonsingular as the b_j are a basis."""
     if len(v) != s.ambient_dim:
         raise ValueError("dimension mismatch")
-    if s.dim == 0:
-        return zero_vec(s.ambient_dim)
-    gram = [[dot(bi, bj) for bj in s.basis] for bi in s.basis]
-    rhs = [dot(bi, v) for bi in s.basis]
-    coeffs = solve_square(gram, rhs)
-    out = zero_vec(s.ambient_dim)
-    for c, b in zip(coeffs, s.basis):
-        out = vadd(out, vscale(c, b))
+    gram = [[dot(bi, bj) for bj in s.basis] + [dot(bi, v)] for bi in s.basis]
+    red, _ = rref_rows(gram, s.dim + 1)
+    out = tuple(v)
+    for row, b in zip(red, s.basis):
+        out = vsub(out, vscale(row[-1], b))
     return out
-
-
-def project_onto_complement(s: SubspaceBasis, v: Vec) -> Vec:
-    """Orthogonal projection of ``v`` onto the orthogonal complement of ``s``.
-
-    Computed as ``v`` minus its projection onto ``s`` via the rational Gram
-    system, so the result is exact.
-    """
-    return vsub(v, project_onto_subspace(s, v))

@@ -227,3 +227,12 @@ def oracle_minimal_witness(vs: VectorSet, k: int, cap: int):
             if oracle_lineality_dim(vs.subset(t)) > k:
                 return t
     return None
+
+
+def oracle_first_independent(vs: VectorSet, size: int):
+    """Lexicographically-first linearly independent subset of the given
+    size, by scanning every subset in order; None if there is none."""
+    for t in combinations(range(len(vs)), size):
+        if rank_of_rows([list(vs[i]) for i in t], vs.ambient_dim) == size:
+            return t
+    return None

@@ -11,6 +11,7 @@ from conehelly.cone import (
     HalfspaceSystem,
     InfeasibleCone,
     extract_cone,
+    implicit_normal_indices,
     is_linear,
     is_pointed,
     lineality_of_polar,
@@ -26,8 +27,13 @@ from conehelly.errors import TheoremContradiction
 from conehelly.gens import gen_axis_pairs, gen_example2, gen_simplex_like
 from conehelly.ratlin import VectorSet, dot, vec
 
-from conftest import int_vector_sets
-from oracles import oracle_in_pos, oracle_lineality_dim, oracle_reversible
+from conftest import int_vector_sets, small_fraction
+from oracles import (
+    oracle_in_pos,
+    oracle_lineality_dim,
+    oracle_reversible,
+    ref_solve_standard_form,
+)
 
 F = Fraction
 
@@ -84,6 +90,47 @@ class TestMembership:
             assert all(dot(y, a) <= 0 for a in gens)
             assert dot(y, b) > 0
         assert cert.is_member == oracle_in_pos(b, gens)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+        st.lists(st.lists(small_fraction(max_num=3, max_den=4), min_size=d, max_size=d),
+                 max_size=5),
+        st.lists(small_fraction(max_num=3, max_den=4), min_size=d, max_size=d))))
+    def test_matches_fraction_reference(self, data):
+        # The LP runs on each generator and the point times its own
+        # integer scale; scaled back, the certificate is the one the
+        # Fraction simplex gives on the rational data.
+        rows, b = data
+        d = len(b)
+        gens = VectorSet(d, tuple(tuple(r) for r in rows))
+        ref = ref_solve_standard_form([[r[i] for r in rows] for i in range(d)], b,
+                                      [F(0)] * len(rows))
+        cert = membership(tuple(b), gens)
+        if ref.status == lp.OPTIMAL:
+            assert cert.combination == tuple((i, c) for i, c in enumerate(ref.x) if c)
+        else:
+            assert cert.separator == tuple(ref.farkas)
+
+    # Integer rows (1, 0) and (0, 1), with scales 2 and 3.  The point
+    # (1/4, 1) has scale 4 and integer form t = (1, 4), so x = t, and
+    # coefficient i is x_i c_i / (den c_b): 1 * 2 / 4 and 4 * 3 / 4.
+    QUADRANT = [[F(1, 2), 0], [0, F(1, 3)]]
+
+    def test_scales_are_undone(self):
+        cert = membership(vec(["1/4", 1]), vs(self.QUADRANT, 2))
+        assert cert.combination == ((0, F(1, 2)), (1, F(3)))
+
+    def test_wrong_combination_raises(self, monkeypatch):
+        monkeypatch.setattr(lp, "nonneg_combination", lambda cols, target: lp.LPResult(
+            lp.OPTIMAL, x=[1, 3], den=1))
+        with pytest.raises(TheoremContradiction):
+            membership(vec(["1/4", 1]), vs(self.QUADRANT, 2))
+
+    def test_wrong_farkas_vector_raises(self, monkeypatch):
+        monkeypatch.setattr(lp, "nonneg_combination", lambda cols, target: lp.LPResult(
+            lp.INFEASIBLE, farkas=[1, 0], den=1))
+        with pytest.raises(TheoremContradiction):
+            membership(vec([-1, 0]), vs(self.QUADRANT, 2))
 
 
 class TestLineality:
@@ -187,6 +234,15 @@ class TestRelativeInteriorPoint:
                 assert s == 0
             else:
                 assert s < 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(int_vector_sets(max_d=4, max_n=7, bound=2, min_n=1, nonzero=True))
+    def test_implicit_normals_are_the_reversible_ones(self, a):
+        # Against the definition: the normals lying in the lineality space
+        # of pos(normals).  Drawn sets include normals of low rank.
+        ls = lineality_space(a)
+        want = tuple(i for i, normal in enumerate(a) if ls.contains(normal))
+        assert implicit_normal_indices(HalfspaceSystem(a)) == want
 
 
 class TestExtractCone:
@@ -296,17 +352,17 @@ class TestLinearityCertificate:
     HALFPLANE = [[-1, -1], [-1, 0], [1, 1]]
 
     def test_lp_answers_pass_their_checks(self):
-        assert is_linear(vs(self.LINEAR, 2))
-        assert not is_linear(vs(self.HALFPLANE, 2))
+        assert is_linear(self.LINEAR)
+        assert not is_linear(self.HALFPLANE)
 
     def test_wrong_combination_raises(self, monkeypatch):
         monkeypatch.setattr(lp, "nonneg_combination", lambda cols, target: lp.LPResult(
-            lp.OPTIMAL, x=[F(0), F(0), F(5)]))
+            lp.OPTIMAL, x=[0, 0, 5], den=1))
         with pytest.raises(TheoremContradiction):
-            is_linear(vs(self.LINEAR, 2))
+            is_linear(self.LINEAR)
 
     def test_wrong_farkas_vector_raises(self, monkeypatch):
         monkeypatch.setattr(lp, "nonneg_combination", lambda cols, target: lp.LPResult(
-            lp.INFEASIBLE, farkas=[F(1), F(0)]))
+            lp.INFEASIBLE, farkas=[1, 0], den=1))
         with pytest.raises(TheoremContradiction):
-            is_linear(vs(self.HALFPLANE, 2))
+            is_linear(self.HALFPLANE)

@@ -14,7 +14,7 @@ from conehelly.gens import (
     verify_tightness_example1,
     verify_tightness_example2,
 )
-from conehelly.ratlin import rank, vec
+from conehelly.ratlin import rank_of_rows, vec
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -35,7 +35,7 @@ class TestSimplexLike:
         for d in range(1, 7):
             a = gen_simplex_like(d)
             for sub in combinations(range(d + 1), d):
-                assert rank(a.subset(sub).matrix()) == d
+                assert rank_of_rows(a.subset(sub).vectors, d) == d
 
     def test_lineality_structure(self):
         from itertools import combinations

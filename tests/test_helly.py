@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conehelly import helly
 from conehelly.errors import CapacityError
@@ -22,7 +23,11 @@ from conehelly.helly import (
 from conehelly.ratlin import VectorSet, vec
 
 from conftest import int_vector_sets
-from oracles import oracle_check_hypothesis, oracle_minimal_witness
+from oracles import (
+    oracle_check_hypothesis,
+    oracle_first_independent,
+    oracle_minimal_witness,
+)
 
 F = Fraction
 
@@ -272,6 +277,22 @@ class TestFlatHelly:
         rep = check_flat_helly(HalfspaceSystem(VectorSet(2, ())), 0)
         assert rep.subspace_conclusion
         assert rep.all_small_subsets_dependent
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda r: st.tuples(
+        st.just(r), int_vector_sets(max_d=5, max_n=8, bound=2, min_n=1, nonzero=True))))
+    def test_greedy_witness_is_lex_first(self, data):
+        # Normals of rank at most r (their first r coordinates, or e_1
+        # where those vanish), so for k >= r no (k+1)-subset is independent.
+        r, a = data
+        d = a.ambient_dim
+        e1 = (F(1),) + (F(0),) * (d - 1)
+        low = [v[:r] + (F(0),) * (d - r) if any(v[:r]) else e1 for v in a]
+        h = HalfspaceSystem(VectorSet(d, tuple(low)))
+        for k in range(0, d + 1):
+            rep = check_flat_helly(h, k)
+            want = oracle_first_independent(h.normals, k + 1)
+            assert (rep.witness and rep.witness.subset_indices) == (want or None)
 
 
 class TestTheoremAsProperty:

@@ -69,6 +69,44 @@ class TestAgainstReference:
         solve_both(a, b, [F(0)] * len(c))
 
 
+@st.composite
+def scaled_integer_systems(draw, max_d=4, max_n=5):
+    """Integer columns and a target (half of them nonnegative
+    combinations of the columns), with a positive scale per column and
+    one for the target."""
+    d = draw(st.integers(0, max_d))
+    n = draw(st.integers(0, max_n))
+    entry = st.integers(-3, 3)
+    cols = [[draw(entry) for _ in range(d)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        cols[1] = [-v for v in cols[0]]
+    if draw(st.booleans()):
+        x = [draw(st.integers(0, 2)) for _ in range(n)]
+        target = [sum(xj * col[i] for xj, col in zip(x, cols)) for i in range(d)]
+    else:
+        target = [draw(entry) for _ in range(d)]
+    scales = [draw(st.integers(1, 6)) for _ in range(n)]
+    return cols, target, scales, draw(st.integers(1, 6))
+
+
+class TestIntegerCombination:
+    @given(scaled_integer_systems())
+    def test_matches_reference_under_positive_scales(self, data):
+        # Positive column and rhs scales change no Bland pivot: x comes
+        # back with the scales undone, and the Farkas vector is the same.
+        cols, target, scales, cb = data
+        d, n = len(target), len(cols)
+        got = nonneg_combination([[c * v for v in col] for c, col in zip(scales, cols)],
+                                 [cb * v for v in target])
+        ref = ref_solve_standard_form([[F(col[i]) for col in cols] for i in range(d)],
+                                      [F(v) for v in target], [F(0)] * n)
+        assert got.status == ref.status and got.den > 0
+        if got.status == OPTIMAL:
+            assert [F(x * c, got.den * cb) for x, c in zip(got.x, scales)] == ref.x
+        else:
+            assert [F(y, got.den) for y in got.farkas] == ref.farkas
+
+
 class TestCases:
     def test_feasible(self):
         res = solve_both(fr([[1, 2]]), [F(3)], [F(1), F(1)])
@@ -134,7 +172,7 @@ class TestCases:
         assert res.status == OPTIMAL and res.objective == F(-5, 4)
 
     def test_nonneg_combination(self):
-        res = nonneg_combination([[F(1), F(0)], [F(0), F(1)]], [F(1, 2), F(3)])
-        assert res.status == OPTIMAL and res.x == [F(1, 2), F(3)]
-        res = nonneg_combination([[F(1), F(0)]], [F(-1), F(0)])
+        res = nonneg_combination([[2, 0], [0, 2]], [1, 6])
+        assert res.status == OPTIMAL and [F(x, res.den) for x in res.x] == [F(1, 2), F(3)]
+        res = nonneg_combination([[1, 0]], [-1, 0])
         assert res.status == INFEASIBLE

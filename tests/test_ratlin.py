@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -12,9 +13,7 @@ from conehelly.ratlin import (
     kernel_basis,
     orth_complement,
     project_onto_complement,
-    rank,
     rank_of_rows,
-    rref,
     rref_rows,
     span_basis,
     unit_vec,
@@ -29,34 +28,38 @@ from oracles import ref_kernel_basis, ref_rref_rows
 F = Fraction
 
 
-def mat(rows, ncols=None):
-    return RationalMatrix.from_rows(rows, ncols)
+def mat(rows):
+    return RationalMatrix(tuple(vec(r) for r in rows), len(rows[0]))
+
+
+def rows_of(rows):
+    return [list(vec(r)) for r in rows]
 
 
 class TestRref:
     def test_identity_is_fixed(self):
-        m = mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        red, piv = rref(m)
+        m = rows_of([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        red, piv = rref_rows(m, 3)
         assert red == m
-        assert piv == (0, 1, 2)
+        assert piv == [0, 1, 2]
 
     def test_rank_one_rows(self):
-        red, piv = rref(mat([[1, 1], [2, 2]]))
-        assert red.rows == (vec([1, 1]), vec([0, 0]))
-        assert piv == (0,)
+        red, piv = rref_rows(rows_of([[1, 1], [2, 2]]), 2)
+        assert red == rows_of([[1, 1], [0, 0]])
+        assert piv == [0]
 
     def test_row_permutation(self):
-        red, piv = rref(mat([[0, 1], [1, 0]]))
-        assert red.rows == (vec([1, 0]), vec([0, 1]))
-        assert piv == (0, 1)
+        red, piv = rref_rows(rows_of([[0, 1], [1, 0]]), 2)
+        assert red == rows_of([[1, 0], [0, 1]])
+        assert piv == [0, 1]
 
     @given(rational_matrices())
     def test_idempotent(self, data):
         rows, ncols = data
         if not rows:
             return
-        red, _ = rref(RationalMatrix(rows, ncols))
-        again, _ = rref(red)
+        red, _ = rref_rows(rows, ncols)
+        again, _ = rref_rows(red, ncols)
         assert again == red
 
     @given(rational_matrices())
@@ -64,8 +67,7 @@ class TestRref:
         rows, ncols = data
         if not rows:
             return
-        m = RationalMatrix(rows, ncols)
-        assert rank(m) == rank(m.transpose())
+        assert rank_of_rows(rows, ncols) == rank_of_rows(list(zip(*rows)), len(rows))
 
 
 @st.composite
@@ -122,11 +124,11 @@ class TestAgainstReference:
 class TestRank:
     def test_identity(self):
         for d in (1, 2, 4):
-            m = mat([[1 if i == j else 0 for j in range(d)] for i in range(d)])
-            assert rank(m) == d
+            m = rows_of([[1 if i == j else 0 for j in range(d)] for i in range(d)])
+            assert rank_of_rows(m, d) == d
 
     def test_zero_matrix(self):
-        assert rank(mat([[0, 0], [0, 0]])) == 0
+        assert rank_of_rows(rows_of([[0, 0], [0, 0]]), 2) == 0
 
     def test_simplex_like_has_full_rank(self):
         # The rref of the explicit (d+1) x d matrix keeps d pivots: the
@@ -134,7 +136,17 @@ class TestRank:
         for d in (2, 3, 5):
             rows = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
             rows.append([-1] * d)
-            assert rank(mat(rows)) == d
+            assert rank_of_rows(rows_of(rows), d) == d
+
+    @given(low_rank_rows())
+    def test_integer_rows_as_they_are(self, data):
+        # A positive scale per row changes no rank and no rref, so integer
+        # rows and the rational rows they scale give the same answers.
+        rows, ncols = data
+        den = lcm(*(x.denominator for r in rows for x in r))
+        ints = [[int(x * den * (i + 1)) for x in r] for i, r in enumerate(rows)]
+        assert rank_of_rows(ints, ncols) == rank_of_rows(rows, ncols)
+        assert rref_rows(ints, ncols) == rref_rows(rows, ncols)
 
 
 class TestSpanBasis:
@@ -234,3 +246,30 @@ class TestSubspaceBasis:
         s = SubspaceBasis(3, (vec([1, 0, 0]), vec([0, 1, 0])))
         assert s.contains(vec([2, -3, 0]))
         assert not s.contains(vec([0, 0, 1]))
+
+
+class TestIntegerForm:
+    def test_rows_and_scales(self):
+        a = VectorSet.from_rows([[F(1, 2), F(-1, 3)], [2, 0], [0, F(3, 4)]], 2)
+        assert a.int_scales == (6, 1, 4)
+        assert a.int_rows == ((3, -2), (2, 0), (0, 3))
+
+    def test_cache_is_not_a_field(self):
+        a = VectorSet.from_rows([[F(1, 2), 1], [0, 3]], 2)
+        b = VectorSet.from_rows([[F(1, 2), 1], [0, 3]], 2)
+        assert a.int_rows is a.int_rows  # converted once
+        assert a == b and hash(a) == hash(b)
+        assert "_int_form" in vars(a) and "_int_form" not in vars(b)
+        assert repr(a) == repr(b)
+        assert {a: 1}[b] == 1
+
+    def test_one_converter(self):
+        # The cone, positive-basis and Helly layers compute on the integer
+        # rows of their vector sets and convert nothing themselves.
+        from conehelly import cone, helly, posbasis
+
+        for module in (cone, posbasis, helly):
+            names = vars(module)
+            assert "_int_rows" not in names and "lcm" not in names, module
+        for module in (posbasis, helly):
+            assert "int_row" not in vars(module), module
