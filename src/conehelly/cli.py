@@ -52,6 +52,7 @@ from .gens import (
     verify_tightness_example2,
 )
 from .helly import (
+    WITNESS_PROPERTIES,
     HellyBounds,
     bound_h,
     bound_m,
@@ -126,7 +127,7 @@ def instance_from_json(obj) -> tuple[VectorSet, str]:
         rows = obj["vectors"]
     except KeyError as exc:
         raise InputError(f"instance missing field {exc}") from exc
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise InputError("d must be a positive integer")
     if role not in ("generators", "normals"):
         raise InputError(f"unknown role {role!r}")
@@ -442,24 +443,10 @@ def _check_generators(h: HalfspaceSystem, inputs: dict, res: dict) -> bool:
     return verify_cone_generators(h, gens, inputs["k"])
 
 
-# What each witness property claims of its subset, decided on that subset.
-_WITNESS_PROPERTIES = {
-    "lineality_dim_exceeds":
-        lambda vs, ids, k: lineality_space(vs.subset(ids)).dim > k,
-    "no_k_dim_cone":
-        lambda h, ids, k: max_cone_dim(h.subsystem(ids)) < k,
-    "solution_rank_below_k":
-        lambda h, ids, k: max_cone_dim(h.subsystem(ids)) < k,
-    "independent_normals":
-        lambda h, ids, k: rank_of_rows([h.normals[i] for i in ids],
-                                       h.ambient_dim) == k + 1,
-}
-
-
 def _witness_ok(x, k: int, w: dict) -> bool:
     ids = w["subset_indices"]
     return (_indices_ok(ids, len(x)) and len(ids) <= w["size_bound"]
-            and _WITNESS_PROPERTIES[w["property"]](x, ids, k))
+            and WITNESS_PROPERTIES[w["property"]](x, ids, k))
 
 
 # ---------------------------------------------------------------------------
@@ -499,16 +486,15 @@ def _params(cmd: Command, d: int, raw: dict) -> dict:
         k = raw.get("k")
         if k is None:
             raise InputError("--k is required")
+        if type(k) is not int:
+            raise InputError(f"k must be an integer, got {k!r}")
         if not cmd.k_min <= k <= d:
             raise ValueError(f"k must lie in [{cmd.k_min}, {d}], got {k}")
         return {"k": k}
     if cmd.point:
         if raw.get("point") is None:
             raise InputError("membership requires --point")
-        try:
-            point = vec(raw["point"])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad point: {exc}") from exc
+        point = tuple(frac_from_json(c) for c in raw["point"])
         if len(point) != d:
             raise InputError("point has wrong dimension")
         return {"point": vector_to_json(point)}

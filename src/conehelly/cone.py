@@ -58,7 +58,6 @@ __all__ = [
     "is_pointed",
     "project_out_lineality",
     "max_cone_dim",
-    "implicit_normal_indices",
     "relative_interior_point",
     "extract_cone",
     "verify_cone_generators",
@@ -258,26 +257,23 @@ def max_cone_dim(h: HalfspaceSystem) -> int:
     return h.ambient_dim - lineality_space(h.normals).dim
 
 
-def implicit_normal_indices(h: HalfspaceSystem) -> tuple[int, ...]:
-    """Normals a with a.x = 0 on every feasible point, i.e. the normals
-    lying in the lineality space of pos(normals).  Those are exactly the
-    reversible normals: a and -a both lie in that subspace, and a
-    reversible a has a and -a in pos(normals)."""
-    return reversible_indices(h.normals)
-
-
 def relative_interior_point(h: HalfspaceSystem) -> Vec:
     """A point x0 with a.x0 = 0 for every implicit normal and a.x0 < 0
     strictly for every other normal, lying in the orthogonal complement of
     the lineality space of the normals.  The zero vector when every normal
     is implicit.
 
+    The implicit normals, those with a.x = 0 on every feasible point, are
+    the normals lying in the lineality space of pos(normals), and those
+    are exactly the reversible normals: a and -a both lie in that
+    subspace, and a reversible a has a and -a in pos(normals).
+
     Found by maximizing t subject to a.x <= -t over the non-implicit
     normals, t <= 1, with x expressed in a basis of the complement.
     """
     d = h.ambient_dim
     ls = lineality_space(h.normals)
-    implicit = set(implicit_normal_indices(h))
+    implicit = set(reversible_indices(h.normals))
     active = [a for i, a in enumerate(h.normals) if i not in implicit]
     if not active:
         return zero_vec(d)
@@ -369,7 +365,7 @@ def extract_cone(h: HalfspaceSystem, k: int) -> VectorSet | InfeasibleCone:
             break
         if rank_of_rows(u + [cand], d) > len(u):
             u.append(cand)
-    implicit = set(implicit_normal_indices(h))
+    implicit = set(reversible_indices(h.normals))
     active = [a for i, a in enumerate(h.normals) if i not in implicit]
     bound: Fraction | None = None
     for a in active:

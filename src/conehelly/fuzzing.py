@@ -140,18 +140,17 @@ def check_pos_helly(vs: VectorSet) -> None:
         # enumerative witness search is the hypothesis search, and it
         # raises where it finds no witness within h(k,d).
         try:
-            enum = witness_lineality_enum(vs, k).subset_indices
+            enum = witness_lineality_enum(vs, k)
         except TheoremContradiction as exc:
             raise CheckFailed(mismatch) from exc
         h = bound_h(k, d)
-        reay = witness_lineality_reay(vs, k).subset_indices
-        for name, ids in (("enum", enum), ("reay", reay)):
-            _require(len(ids) <= h, f"{name} witness exceeds h(k,d) at k={k}")
-            _require(
-                lineality_space(vs.subset(ids)).dim > k,
-                f"{name} witness does not violate the bound at k={k}",
-            )
-        _require(len(enum) <= len(reay),
+        reay = witness_lineality_reay(vs, k)
+        for name, w in (("enum", enum), ("reay", reay)):
+            _require(len(w.subset_indices) <= h,
+                     f"{name} witness exceeds h(k,d) at k={k}")
+            _require(w.holds(vs, k),
+                     f"{name} witness does not violate the bound at k={k}")
+        _require(len(enum.subset_indices) <= len(reay.subset_indices),
                  f"enumerative witness larger than Reay witness at k={k}")
 
 
@@ -195,9 +194,9 @@ def check_cone_helly(vs: VectorSet) -> None:
         _require(rep.hypothesis == rep.conclusion,
                  f"cone Helly hypothesis/conclusion mismatch at k={k}")
         if rep.witness is not None:
-            ids = rep.witness.subset_indices
-            _require(len(ids) <= rep.bounds.m, "cone witness exceeds m(k,d)")
-            _require(max_cone_dim(h.subsystem(ids)) < k,
+            _require(len(rep.witness.subset_indices) <= rep.bounds.m,
+                     "cone witness exceeds m(k,d)")
+            _require(rep.witness.holds(h, k),
                      "cone witness subfamily still contains a k-cone")
 
 
@@ -213,8 +212,7 @@ def check_corollary(vs: VectorSet) -> None:
         _require(rep.global_holds == rep.subsystems_hold,
                  f"corollary biconditional mismatch at k={k}")
         if rep.witness is not None:
-            sub = h.subsystem(rep.witness.subset_indices)
-            _require(max_cone_dim(sub) < k,
+            _require(rep.witness.holds(h, k),
                      "corollary witness subsystem still has rank k")
 
 

@@ -8,9 +8,16 @@ m(k,d) = h(d-k,d).
 
 Checkers evaluate the subset hypothesis and the global conclusion
 independently and, when the conclusion fails, produce a witness subset
-whose size the theorems bound.  A witness that cannot be found within its
-bound would contradict a proved theorem, so that raises
-TheoremContradiction instead of being reported as an ordinary result.
+whose size the theorems bound.  The lineality and cone hypotheses are
+decided by one memoized search, the lexicographically first minimal
+witness, put to the generators at threshold k and to the outer normals
+at threshold d - k (as m(k,d) = h(d-k,d)).  That search alone owns the
+size bound h, the capacity gate (ENUMERATION_CUTOFF reversible
+generators, checked only when it has to scan) and the theorem check: a
+witness that cannot be found within its bound would contradict a proved
+theorem, so that raises TheoremContradiction instead of being reported
+as an ordinary result.  The Reay and flat witnesses scan no subsets and
+are not gated.
 
 Minimal witnesses have useful structure: a smallest subset B with
 dim lpos B > k must satisfy pos B = lin B (every element reversible
@@ -19,16 +26,14 @@ witness).  Its lineality dimension is then its rank, so the enumeration
 asks of each candidate only whether it is linear (:func:`cone.is_linear`,
 one LP certificate checked by substitution, behind a cheap sign test)
 and, if so, its exact rank.  Wherever a witness is checked, its property
-is decided afresh on its own subset by the certified lineality
-computation.
-The cone checkers put the same question to the outer normals, since
-m(k,d) = h(d-k,d), so the search is memoized.
+is decided afresh on its own subset by WITNESS_PROPERTIES, the one
+definition of what each witness property claims.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .errors import CapacityError, TheoremContradiction
@@ -50,6 +55,7 @@ from .ratlin import VectorSet, rank_of_rows
 __all__ = [
     "ENUMERATION_CUTOFF",
     "HellyBounds",
+    "WITNESS_PROPERTIES",
     "Witness",
     "bound_m",
     "bound_h",
@@ -64,8 +70,8 @@ __all__ = [
     "FlatHellyReport",
 ]
 
-# Subset enumeration is exponential; refuse inputs past desk scale instead
-# of silently running forever.
+# The minimal-witness scan is exponential in the reversible generators;
+# refuse more than this many instead of silently running forever.
 ENUMERATION_CUTOFF = 24
 
 
@@ -74,22 +80,20 @@ def _check_k(k: int, d: int, lowest: int = 1) -> None:
         raise ValueError(f"k must lie in [{lowest}, {d}], got {k}")
 
 
-def _check_capacity(n: int) -> None:
-    if n > ENUMERATION_CUTOFF:
-        raise CapacityError(
-            f"{n} vectors exceed the enumeration cutoff of {ENUMERATION_CUTOFF}")
+def _h(k: int, d: int) -> int:
+    return max(d + 1, 2 * (k + 1))
 
 
 def bound_m(k: int, d: int) -> int:
     """Helly number for k-dimensional cones in dimension d."""
     _check_k(k, d)
-    return max(d + 1, 2 * (d - k + 1))
+    return _h(d - k, d)
 
 
 def bound_h(k: int, d: int) -> int:
     """Helly number for lineality dimension at most k in dimension d."""
     _check_k(k, d)
-    return max(d + 1, 2 * (k + 1))
+    return _h(k, d)
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,24 @@ class HellyBounds:
         return cls(k=k, d=d, m=bound_m(k, d), h=bound_h(k, d))
 
 
+def _no_k_dim_cone(h: HalfspaceSystem, ids, k: int) -> bool:
+    return max_cone_dim(h.subsystem(ids)) < k
+
+
+# What each witness property claims of the subset ids of an instance x at
+# parameter k, decided afresh on that subset: the one definition that
+# --verify and the fuzz checks apply.
+WITNESS_PROPERTIES = {
+    "lineality_dim_exceeds":
+        lambda vs, ids, k: lineality_space(vs.subset(ids)).dim > k,
+    "no_k_dim_cone": _no_k_dim_cone,
+    "solution_rank_below_k": _no_k_dim_cone,
+    "independent_normals":
+        lambda h, ids, k: rank_of_rows([h.normals[i] for i in ids],
+                                       h.ambient_dim) == k + 1,
+}
+
+
 @dataclass(frozen=True)
 class Witness:
     """A subset certifying failure of a Helly conclusion; its size is
@@ -122,12 +144,23 @@ class Witness:
         if len(self.subset_indices) > self.size_bound:
             raise ValueError("witness larger than its size bound")
 
+    def holds(self, x, k: int) -> bool:
+        """Whether the subset has its claimed property in the instance x."""
+        return WITNESS_PROPERTIES[self.property](x, self.subset_indices, k)
+
 
 @lru_cache(maxsize=2048)
-def _minimal_lineality_witness(a: VectorSet, threshold: int,
-                               size_cap: int) -> tuple[int, ...] | None:
+def _minimal_lineality_witness(a: VectorSet,
+                               threshold: int) -> tuple[int, ...] | None:
     """Lexicographically-first smallest subset B with
-    dim lineality_space(B) > threshold and |B| <= size_cap, or None.
+    dim lineality_space(B) > threshold, or None when a itself has
+    lineality dimension at most threshold.
+
+    The lineality Helly theorem puts B within h(threshold, d) elements
+    (threshold 0 included, as the cone check asks at k = d), so finding
+    none there raises.  The scan is exponential in the reversible
+    generators, so it refuses more than ENUMERATION_CUTOFF of them before
+    it starts.
 
     At the minimal cardinality every witness B is linear (pos B = lin B),
     so a candidate qualifies iff it is linear and its rank exceeds the
@@ -135,50 +168,43 @@ def _minimal_lineality_witness(a: VectorSet, threshold: int,
     the rank.  Sizes are scanned in ascending order, subsets of the
     reversible generators in index-lexicographic order.  Memoized: the
     pos check at threshold k and the cone and corollary checks at
-    k' = d - k all ask for (a, k, h(k,d)).
+    k' = d - k all ask for (a, k).
     """
     rows, d = a.int_rows, a.ambient_dim
     members = reversible_indices(a)
     if rank_of_rows([rows[i] for i in members], d) <= threshold:
         return None  # dim lpos(a) itself is within the threshold
-    top = min(size_cap, len(members))
+    if len(members) > ENUMERATION_CUTOFF:
+        raise CapacityError(
+            f"{len(members)} reversible generators exceed the enumeration "
+            f"cutoff of {ENUMERATION_CUTOFF}")
+    top = min(_h(threshold, d), len(members))
     for size in range(threshold + 2, top + 1):
         for combo in itertools.combinations(members, size):
             sub = [rows[i] for i in combo]
             if is_linear(sub) and rank_of_rows(sub, d) > threshold:
                 return combo
-    return None
+    raise TheoremContradiction(
+        "lineality exceeds the threshold but no witness within h exists")
 
 
 def check_lineality_hypothesis(a: VectorSet, k: int) -> bool:
     """True iff every subset B with |B| <= h(k,d) has lineality dimension
     at most k."""
     _check_k(k, a.ambient_dim)
-    _check_capacity(len(a))
-    cap = min(bound_h(k, a.ambient_dim), len(a))
-    return _minimal_lineality_witness(a, k, cap) is None
-
-
-def _require_lineality_excess(a: VectorSet, k: int) -> None:
-    if lineality_space(a).dim <= k:
-        raise ValueError(
-            "witness extraction requires lineality dimension above k")
+    return _minimal_lineality_witness(a, k) is None
 
 
 def witness_lineality_enum(a: VectorSet, k: int) -> Witness:
     """Lexicographically-first smallest subset whose lineality dimension
     exceeds k; its size never exceeds h(k,d)."""
-    d = a.ambient_dim
-    _check_k(k, d)
-    _check_capacity(len(a))
-    _require_lineality_excess(a, k)
-    h = bound_h(k, d)
-    combo = _minimal_lineality_witness(a, k, min(h, len(a)))
+    _check_k(k, a.ambient_dim)
+    combo = _minimal_lineality_witness(a, k)
     if combo is None:
-        raise TheoremContradiction(
-            "lineality exceeds k but no witness within h(k,d) exists")
+        raise ValueError(
+            "witness extraction requires lineality dimension above k")
     return Witness(subset_indices=combo, property="lineality_dim_exceeds",
-                   size_bound=h)
+                   size_bound=bound_h(k, a.ambient_dim))
 
 
 @lru_cache(maxsize=256)
@@ -197,8 +223,9 @@ def witness_lineality_reay(a: VectorSet, k: int) -> Witness:
     The Reay search certified that prefix B_j spans |B_j| - j dimensions."""
     d = a.ambient_dim
     _check_k(k, d)
-    _check_capacity(len(a))
-    _require_lineality_excess(a, k)
+    if lineality_space(a).dim <= k:
+        raise ValueError(
+            "witness extraction requires lineality dimension above k")
     h = bound_h(k, d)
     taken: list[int] = []
     for j, part in enumerate(_reay_input_parts(a), start=1):
@@ -230,27 +257,25 @@ def verify_cone_helly(h: HalfspaceSystem, k: int) -> ConeHellyReport:
     system: hypothesis (every subfamily of size at most m(k,d) contains a
     k-dimensional cone in its intersection) and conclusion (the whole
     family does).  When the conclusion fails, a witness subfamily within
-    the bound is attached; hypothesis true with conclusion false would
-    contradict the theorem and raises."""
+    the bound is attached.
+
+    A subfamily contains a k-dimensional cone iff its normals' lineality
+    dimension is at most d - k, so the hypothesis is the lineality
+    hypothesis at d - k on the normals, m(k,d) = h(d-k,d), and the
+    minimal-witness search decides it exactly."""
     d = h.ambient_dim
     _check_k(k, d)
-    _check_capacity(len(h))
     bounds = HellyBounds.of(k, d)
-    mcd = max_cone_dim(h)
     ldim = lineality_space(h.normals).dim
-    conclusion = mcd >= k
+    mcd = d - ldim
+    combo = _minimal_lineality_witness(h.normals, d - k)
+    hypothesis, conclusion = combo is None, mcd >= k
     # A subfamily's cone dimension only grows as halfspaces are removed,
     # so the conclusion implies the hypothesis outright; the converse is
-    # the theorem.  The witness search decides the hypothesis exactly.
-    combo = _minimal_lineality_witness(h.normals, d - k,
-                                       min(bounds.m, len(h)))
-    hypothesis = combo is None
-    if hypothesis and not conclusion:
+    # the theorem.
+    if hypothesis != conclusion:
         raise TheoremContradiction(
-            "cone Helly hypothesis holds but conclusion fails")
-    if conclusion and not hypothesis:
-        raise TheoremContradiction(
-            "subfamily witness found although the full family succeeds")
+            "cone Helly hypothesis and conclusion disagree")
     witness = None
     if combo is not None:
         witness = Witness(subset_indices=combo, property="no_k_dim_cone",
@@ -279,25 +304,14 @@ def corollary_check(h: HalfspaceSystem, k: int) -> CorollaryReport:
     The maximum number of linearly independent solutions of {a.x <= 0}
     is max_cone_dim, since the solution set is a full-dimensional cone in
     the complement of the normals' lineality space; extract_cone at this
-    k produces explicit such solutions."""
-    d = h.ambient_dim
-    _check_k(k, d)
-    _check_capacity(len(h))
-    bounds = HellyBounds.of(k, d)
-    r = max_cone_dim(h)
-    global_holds = r >= k
-    combo = _minimal_lineality_witness(h.normals, d - k,
-                                       min(bounds.m, len(h)))
-    subsystems_hold = combo is None
-    if global_holds != subsystems_hold:
-        raise TheoremContradiction("corollary biconditional failed")
-    witness = None
-    if combo is not None:
-        witness = Witness(subset_indices=combo, property="solution_rank_below_k",
-                          size_bound=bounds.m)
-    return CorollaryReport(k=k, d=d, bounds=bounds, rank=r,
-                           global_holds=global_holds,
-                           subsystems_hold=subsystems_hold, witness=witness)
+    k produces explicit such solutions.  So this is the cone Helly report
+    under other names."""
+    rep = verify_cone_helly(h, k)
+    witness = rep.witness and replace(rep.witness,
+                                      property="solution_rank_below_k")
+    return CorollaryReport(k=k, d=rep.d, bounds=rep.bounds,
+                           rank=rep.max_cone_dim, global_holds=rep.conclusion,
+                           subsystems_hold=rep.hypothesis, witness=witness)
 
 
 @dataclass(frozen=True)
@@ -320,7 +334,6 @@ def check_flat_helly(h: HalfspaceSystem, k: int) -> FlatHellyReport:
     Theory 4, 1968), found with one rank test per normal."""
     d = h.ambient_dim
     _check_k(k, d, lowest=0)
-    _check_capacity(len(h))
     polar_dim = lineality_of_polar(h).dim
     conclusion = polar_dim >= d - k
     rows = h.normals.int_rows

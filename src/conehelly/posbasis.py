@@ -50,9 +50,10 @@ def _minimally_spans(rows: list, d: int, dim: int) -> bool:
 
 def is_positive_basis(x: VectorSet, target: SubspaceBasis) -> bool:
     """pos(x) = target and no single element can be dropped."""
-    return (x.ambient_dim == target.ambient_dim
-            and all(target.contains(v) for v in x)
-            and _minimally_spans(list(x.int_rows), x.ambient_dim, target.dim))
+    d, rows = x.ambient_dim, list(x.int_rows)
+    return (d == target.ambient_dim
+            and rank_of_rows([*target.basis, *rows], d) == target.dim
+            and _minimally_spans(rows, d, target.dim))
 
 
 @dataclass(frozen=True)

@@ -168,12 +168,52 @@ class TestExitCodes:
         assert code == EXIT_INPUT
 
     def test_capacity_exceeded(self, capsys, monkeypatch):
-        vectors = [[1, (i % 5) - 2] for i in range(25)]
+        # 25 generators, every one reversible, so the witness scan must run.
+        vectors = [[[1, 0], [-1, 0], [0, 1], [0, -1]][i % 4] for i in range(25)]
         code, _, err = invoke(capsys, monkeypatch, ["helly-pos", "--k", "1"],
                               stdin=json.dumps({"d": 2, "role": "generators",
                                                 "vectors": vectors}))
         assert code == EXIT_CAPACITY
         assert "cutoff" in err
+
+    def test_past_the_cutoff_without_a_scan(self, capsys, monkeypatch):
+        # A pointed set needs no witness; flat-helly scans no subsets.
+        for argv, d, vectors in (
+                (["helly-pos", "--k", "1"], 2, [[1, (i % 5) - 2] for i in range(25)]),
+                (["flat-helly", "--k", "1"], 3,
+                 [[(i % 5) - 2, (i // 5) - 2, 1] for i in range(25)])):
+            code, out, err = invoke(capsys, monkeypatch, argv, stdin=json.dumps(
+                {"d": d, "role": "generators", "vectors": vectors}))
+            assert code == EXIT_OK, (argv, err)
+            assert json.loads(out)["operation"] == argv[0]
+
+    def test_boolean_d_rejected(self, capsys, monkeypatch):
+        code, out, _ = invoke(capsys, monkeypatch, ["lineality"], stdin=json.dumps(
+            {"d": True, "role": "generators", "vectors": [[1]]}))
+        assert code == EXIT_INPUT and out == ""
+
+    def _altered_report(self, capsys, monkeypatch, tmp_path, argv, stdin, field, value):
+        code, out, err = invoke(capsys, monkeypatch, argv, stdin=stdin)
+        assert code == EXIT_OK, err
+        rep = json.loads(out)
+        rep["inputs"][field] = value
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(rep))
+        return invoke(capsys, monkeypatch, [argv[0], "--verify", str(path)])
+
+    def test_boolean_k_in_report_rejected(self, capsys, monkeypatch, tmp_path):
+        inst = gen_out(capsys, monkeypatch,
+                       ["gen", "--example", "axis-pairs", "--k", "2", "--d", "2"])
+        code, out, _ = self._altered_report(capsys, monkeypatch, tmp_path,
+                                            ["helly-pos", "--k", "1"], inst, "k", True)
+        assert code == EXIT_INPUT and out == ""
+
+    def test_float_point_in_report_rejected(self, capsys, monkeypatch, tmp_path):
+        inst = gen_out(capsys, monkeypatch, ["gen", "--example", "simplex", "--d", "2"])
+        code, out, _ = self._altered_report(capsys, monkeypatch, tmp_path,
+                                            ["membership", "--point", "1,1"], inst,
+                                            "point", [1.5, 0])
+        assert code == EXIT_INPUT and out == ""
 
     def test_unknown_command(self, capsys, monkeypatch):
         assert run(["frobnicate"]) == EXIT_INPUT

@@ -11,7 +11,6 @@ from conehelly.cone import (
     HalfspaceSystem,
     InfeasibleCone,
     extract_cone,
-    implicit_normal_indices,
     is_linear,
     is_pointed,
     lineality_of_polar,
@@ -242,7 +241,7 @@ class TestRelativeInteriorPoint:
         # of pos(normals).  Drawn sets include normals of low rank.
         ls = lineality_space(a)
         want = tuple(i for i, normal in enumerate(a) if ls.contains(normal))
-        assert implicit_normal_indices(HalfspaceSystem(a)) == want
+        assert reversible_indices(a) == want
 
 
 class TestExtractCone:

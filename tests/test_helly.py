@@ -36,6 +36,10 @@ def vs(rows, d):
     return VectorSet.from_rows(rows, d)
 
 
+# 25 generators, every one reversible: the axis pairs of R^2, cycled.
+AXIS_PAIRS_25 = [[[1, 0], [-1, 0], [0, 1], [0, -1]][i % 4] for i in range(25)]
+
+
 class TestBounds:
     def test_halfline_bound_is_twice_d(self):
         for d in range(1, 21):
@@ -103,9 +107,20 @@ class TestLinealityHypothesis:
         assert check_lineality_hypothesis(a, 1)
 
     def test_capacity_cutoff(self):
-        a = vs([[1, 0]] * 25, 2)
-        with pytest.raises(CapacityError):
+        # All 25 generators are reversible, and the scan must run at k = 1.
+        a = vs(AXIS_PAIRS_25, 2)
+        with pytest.raises(CapacityError, match="cutoff"):
             check_lineality_hypothesis(a, 1)
+
+    def test_gate_fires_before_any_linearity_test(self, monkeypatch):
+        calls = []
+        real = helly.is_linear
+        monkeypatch.setattr(helly, "is_linear",
+                            lambda rows: calls.append(1) or real(rows))
+        helly._minimal_lineality_witness.cache_clear()
+        with pytest.raises(CapacityError):
+            witness_lineality_enum(vs(AXIS_PAIRS_25, 2), 1)
+        assert calls == []
 
     @settings(max_examples=60, deadline=None)
     @given(int_vector_sets(max_d=3, max_n=5, bound=2))
@@ -141,6 +156,17 @@ class TestWitnessExtractors:
         w = witness_lineality_reay(a, 1)
         assert len(w.subset_indices) == 4
         assert bound_h(1, 3) == 4
+
+    def test_few_reversible_among_many_vectors(self):
+        # 25 vectors, of which only the axis pairs of the plane z = 0 are
+        # reversible: the gate counts those 4, not the 25.
+        rows = [[(i % 5) - 2, (i // 5) - 2, 1] for i in range(21)]
+        for i, v in zip((3, 8, 15, 22), ([1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0])):
+            rows.insert(i, v)
+        a = vs(rows, 3)
+        assert len(a) == 25
+        for witness in (witness_lineality_enum, witness_lineality_reay):
+            assert witness(a, 1).subset_indices == (3, 8, 15, 22)
 
     def test_rejects_k_zero(self):
         with pytest.raises(ValueError):
