@@ -131,8 +131,12 @@ def instance_from_json(obj) -> tuple[VectorSet, str]:
         raise InputError("d must be a positive integer")
     if role not in ("generators", "normals"):
         raise InputError(f"unknown role {role!r}")
+    if not isinstance(rows, list):
+        raise InputError("vectors must be a JSON list")
     vectors = []
     for row in rows:
+        if not isinstance(row, list):
+            raise InputError(f"vector {row!r} is not a JSON list")
         if len(row) != d:
             raise InputError(f"vector {row!r} does not have length {d}")
         vectors.append(tuple(frac_from_json(c) for c in row))
@@ -494,6 +498,8 @@ def _params(cmd: Command, d: int, raw: dict) -> dict:
     if cmd.point:
         if raw.get("point") is None:
             raise InputError("membership requires --point")
+        if not isinstance(raw["point"], list):
+            raise InputError("point must be a JSON list")
         point = tuple(frac_from_json(c) for c in raw["point"])
         if len(point) != d:
             raise InputError("point has wrong dimension")

@@ -159,9 +159,10 @@ def _sign_separator(rows: list[list[int]]) -> list[int] | None:
     On a linear set a functional negative somewhere is positive
     somewhere.  Trying -e_j or +e_j for a one-signed coordinate j, and
     x -> -v.x for a nonzero v that no row meets at an obtuse angle,
-    settles about half of the witness-search candidates of the fuzz
-    streams without the LP, which raised pos_helly benchmark throughput
-    by 15-30% in paired runs on a 2-core x86 VM.
+    spares the LP in the deflation of :func:`reversible_indices`, in
+    positive-basis extraction and in the Reay search.  The minimal-witness
+    search of :mod:`helly` seeds its cut pool with these same functionals,
+    so its candidates reach this test only after they have passed them.
     """
     for j, col in enumerate(zip(*rows)):
         if (min(col) < 0) != (max(col) > 0):

@@ -23,11 +23,15 @@ Minimal witnesses have useful structure: a smallest subset B with
 dim lpos B > k must satisfy pos B = lin B (every element reversible
 inside B, otherwise dropping an irreversible element gives a smaller
 witness).  Its lineality dimension is then its rank, so the enumeration
-asks of each candidate only whether it is linear (:func:`cone.is_linear`,
-one LP certificate checked by substitution, behind a cheap sign test)
-and, if so, its exact rank.  Wherever a witness is checked, its property
-is decided afresh on its own subset by WITNESS_PROPERTIES, the one
-definition of what each witness property claims.
+asks of each candidate only whether it is linear and, if so, its exact
+rank.  Most candidates are not linear, and a pool of exact cuts, each an
+integer functional held as two bitmasks, rules nearly all of those out
+with two ANDs each; only the rest reach the checked LP certificate of
+cone._separator.  Acceptance still rests on that certificate and the
+exact rank, so the pool changes what the search costs, never what it
+finds.  Wherever a witness is checked, its property is decided afresh
+on its own subset by WITNESS_PROPERTIES, the one definition of what
+each witness property claims.
 """
 
 from __future__ import annotations
@@ -35,11 +39,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import mul
 
 from .errors import CapacityError, TheoremContradiction
 from .cone import (
     HalfspaceSystem,
-    is_linear,
+    _separator,
     lineality_of_polar,
     lineality_space,
     max_cone_dim,
@@ -149,6 +154,19 @@ class Witness:
         return WITNESS_PROPERTIES[self.property](x, self.subset_indices, k)
 
 
+def _cut(y, points) -> tuple[int, int]:
+    """The functional y as a cut over points: the bitmasks of the points
+    where y is positive and where it is negative."""
+    pos = neg = 0
+    for bit, s in enumerate(points):
+        v = sum(map(mul, y, s))
+        if v > 0:
+            pos |= 1 << bit
+        elif v < 0:
+            neg |= 1 << bit
+    return pos, neg
+
+
 @lru_cache(maxsize=2048)
 def _minimal_lineality_witness(a: VectorSet,
                                threshold: int) -> tuple[int, ...] | None:
@@ -169,21 +187,50 @@ def _minimal_lineality_witness(a: VectorSet,
     reversible generators in index-lexicographic order.  Memoized: the
     pos check at threshold k and the cone and corollary checks at
     k' = d - k all ask for (a, k).
+
+    Linearity goes through a pool of cuts, each an integer functional y
+    held as two bitmasks over the reversible generators: pos where
+    y.s > 0 and neg where y.s < 0.  A candidate meets exactly one of
+    them iff y or -y is <= 0 on all of it and < 0 somewhere on it, and
+    then, whatever y is, its positive hull is not linear.  The pool
+    starts from the functionals of the sign pretest in
+    cone._sign_separator (the coordinates, and x -> v.x for each
+    reversible v), so it settles all that the pretest would.  A
+    candidate no cut settles goes to cone._separator; a separator it
+    returns joins the pool at the front, and a cut that fires moves to
+    the front.  Every rejection rests on exact integer dot products and
+    every acceptance on the checked certificate and the exact rank, so
+    the witness is the one a plain scan finds.  The pool lives for one
+    search and is built only once the search has to scan.
     """
     rows, d = a.int_rows, a.ambient_dim
     members = reversible_indices(a)
-    if rank_of_rows([rows[i] for i in members], d) <= threshold:
+    points = [rows[i] for i in members]
+    if rank_of_rows(points, d) <= threshold:
         return None  # dim lpos(a) itself is within the threshold
     if len(members) > ENUMERATION_CUTOFF:
         raise CapacityError(
             f"{len(members)} reversible generators exceed the enumeration "
             f"cutoff of {ENUMERATION_CUTOFF}")
+    axes = [[int(i == j) for i in range(d)] for j in range(d)]
+    cuts = [_cut(y, points) for y in axes + points]
+    bits = [1 << b for b in range(len(members))]
     top = min(_h(threshold, d), len(members))
     for size in range(threshold + 2, top + 1):
-        for combo in itertools.combinations(members, size):
-            sub = [rows[i] for i in combo]
-            if is_linear(sub) and rank_of_rows(sub, d) > threshold:
-                return combo
+        for combo, mask in zip(itertools.combinations(members, size),
+                               map(sum, itertools.combinations(bits, size))):
+            for i, (pos, neg) in enumerate(cuts):
+                if (not mask & pos) != (not mask & neg):
+                    if i:
+                        cuts.insert(0, cuts.pop(i))
+                    break
+            else:
+                sub = [rows[i] for i in combo]
+                y = _separator(sub)
+                if y is not None:
+                    cuts.insert(0, _cut(y, points))
+                elif rank_of_rows(sub, d) > threshold:
+                    return combo
     raise TheoremContradiction(
         "lineality exceeds the threshold but no witness within h exists")
 

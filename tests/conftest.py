@@ -2,7 +2,13 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from conehelly.fuzzing import FuzzConfig
 from conehelly.ratlin import VectorSet
+
+# The two fuzz streams of the acceptance criteria.
+POS_FUZZ = FuzzConfig(d_max=5, n_max=12, bound=3, trials=1000,
+                      seed=20260810, checks=("pos_helly",))
+CONE_FUZZ = FuzzConfig(d_max=4, n_max=10, bound=3, trials=500, seed=31337)
 
 
 def small_fraction(max_num=5, max_den=3):

@@ -14,6 +14,7 @@ Cramer denominators to be sound.
 from fractions import Fraction
 from itertools import combinations
 
+from conehelly.cone import is_linear, reversible_indices
 from conehelly.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
 from conehelly.ratlin import VectorSet, rank_of_rows, rref_rows
 
@@ -227,6 +228,24 @@ def oracle_minimal_witness(vs: VectorSet, k: int, cap: int):
             if oracle_lineality_dim(vs.subset(t)) > k:
                 return t
     return None
+
+
+def plain_minimal_witness(vs: VectorSet, threshold: int):
+    """The minimal-witness search without its cut pool: is_linear and then
+    the exact rank of every subset of the reversible generators, sizes
+    ascending up to h(threshold, d), each size in index-lexicographic
+    order.  Returns (the first witness or None, candidates scanned)."""
+    rows, d = vs.int_rows, vs.ambient_dim
+    members = reversible_indices(vs)
+    top = min(max(d + 1, 2 * (threshold + 1)), len(members))
+    scanned = 0
+    for size in range(threshold + 2, top + 1):
+        for combo in combinations(members, size):
+            scanned += 1
+            sub = [rows[i] for i in combo]
+            if is_linear(sub) and rank_of_rows(sub, d) > threshold:
+                return combo, scanned
+    return None, scanned
 
 
 def oracle_first_independent(vs: VectorSet, size: int):

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 from conehelly.cone import lineality_space
-from conehelly.fuzzing import FuzzConfig, run_fuzz
+from conehelly.fuzzing import run_fuzz
 from conehelly.gens import (
     gen_axis_pairs,
     gen_random,
@@ -19,13 +19,11 @@ from conehelly.gens import (
 from conehelly.helly import bound_h, bound_m
 from conehelly.ratlin import VectorSet
 
+from conftest import CONE_FUZZ, POS_FUZZ
 from oracles import oracle_reversible
 
 F = Fraction
 
-POS_FUZZ = FuzzConfig(d_max=5, n_max=12, bound=3, trials=1000,
-                      seed=20260810, checks=("pos_helly",))
-CONE_FUZZ = FuzzConfig(d_max=4, n_max=10, bound=3, trials=500, seed=31337)
 
 
 def _record(num: int, description: str, ok: bool, elapsed: float,

@@ -215,6 +215,19 @@ class TestExitCodes:
                                             "point", [1.5, 0])
         assert code == EXIT_INPUT and out == ""
 
+    @pytest.mark.parametrize("d, vectors", [(1, "12"), (2, ["12", [0, 1]])])
+    def test_string_vectors_rejected(self, capsys, monkeypatch, d, vectors):
+        code, out, _ = invoke(capsys, monkeypatch, ["lineality"], stdin=json.dumps(
+            {"d": d, "role": "generators", "vectors": vectors}))
+        assert code == EXIT_INPUT and out == ""
+
+    def test_string_point_in_report_rejected(self, capsys, monkeypatch, tmp_path):
+        inst = gen_out(capsys, monkeypatch, ["gen", "--example", "simplex", "--d", "2"])
+        code, out, _ = self._altered_report(capsys, monkeypatch, tmp_path,
+                                            ["membership", "--point", "1,1"], inst,
+                                            "point", "11")
+        assert code == EXIT_INPUT and out == ""
+
     def test_unknown_command(self, capsys, monkeypatch):
         assert run(["frobnicate"]) == EXIT_INPUT
 

@@ -1,13 +1,20 @@
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conehelly import helly
+from conehelly import helly, lp
 from conehelly.errors import CapacityError
-from conehelly.cone import HalfspaceSystem, lineality_space, max_cone_dim
-from conehelly.gens import gen_axis_pairs, gen_example2, gen_simplex_like
+from conehelly.cone import (
+    HalfspaceSystem,
+    lineality_space,
+    max_cone_dim,
+    reversible_indices,
+)
+from conehelly.fuzzing import trial_instance
+from conehelly.gens import gen_axis_pairs, gen_example2, gen_random, gen_simplex_like
 from conehelly.helly import (
     HellyBounds,
     Witness,
@@ -22,11 +29,12 @@ from conehelly.helly import (
 )
 from conehelly.ratlin import VectorSet, vec
 
-from conftest import int_vector_sets
+from conftest import POS_FUZZ, int_vector_sets
 from oracles import (
     oracle_check_hypothesis,
     oracle_first_independent,
     oracle_minimal_witness,
+    plain_minimal_witness,
 )
 
 F = Fraction
@@ -114,8 +122,8 @@ class TestLinealityHypothesis:
 
     def test_gate_fires_before_any_linearity_test(self, monkeypatch):
         calls = []
-        real = helly.is_linear
-        monkeypatch.setattr(helly, "is_linear",
+        real = helly._separator
+        monkeypatch.setattr(helly, "_separator",
                             lambda rows: calls.append(1) or real(rows))
         helly._minimal_lineality_witness.cache_clear()
         with pytest.raises(CapacityError):
@@ -187,6 +195,67 @@ class TestWitnessExtractors:
             w = witness_lineality_enum(a, k)
             expect = oracle_minimal_witness(a, k, bound_h(k, d))
             assert w.subset_indices == expect
+
+
+@contextmanager
+def _counting_lps():
+    """A list that gains one entry per lp.nonneg_combination call inside
+    the block."""
+    calls = []
+    real = lp.nonneg_combination
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "nonneg_combination",
+                   lambda *args: calls.append(1) or real(*args))
+        yield calls
+
+
+def _pool_and_plain(a, threshold):
+    """(the pooled search's witness and LP calls, the plain scan's witness,
+    candidates scanned and LP calls), both run cold on a."""
+    reversible_indices(a)  # its deflation LPs belong to neither search
+    with _counting_lps() as plain_lps:
+        want, scanned = plain_minimal_witness(a, threshold)
+    helly._minimal_lineality_witness.cache_clear()
+    with _counting_lps() as pool_lps:
+        got = helly._minimal_lineality_witness(a, threshold)
+    return got, len(pool_lps), want, scanned, len(plain_lps)
+
+
+@st.composite
+def _closed_sets(draw):
+    """Up to 8 vectors in R^1..R^4 and minus their sum: every generator
+    is reversible, so the search has the most subsets to scan."""
+    a = draw(int_vector_sets(max_d=4, max_n=8, bound=2, min_n=1))
+    minus_sum = tuple(-sum(col) for col in zip(*a.vectors))
+    return VectorSet(a.ambient_dim, a.vectors + (minus_sum,))
+
+
+class TestCutPool:
+    """The cut pool changes what the witness search costs, not what it
+    finds: the plain scan of tests/oracles.py is the reference."""
+
+    @pytest.mark.parametrize("trial", [13, 16, 25, 48])
+    def test_fuzz_trials_at_every_threshold(self, trial):
+        _, a = trial_instance(POS_FUZZ, trial)
+        for threshold in range(a.ambient_dim + 1):
+            got, _, want, _, _ = _pool_and_plain(a, threshold)
+            assert got == want, threshold
+
+    def test_lps_reach_at_most_a_tenth_of_the_candidates(self):
+        # The seed cuts alone leave about a third of the candidates of
+        # this search to the LP; the learned cuts settle nearly all of those.
+        a = gen_random(6, 16, 3, 1)
+        got, pool_lps, want, scanned, _ = _pool_and_plain(a, 2)
+        assert got == want is not None
+        assert pool_lps * 10 <= scanned
+
+    @settings(max_examples=80, deadline=None)
+    @given(_closed_sets())
+    def test_same_witness_as_the_plain_scan(self, a):
+        for threshold in range(a.ambient_dim + 1):
+            got, pool_lps, want, _, plain_lps = _pool_and_plain(a, threshold)
+            assert got == want
+            assert pool_lps <= plain_lps
 
 
 class TestConeHelly:
