@@ -25,6 +25,7 @@ from .cone import (
     InfeasibleCone,
     extract_cone,
     is_pointed,
+    lineality_dim,
     lineality_of_polar,
     lineality_space,
     max_cone_dim,

@@ -36,6 +36,7 @@ from .errors import CapacityError, TheoremContradiction
 from .cone import (
     HalfspaceSystem,
     extract_cone,
+    lineality_dim,
     lineality_of_polar,
     lineality_space,
     max_cone_dim,
@@ -281,7 +282,7 @@ def _reay(vs: VectorSet, p: dict, certs) -> dict:
 def _maxcone(h: HalfspaceSystem, p: dict, certs) -> dict:
     return {
         "max_cone_dim": max_cone_dim(h),
-        "lineality_dim": lineality_space(h.normals).dim,
+        "lineality_dim": lineality_dim(h.normals),
     }
 
 
@@ -312,7 +313,7 @@ def _extract_cone(h: HalfspaceSystem, p: dict, certs) -> dict:
 
 def _helly_pos(vs: VectorSet, p: dict, certs) -> dict:
     k = p["k"]
-    ldim = lineality_space(vs).dim
+    ldim = lineality_dim(vs)
     h = bound_h(k, vs.ambient_dim)
     hypothesis = ldim <= k
     if certs is None:

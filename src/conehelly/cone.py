@@ -17,6 +17,14 @@ same positive hull, and one phase-1 LP answers both; :func:`_checked`
 verifies its integer answer by substitution before it is used.
 Membership turns its certificate back into Fractions.
 
+Nearly every Helly question needs only the dimension of the lineality
+space, and :func:`lineality_dim` answers it by one integer rank of the
+reversible generators.  A Fraction basis, :func:`lineality_space`, is
+built only where the subspace itself is used: the lineality report, the
+target of a positive basis, the projection of
+:func:`project_out_lineality` and the complement that
+:func:`relative_interior_point` and :func:`extract_cone` work in.
+
 All cones have apex at the origin.
 """
 
@@ -40,6 +48,7 @@ from .ratlin import (
     is_zero,
     kernel_basis,
     orth_complement,
+    project_onto_complement,
     span_basis,
     vadd,
     vscale,
@@ -53,6 +62,7 @@ __all__ = [
     "InfeasibleCone",
     "membership",
     "lineality_space",
+    "lineality_dim",
     "reversible_indices",
     "is_linear",
     "is_pointed",
@@ -162,7 +172,7 @@ def _sign_separator(rows: list[list[int]]) -> list[int] | None:
     spares the LP in the deflation of :func:`reversible_indices`, in
     positive-basis extraction and in the Reay search.  The minimal-witness
     search of :mod:`helly` seeds its cut pool with these same functionals,
-    so its candidates reach this test only after they have passed them.
+    so it skips this test and calls :func:`_lp_separator` directly.
     """
     for j, col in enumerate(zip(*rows)):
         if (min(col) < 0) != (max(col) > 0):
@@ -178,6 +188,8 @@ def _sign_separator(rows: list[list[int]]) -> list[int] | None:
 def _separator(rows: Sequence[Sequence[int]]) -> list[int] | None:
     """None when pos(rows) is a linear subspace; otherwise an integer
     functional y with y.r <= 0 on every row and y.r < 0 on at least one.
+    The sign pretest answers first where it can, and
+    :func:`_lp_separator` decides the rest.
 
     pos S is linear iff sum_i lambda_i s_i = 0 for some lambda >= 1: such
     a combination makes every s_i reversible, and conversely, when every
@@ -191,11 +203,20 @@ def _separator(rows: Sequence[Sequence[int]]) -> list[int] | None:
     """
     if not rows:
         return None
-    t = [-sum(col) for col in zip(*rows)]
     y = _sign_separator(rows)
-    res = (lp.nonneg_combination(rows, t) if y is None
-           else lp.LPResult(lp.INFEASIBLE, farkas=y))
-    return _checked(rows, t, res).farkas
+    if y is None:
+        return _lp_separator(rows)
+    t = [-sum(col) for col in zip(*rows)]
+    return _checked(rows, t, lp.LPResult(lp.INFEASIBLE, farkas=y)).farkas
+
+
+def _lp_separator(rows: Sequence[Sequence[int]]) -> list[int] | None:
+    """:func:`_separator` without the sign pretest, for nonempty rows: the
+    checked LP certificate alone.  The minimal-witness search of
+    :mod:`helly` calls it directly, as its cut pool has already tried
+    every functional the pretest could return."""
+    t = [-sum(col) for col in zip(*rows)]
+    return _checked(rows, t, lp.nonneg_combination(rows, t)).farkas
 
 
 def is_linear(rows: Sequence[Sequence[int]]) -> bool:
@@ -226,7 +247,9 @@ def reversible_indices(gens: VectorSet) -> tuple[int, ...]:
 
 
 def lineality_space(gens: VectorSet) -> SubspaceBasis:
-    """Largest linear subspace contained in pos(gens).
+    """Largest linear subspace contained in pos(gens), as its canonical
+    Fraction basis; callers that need only its dimension ask
+    :func:`lineality_dim` instead.
 
     Computed as the span of the reversible generators; the invariant test
     suite certifies each output against the defining intersection
@@ -235,19 +258,25 @@ def lineality_space(gens: VectorSet) -> SubspaceBasis:
     return span_basis(gens.subset(reversible_indices(gens)))
 
 
+def lineality_dim(gens: VectorSet) -> int:
+    """Dimension of :func:`lineality_space`: the rank of the reversible
+    generators' integer rows, which span it; builds no Fraction."""
+    rows = gens.int_rows
+    return rank_of_rows([rows[i] for i in reversible_indices(gens)],
+                        gens.ambient_dim)
+
+
 def is_pointed(gens: VectorSet) -> bool:
-    return lineality_space(gens).dim == 0
+    return lineality_dim(gens) == 0
 
 
 def project_out_lineality(gens: VectorSet) -> VectorSet:
     """Project the generators onto the orthogonal complement of their own
     lineality space and drop zero images; the result is pointed."""
-    from .ratlin import project_onto_complement
-
     ls = lineality_space(gens)
     if ls.dim == 0:
         return gens
-    images = [project_onto_complement(ls, v) for v in gens]
+    images = project_onto_complement(ls, gens.vectors)
     return VectorSet(gens.ambient_dim, tuple(v for v in images if not is_zero(v)))
 
 
@@ -255,7 +284,7 @@ def max_cone_dim(h: HalfspaceSystem) -> int:
     """Largest k such that the intersection of the halfspaces contains a
     k-dimensional cone: the codimension of the lineality space of the
     positive hull of the outer normals."""
-    return h.ambient_dim - lineality_space(h.normals).dim
+    return h.ambient_dim - lineality_dim(h.normals)
 
 
 def relative_interior_point(h: HalfspaceSystem) -> Vec:
@@ -347,25 +376,27 @@ def extract_cone(h: HalfspaceSystem, k: int) -> VectorSet | InfeasibleCone:
     d = h.ambient_dim
     if not 0 <= k <= d:
         raise ValueError(f"k must lie in [0, {d}], got {k}")
-    ls = lineality_space(h.normals)
-    mdim = d - ls.dim
-    if k > mdim:
-        return InfeasibleCone(requested_k=k, max_dim=mdim, lineality_dim=ls.dim)
+    ldim = lineality_dim(h.normals)
+    if k > d - ldim:
+        return InfeasibleCone(requested_k=k, max_dim=d - ldim, lineality_dim=ldim)
     if k == 0:
         return VectorSet(d, ())
-    complement = orth_complement(ls).basis
+    complement = orth_complement(lineality_space(h.normals)).basis
     x0 = relative_interior_point(h)
     if is_zero(x0):
         gens = complement[:k]
         return VectorSet(d, tuple(gens))
     # Basis of the complement that starts with x0, extended greedily in
-    # the canonical complement order.
+    # the canonical complement order; the rank tests run on integer rows.
     u: list[Vec] = [x0]
+    urows = [int_row(x0)[1]]
     for cand in complement:
         if len(u) == k:
             break
-        if rank_of_rows(u + [cand], d) > len(u):
+        row = int_row(cand)[1]
+        if rank_of_rows(urows + [row], d) > len(u):
             u.append(cand)
+            urows.append(row)
     implicit = set(reversible_indices(h.normals))
     active = [a for i, a in enumerate(h.normals) if i not in implicit]
     bound: Fraction | None = None

@@ -20,6 +20,7 @@ from .cone import (
     HalfspaceSystem,
     InfeasibleCone,
     extract_cone,
+    lineality_dim,
     lineality_space,
     max_cone_dim,
     membership,
@@ -116,13 +117,15 @@ def _require(cond: bool, message: str) -> None:
 
 def check_lineality(vs: VectorSet) -> None:
     """Certify the lineality space: +-every basis vector is a verified
-    membership combination and the projected set is pointed."""
+    membership combination, the integer rank of the reversible generators
+    agrees with the basis, and the projected set is pointed."""
     ls = lineality_space(vs)
+    _require(lineality_dim(vs) == ls.dim, "lineality rank disagrees with basis")
     for w in ls.basis:
         _require(membership(w, vs).is_member, "basis vector outside pos")
         _require(membership(vneg(w), vs).is_member, "basis vector not reversible")
     projected = project_out_lineality(vs)
-    _require(lineality_space(projected).dim == 0, "projected set not pointed")
+    _require(lineality_dim(projected) == 0, "projected set not pointed")
 
 
 def check_pos_helly(vs: VectorSet) -> None:
@@ -130,7 +133,7 @@ def check_pos_helly(vs: VectorSet) -> None:
     and both witness extractors deliver bounded, valid witnesses whenever
     the conclusion fails."""
     d = vs.ambient_dim
-    ldim = lineality_space(vs).dim
+    ldim = lineality_dim(vs)
     for k in range(1, d + 1):
         mismatch = f"hypothesis/conclusion mismatch at k={k}"
         if ldim <= k:
@@ -180,7 +183,7 @@ def check_cone_helly(vs: VectorSet) -> None:
     h = HalfspaceSystem(vs)
     d = h.ambient_dim
     mcd = max_cone_dim(h)
-    _require(mcd + lineality_space(vs).dim == d, "duality identity broken")
+    _require(mcd + lineality_dim(vs) == d, "duality identity broken")
     gens = extract_cone(h, mcd)
     _require(isinstance(gens, VectorSet), "extraction failed at feasible k")
     _require(verify_cone_generators(h, gens, mcd), "extracted cone invalid")

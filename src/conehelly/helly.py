@@ -27,7 +27,7 @@ asks of each candidate only whether it is linear and, if so, its exact
 rank.  Most candidates are not linear, and a pool of exact cuts, each an
 integer functional held as two bitmasks, rules nearly all of those out
 with two ANDs each; only the rest reach the checked LP certificate of
-cone._separator.  Acceptance still rests on that certificate and the
+cone._lp_separator.  Acceptance still rests on that certificate and the
 exact rank, so the pool changes what the search costs, never what it
 finds.  Wherever a witness is checked, its property is decided afresh
 on its own subset by WITNESS_PROPERTIES, the one definition of what
@@ -44,7 +44,8 @@ from operator import mul
 from .errors import CapacityError, TheoremContradiction
 from .cone import (
     HalfspaceSystem,
-    _separator,
+    _lp_separator,
+    lineality_dim,
     lineality_of_polar,
     lineality_space,
     max_cone_dim,
@@ -127,7 +128,7 @@ def _no_k_dim_cone(h: HalfspaceSystem, ids, k: int) -> bool:
 # --verify and the fuzz checks apply.
 WITNESS_PROPERTIES = {
     "lineality_dim_exceeds":
-        lambda vs, ids, k: lineality_space(vs.subset(ids)).dim > k,
+        lambda vs, ids, k: lineality_dim(vs.subset(ids)) > k,
     "no_k_dim_cone": _no_k_dim_cone,
     "solution_rank_below_k": _no_k_dim_cone,
     "independent_normals":
@@ -195,12 +196,13 @@ def _minimal_lineality_witness(a: VectorSet,
     then, whatever y is, its positive hull is not linear.  The pool
     starts from the functionals of the sign pretest in
     cone._sign_separator (the coordinates, and x -> v.x for each
-    reversible v), so it settles all that the pretest would.  A
-    candidate no cut settles goes to cone._separator; a separator it
-    returns joins the pool at the front, and a cut that fires moves to
-    the front.  Every rejection rests on exact integer dot products and
-    every acceptance on the checked certificate and the exact rank, so
-    the witness is the one a plain scan finds.  The pool lives for one
+    reversible v), so it settles all that the pretest would, and a
+    candidate no cut settles goes straight to the checked LP of
+    cone._lp_separator; a separator it returns joins the pool at the
+    front, and a cut that fires moves to the front.  Every rejection
+    rests on exact integer dot products and every acceptance on the
+    checked certificate and the exact rank, so the witness is the one a
+    plain scan finds.  The pool lives for one
     search and is built only once the search has to scan.
     """
     rows, d = a.int_rows, a.ambient_dim
@@ -226,7 +228,7 @@ def _minimal_lineality_witness(a: VectorSet,
                     break
             else:
                 sub = [rows[i] for i in combo]
-                y = _separator(sub)
+                y = _lp_separator(sub)
                 if y is not None:
                     cuts.insert(0, _cut(y, points))
                 elif rank_of_rows(sub, d) > threshold:
@@ -270,7 +272,7 @@ def witness_lineality_reay(a: VectorSet, k: int) -> Witness:
     The Reay search certified that prefix B_j spans |B_j| - j dimensions."""
     d = a.ambient_dim
     _check_k(k, d)
-    if lineality_space(a).dim <= k:
+    if lineality_dim(a) <= k:
         raise ValueError(
             "witness extraction requires lineality dimension above k")
     h = bound_h(k, d)
@@ -313,7 +315,7 @@ def verify_cone_helly(h: HalfspaceSystem, k: int) -> ConeHellyReport:
     d = h.ambient_dim
     _check_k(k, d)
     bounds = HellyBounds.of(k, d)
-    ldim = lineality_space(h.normals).dim
+    ldim = lineality_dim(h.normals)
     mcd = d - ldim
     combo = _minimal_lineality_witness(h.normals, d - k)
     hypothesis, conclusion = combo is None, mcd >= k

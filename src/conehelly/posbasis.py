@@ -21,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import TheoremContradiction
-from .cone import is_linear, lineality_space, reversible_indices
+from .cone import is_linear, lineality_dim, lineality_space, reversible_indices
 from .ratlin import SubspaceBasis, VectorSet, rank_of_rows
 
 __all__ = [
@@ -99,7 +99,7 @@ def extract_positive_basis_indices(a: VectorSet) -> tuple[int, ...]:
     then greedily deleting in input order while positive spanning holds."""
     rows = a.int_rows
     members = list(reversible_indices(a))
-    target_dim = lineality_space(a).dim
+    target_dim = lineality_dim(a)
     keep = list(members)
     for idx in members:
         trial = [i for i in keep if i != idx]

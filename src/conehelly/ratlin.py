@@ -16,6 +16,15 @@ frozen dataclasses so they can be hashed and memoized.
 Fraction-to-integer converter.  A positive scale changes no rank, rref or
 positive hull, so a :class:`VectorSet` converts its vectors once and the
 cone, positive-basis and Helly code computes on those integer rows.
+
+Callers that need only the dimension of a span (lineality and cone
+dimensions, positive-basis and witness checks) ask :func:`rank_of_rows`,
+forward elimination that builds no Fraction.  Only callers that need the
+subspace itself (a basis to report, a complement, a projection) go
+through the full reduction of :func:`rref_rows`, in :func:`span_basis`,
+:func:`kernel_basis` and :func:`orth_complement`;
+:func:`project_onto_complement` eliminates once, on integers, for a
+whole sequence of vectors.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -50,10 +60,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 def vadd(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
 
 
 def vscale(c: Fraction, u: Vec) -> Vec:
@@ -89,9 +95,10 @@ class VectorSet:
     Used both for cone generators and for the outer normals of a
     homogeneous halfspace system.  Duplicates are permitted; zero vectors
     are permitted here but rejected by
-    :class:`conehelly.cone.HalfspaceSystem`.  The integer form is a cache
-    outside the dataclass fields, so equality, hashing and memo keys see
-    the vectors only.
+    :class:`conehelly.cone.HalfspaceSystem`.  The integer form and the
+    hash are caches outside the dataclass fields, so equality, hashing and
+    memo keys see the vectors only, and a memo lookup does not rehash
+    every coordinate.
     """
 
     ambient_dim: int
@@ -118,6 +125,13 @@ class VectorSet:
 
     def subset(self, indices: Iterable[int]) -> "VectorSet":
         return VectorSet(self.ambient_dim, tuple(self.vectors[i] for i in indices))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ambient_dim, self.vectors))
 
     @cached_property
     def _int_form(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
@@ -179,20 +193,19 @@ def _int_matrix(rows: Iterable[Sequence]) -> list[Sequence[int]]:
     return [r if all(type(x) is int for x in r) else int_row(r)[1] for r in rows]
 
 
-def rref_rows(rows: Sequence[Sequence],
-              ncols: int) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form and its pivot columns, by fraction-free
-    Gauss-Jordan on the integer-scaled rows.
+def _gauss_jordan(m: list[Sequence[int]],
+                  ncols: int) -> tuple[list[Sequence[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan on integer rows, in place: returns the
+    rows, the pivot columns and the last pivot, which the rows hold times
+    their reduced row echelon form.
 
     Pivot selection is the first nonzero entry scanning rows top-down, so
     the computation (not just the canonical result) is deterministic.
     Each step replaces every other row by (p * row - f * pivot row) / prev,
     where p is the new pivot and prev the one before it.  Every entry then
-    stays a minor of the scaled matrix, so the division is exact, and
-    every pivot row ends up holding the last pivot, which divides out into
-    the Fraction result.  Rows past the rank come back as zero rows.
+    stays a minor of the matrix, so the division is exact, and every pivot
+    row ends up holding the last pivot.
     """
-    m = _int_matrix(rows)
     nrows = len(m)
     pivots: list[int] = []
     prev = 1
@@ -217,8 +230,19 @@ def rref_rows(rows: Sequence[Sequence],
         r += 1
         if r == nrows:
             break
+    return m, pivots, prev
+
+
+def rref_rows(rows: Sequence[Sequence],
+              ncols: int) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form and its pivot columns, by fraction-free
+    Gauss-Jordan on the integer-scaled rows; the last pivot divides out
+    into the Fraction result.  Rows past the rank come back as zero rows.
+    """
+    m, pivots, prev = _gauss_jordan(_int_matrix(rows), ncols)
+    r = len(pivots)
     out = [[Fraction(a, prev) for a in m[i]] for i in range(r)]
-    out += [[Fraction(0)] * ncols for _ in range(nrows - r)]
+    out += [[Fraction(0)] * ncols for _ in range(len(m) - r)]
     return out, pivots
 
 
@@ -275,15 +299,32 @@ def orth_complement(s: SubspaceBasis) -> SubspaceBasis:
     return kernel_basis(m)
 
 
-def project_onto_complement(s: SubspaceBasis, v: Vec) -> Vec:
-    """Orthogonal projection of ``v`` onto the orthogonal complement of ``s``:
-    ``v`` minus sum_j c_j b_j, where c solves the Gram system
-    (b_i . b_j) c = (b_i . v), nonsingular as the b_j are a basis."""
-    if len(v) != s.ambient_dim:
+def project_onto_complement(s: SubspaceBasis, vs: Sequence[Vec]) -> list[Vec]:
+    """Orthogonal projections of the vectors ``vs`` onto the orthogonal
+    complement of ``s``: each ``v`` minus sum_j c_j b_j, where c solves the
+    Gram system (b_i . b_j) c = (b_i . v), nonsingular as the b_j are a
+    basis.
+
+    One elimination serves every vector.  With the basis rows B and each
+    vector as the integer row V = q v (scaling B keeps its span, so every
+    projection), Gauss-Jordan on [B B^T | B V^T] leaves g c in the
+    right-hand columns, c the coefficients of V in B and g the last
+    pivot, and the projection of v is (g V - sum_j g c_j B_j) / (g q).
+    """
+    if any(len(v) != s.ambient_dim for v in vs):
         raise ValueError("dimension mismatch")
-    gram = [[dot(bi, bj) for bj in s.basis] + [dot(bi, v)] for bi in s.basis]
-    red, _ = rref_rows(gram, s.dim + 1)
-    out = tuple(v)
-    for row, b in zip(red, s.basis):
-        out = vsub(out, vscale(row[-1], b))
+    if not s.dim:
+        return [tuple(v) for v in vs]
+    basis = _int_matrix(s.basis)
+    scaled = [int_row(v) for v in vs]
+    gram = [[sum(map(mul, bi, bj)) for bj in basis]
+            + [sum(map(mul, bi, w)) for _, w in scaled] for bi in basis]
+    red, _, g = _gauss_jordan(gram, s.dim + len(vs))
+    out = []
+    for col, (q, w) in enumerate(scaled, start=s.dim):
+        acc = [g * x for x in w]
+        for row, b in zip(red, basis):
+            if row[col]:
+                acc = [a - row[col] * x for a, x in zip(acc, b)]
+        out.append(tuple(Fraction(a, g * q) for a in acc))
     return out

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conehelly import lp
+from conehelly import cone, helly, lp
 from conehelly.cone import (
     FarkasCertificate,
     HalfspaceSystem,
@@ -13,6 +13,7 @@ from conehelly.cone import (
     extract_cone,
     is_linear,
     is_pointed,
+    lineality_dim,
     lineality_of_polar,
     lineality_space,
     max_cone_dim,
@@ -23,14 +24,16 @@ from conehelly.cone import (
     verify_cone_generators,
 )
 from conehelly.errors import TheoremContradiction
+from conehelly.fuzzing import trial_instance
 from conehelly.gens import gen_axis_pairs, gen_example2, gen_simplex_like
-from conehelly.ratlin import VectorSet, dot, vec
+from conehelly.ratlin import VectorSet, dot, is_zero, vec
 
-from conftest import int_vector_sets, small_fraction
+from conftest import POS_FUZZ, int_vector_sets, small_fraction
 from oracles import (
     oracle_in_pos,
     oracle_lineality_dim,
     oracle_reversible,
+    ref_project_onto_complement,
     ref_solve_standard_form,
 )
 
@@ -162,6 +165,55 @@ class TestLineality:
         for size in range(len(a)):
             sub = a.subset(range(size))
             assert lineality_space(sub).dim <= full
+
+
+def _ref_project_out_lineality(a):
+    """project_out_lineality with one Gram system per generator."""
+    ls = lineality_space(a)
+    if ls.dim == 0:
+        return a
+    images = [ref_project_onto_complement(ls, v) for v in a]
+    return VectorSet(a.ambient_dim, tuple(v for v in images if not is_zero(v)))
+
+
+class TestLinealityDim:
+    """The integer rank of the reversible generators is the dimension of
+    the rref basis, and the one-elimination projection is the per-vector
+    Gram projection."""
+
+    @staticmethod
+    def _agrees(a):
+        assert lineality_dim(a) == lineality_space(a).dim
+        assert project_out_lineality(a) == _ref_project_out_lineality(a)
+
+    @settings(max_examples=120, deadline=None)
+    @given(int_vector_sets(max_d=4, max_n=8, bound=3))
+    def test_matches_the_basis(self, a):
+        self._agrees(a)
+
+    @pytest.mark.parametrize("trial", [13, 16, 25, 48])
+    def test_fuzz_trials(self, trial):
+        self._agrees(trial_instance(POS_FUZZ, trial)[1])
+
+    def test_fractional_generators(self):
+        self._agrees(vs([[F(1, 2), F(1, 3), 0], [F(-3, 2), -1, 0],
+                         [0, F(2, 5), 1], [F(1, 7), 0, F(-1, 4)]], 3))
+
+    def test_dimension_only_paths_build_no_basis(self, monkeypatch):
+        # These answers need only dimensions; none may build a Fraction
+        # basis of a lineality space.
+        def refuse(_):
+            raise AssertionError("span_basis on a dimension-only path")
+
+        monkeypatch.setattr(cone, "span_basis", refuse)
+        helly._minimal_lineality_witness.cache_clear()
+        a = gen_simplex_like(3)
+        assert max_cone_dim(HalfspaceSystem(a)) == 0
+        assert not helly.verify_cone_helly(HalfspaceSystem(a), 1).hypothesis
+        assert not helly.check_lineality_hypothesis(a, 1)
+        assert helly.witness_lineality_enum(a, 2).subset_indices == (0, 1, 2, 3)
+        with pytest.raises(AssertionError, match="dimension-only"):
+            lineality_space(a)
 
 
 class TestPointedness:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conehelly import helly, lp
+from conehelly import cone, helly, lp
 from conehelly.errors import CapacityError
 from conehelly.cone import (
     HalfspaceSystem,
@@ -122,8 +122,8 @@ class TestLinealityHypothesis:
 
     def test_gate_fires_before_any_linearity_test(self, monkeypatch):
         calls = []
-        real = helly._separator
-        monkeypatch.setattr(helly, "_separator",
+        real = helly._lp_separator
+        monkeypatch.setattr(helly, "_lp_separator",
                             lambda rows: calls.append(1) or real(rows))
         helly._minimal_lineality_witness.cache_clear()
         with pytest.raises(CapacityError):
@@ -248,6 +248,16 @@ class TestCutPool:
         got, pool_lps, want, scanned, _ = _pool_and_plain(a, 2)
         assert got == want is not None
         assert pool_lps * 10 <= scanned
+
+    def test_search_skips_the_sign_pretest(self, monkeypatch):
+        # Its seed cuts hold every functional the pretest can return, so
+        # a candidate they leave goes straight to the LP.
+        a = gen_random(6, 16, 3, 1)
+        reversible_indices(a)  # the deflation does use the pretest
+        helly._minimal_lineality_witness.cache_clear()
+        monkeypatch.setattr(cone, "_sign_separator", lambda rows: pytest.fail(
+            "sign pretest inside the witness search"))
+        assert helly._minimal_lineality_witness(a, 2) is not None
 
     @settings(max_examples=80, deadline=None)
     @given(_closed_sets())

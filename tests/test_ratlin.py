@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 from math import lcm
 
@@ -19,7 +20,6 @@ from conehelly.ratlin import (
     unit_vec,
     vadd,
     vec,
-    vsub,
 )
 
 from conftest import rational_matrices, small_fraction
@@ -207,21 +207,21 @@ class TestOrthComplement:
 class TestProjection:
     def test_project_off_axis(self):
         s = SubspaceBasis(2, (vec([1, 0]),))
-        assert project_onto_complement(s, vec([3, 4])) == vec([0, 4])
+        assert project_onto_complement(s, [vec([3, 4])]) == [vec([0, 4])]
 
     def test_zero_subspace_is_identity(self):
         s = SubspaceBasis(2, ())
-        assert project_onto_complement(s, vec([3, 4])) == vec([3, 4])
+        assert project_onto_complement(s, [vec([3, 4])]) == [vec([3, 4])]
 
     def test_diagonal_line(self):
         # Gram system by hand: G = [[2]], rhs = [1], coefficient 1/2, so
         # the projection onto span{(1,1)} is (1/2, 1/2).
         s = SubspaceBasis(2, (vec([1, 1]),))
-        assert project_onto_complement(s, vec([1, 0])) == (F(1, 2), F(-1, 2))
+        assert project_onto_complement(s, [vec([1, 0])]) == [(F(1, 2), F(-1, 2))]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            project_onto_complement(SubspaceBasis(2, ()), vec([1, 2, 3]))
+            project_onto_complement(SubspaceBasis(2, ()), [vec([1, 2, 3])])
 
     @given(rational_matrices(max_rows=3, max_cols=4),
            st.lists(st.integers(-4, 4), min_size=1, max_size=4))
@@ -229,8 +229,8 @@ class TestProjection:
         rows, ncols = data
         s = span_basis(VectorSet(ncols, rows))
         v = vec((coords + [0] * ncols)[:ncols])
-        out = project_onto_complement(s, v)
-        inside = vsub(v, out)
+        [out] = project_onto_complement(s, [v])
+        inside = tuple(a - b for a, b in zip(v, out))
         assert vadd(out, inside) == v
         for u in s.basis:
             assert dot(out, u) == 0
@@ -262,6 +262,14 @@ class TestIntegerForm:
         assert "_int_form" in vars(a) and "_int_form" not in vars(b)
         assert repr(a) == repr(b)
         assert {a: 1}[b] == 1
+
+    def test_hash_is_cached_not_a_field(self):
+        a = VectorSet.from_rows([[F(1, 2), 1], [0, 3]], 2)
+        b = VectorSet.from_rows([[F(1, 2), 1], [0, 3]], 2)
+        assert [f.name for f in fields(VectorSet)] == ["ambient_dim", "vectors"]
+        assert a is not b and hash(a) == hash(b)
+        assert hash(a) == hash((a.ambient_dim, a.vectors))
+        assert "_hash" in vars(a)  # computed once, then read back
 
     def test_one_converter(self):
         # The cone, positive-basis and Helly layers compute on the integer
