@@ -23,7 +23,11 @@ reversible generators.  A Fraction basis, :func:`lineality_space`, is
 built only where the subspace itself is used: the lineality report, the
 target of a positive basis, the projection of
 :func:`project_out_lineality` and the complement that
-:func:`relative_interior_point` and :func:`extract_cone` work in.
+:func:`extract_cone` works in.
+
+The deflation that finds the reversible generators keeps the separator
+of each round, in one memo, and :func:`relative_interior_point` folds
+those separators into an integer point; no LP is solved for it.
 
 All cones have apex at the origin.
 """
@@ -52,7 +56,6 @@ from .ratlin import (
     span_basis,
     vadd,
     vscale,
-    zero_vec,
     rank_of_rows,
 )
 
@@ -169,7 +172,7 @@ def _sign_separator(rows: list[list[int]]) -> list[int] | None:
     On a linear set a functional negative somewhere is positive
     somewhere.  Trying -e_j or +e_j for a one-signed coordinate j, and
     x -> -v.x for a nonzero v that no row meets at an obtuse angle,
-    spares the LP in the deflation of :func:`reversible_indices`, in
+    spares the LP in the deflation of :func:`_deflation`, in
     positive-basis extraction and in the Reay search.  The minimal-witness
     search of :mod:`helly` seeds its cut pool with these same functionals,
     so it skips this test and calls :func:`_lp_separator` directly.
@@ -227,23 +230,32 @@ def is_linear(rows: Sequence[Sequence[int]]) -> bool:
 
 
 @lru_cache(maxsize=4096)
-def reversible_indices(gens: VectorSet) -> tuple[int, ...]:
-    """Indices i with -gens[i] in pos(gens); these generators span the
-    lineality space.
+def _deflation(gens: VectorSet) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The reversible generators' indices and the separator of each
+    deflation round, in order; the one memo behind
+    :func:`reversible_indices` and :func:`relative_interior_point`.
 
-    Found by deflation: while the live generators are not linear, drop
-    every one on which their separator y is negative.  None of those is
-    reversible: a reversible s sits in a zero-sum combination
-    s + sum_i mu_i s_i = 0 of reversible generators with mu >= 0, which
-    are all live by induction, and y is <= 0 on every term, so y.s = 0.
-    Once the live set is linear, each of its generators is reversible in
-    it, hence in gens.  Each round drops at least one generator.
+    While the live generators are not linear, drop every one on which
+    their separator y is negative.  None of those is reversible: a
+    reversible s sits in a zero-sum combination s + sum_i mu_i s_i = 0 of
+    reversible generators with mu >= 0, which are all live by induction,
+    and y is <= 0 on every term, so y.s = 0.  Once the live set is
+    linear, each of its generators is reversible in it, hence in gens.
+    Each round drops at least one generator.
     """
     rows = gens.int_rows
     live = list(range(len(rows)))
+    ys = []
     while (y := _separator([rows[i] for i in live])) is not None:
+        ys.append(tuple(y))
         live = [i for i in live if sum(map(mul, y, rows[i])) == 0]
-    return tuple(live)
+    return tuple(live), tuple(ys)
+
+
+def reversible_indices(gens: VectorSet) -> tuple[int, ...]:
+    """Indices i with -gens[i] in pos(gens); these generators span the
+    lineality space.  Found by the deflation of :func:`_deflation`."""
+    return _deflation(gens)[0]
 
 
 def lineality_space(gens: VectorSet) -> SubspaceBasis:
@@ -298,59 +310,36 @@ def relative_interior_point(h: HalfspaceSystem) -> Vec:
     are exactly the reversible normals: a and -a both lie in that
     subspace, and a reversible a has a and -a in pos(normals).
 
-    Found by maximizing t subject to a.x <= -t over the non-implicit
-    normals, t <= 1, with x expressed in a basis of the complement.
+    Folded from the separators y_1, y_2, ... of the deflation, in order:
+    x <- M x + y_r, with M the least integer >= 1 such that
+    M a.x + a.y_r < 0 wherever a.x < 0.  Before round r, a.x = 0 on the
+    live normals and a.x < 0 on the dropped ones; y_r keeps the first
+    property for the normals it leaves live and makes a.x < 0 on those it
+    drops, and M keeps the second.  So x0 is strictly feasible off the
+    reversible normals and orthogonal to them, hence to the lineality
+    space they span (Goldman and Tucker, strict complementarity, in
+    Linear Inequalities and Related Systems, 1956).  The arithmetic is on
+    the normals' integer rows, and x0 is checked by substitution.
     """
-    d = h.ambient_dim
-    ls = lineality_space(h.normals)
-    implicit = set(reversible_indices(h.normals))
-    active = [a for i, a in enumerate(h.normals) if i not in implicit]
-    if not active:
-        return zero_vec(d)
-    u = orth_complement(ls).basis
-    m = len(u)
-    # Variables: p (m), q (m) with x = sum (p_j - q_j) u_j, then t, then one
-    # slack per row (t <= 1 first, one per active normal).
-    nrows = 1 + len(active)
-    nvars = 2 * m + 1 + nrows
-    zero = Fraction(0)
-    one = Fraction(1)
-    rows: list[list[Fraction]] = []
-    b: list[Fraction] = []
-    trow = [zero] * nvars
-    trow[2 * m] = one
-    trow[2 * m + 1] = one
-    rows.append(trow)
-    b.append(one)
-    for r, a in enumerate(active):
-        g = [dot(a, uj) for uj in u]
-        row = g + [-x for x in g] + [one] + [zero] * nrows
-        row[2 * m + 1 + 1 + r] = one
-        rows.append(row)
-        b.append(zero)
-    cost = [zero] * nvars
-    cost[2 * m] = -one
-    res = lp.solve_standard_form(rows, b, cost)
-    if res.status != lp.OPTIMAL or res.x is None:
-        raise TheoremContradiction("interior-point program must be solvable")
-    t = res.x[2 * m]
-    if t <= 0:
-        raise TheoremContradiction(
-            "interior-point program returned t <= 0; a non-implicit normal "
-            "behaved as an implicit equality")
-    x0 = zero_vec(d)
-    for j in range(m):
-        cj = res.x[j] - res.x[m + j]
-        if cj != 0:
-            x0 = vadd(x0, vscale(cj, u[j]))
-    for i, a in enumerate(h.normals):
-        s = dot(a, x0)
+    rows = h.normals.int_rows
+    live, ys = _deflation(h.normals)
+    x = [0] * h.ambient_dim
+    for y in ys:
+        m = 1
+        for r in rows:
+            ax = sum(map(mul, r, x))
+            if ax < 0:
+                m = max(m, sum(map(mul, r, y)) // -ax + 1)
+        x = [m * xi + yi for xi, yi in zip(x, y)]
+    implicit = set(live)
+    for i, r in enumerate(rows):
+        s = sum(map(mul, r, x))
         if i in implicit:
             if s != 0:
                 raise TheoremContradiction("implicit normal not orthogonal to x0")
         elif s >= 0:
             raise TheoremContradiction("x0 fails strict feasibility")
-    return x0
+    return tuple(Fraction(xi) for xi in x)
 
 
 @dataclass(frozen=True)
@@ -415,10 +404,13 @@ def extract_cone(h: HalfspaceSystem, k: int) -> VectorSet | InfeasibleCone:
 
 def verify_cone_generators(h: HalfspaceSystem, gens: VectorSet, k: int) -> bool:
     """Independent check of an extract_cone answer: the generators span
-    exactly k dimensions and satisfy every inequality exactly."""
-    if rank_of_rows(gens.vectors, gens.ambient_dim) != k:
+    exactly k dimensions and satisfy every inequality exactly.  Both are
+    read off integer rows, whose positive scales keep every rank and
+    sign."""
+    grows = gens.int_rows
+    if rank_of_rows(grows, gens.ambient_dim) != k:
         return False
-    return all(dot(a, g) <= 0 for a in h.normals for g in gens)
+    return all(sum(map(mul, a, g)) <= 0 for a in h.normals.int_rows for g in grows)
 
 
 def lineality_of_polar(h: HalfspaceSystem) -> SubspaceBasis:

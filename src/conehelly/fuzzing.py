@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import mul
 
 from .cone import (
     HalfspaceSystem,
     InfeasibleCone,
+    _checked,
     extract_cone,
     lineality_dim,
     lineality_space,
@@ -26,6 +28,7 @@ from .cone import (
     membership,
     project_out_lineality,
     relative_interior_point,
+    reversible_indices,
     verify_cone_generators,
 )
 from .errors import TheoremContradiction
@@ -38,8 +41,9 @@ from .helly import (
     witness_lineality_enum,
     witness_lineality_reay,
 )
+from .lp import OPTIMAL, nonneg_combination
 from .posbasis import extract_positive_basis, reay_partition, verify_reay
-from .ratlin import VectorSet, vneg
+from .ratlin import VectorSet, int_row, vneg
 
 __all__ = [
     "ALL_CHECKS",
@@ -177,20 +181,37 @@ def check_posbasis(vs: VectorSet) -> float:
 
 
 def check_cone_helly(vs: VectorSet) -> None:
-    """Halfspace-side properties: the duality identity, certified cone
-    extraction at the maximal dimension, infeasibility just above it, and
-    the cone Helly report for every k."""
+    """Halfspace-side properties: a two-sided certificate of the reversible
+    normals, certified cone extraction at the maximal dimension,
+    infeasibility just above it, and the cone Helly report for every k.
+
+    max_cone_dim is d minus the rank of the reversible normals R, so the
+    check certifies R from both sides.  A checked x >= 0 with
+    sum_i x_i r_i = -den sum_i r_i on R's integer rows makes
+    lambda = den + x > 0 a positive zero-combination, so span R lies in
+    the lineality space and mcd >= the true maximum.  The relative
+    interior point x0 has a.x0 < 0 on every normal off R, so none of them
+    lies in the lineality space, which is therefore span R, and mcd is
+    the true maximum; the generators extracted at mcd, verified below,
+    show it attained."""
     h = HalfspaceSystem(vs)
     d = h.ambient_dim
     mcd = max_cone_dim(h)
-    _require(mcd + lineality_dim(vs) == d, "duality identity broken")
+    rows = vs.int_rows
+    reversible = reversible_indices(vs)
+    rev_rows = [rows[i] for i in reversible]
+    t = [-sum(r[j] for r in rev_rows) for j in range(d)]
+    cert = _checked(rev_rows, t, nonneg_combination(rev_rows, t))
+    _require(cert.status == OPTIMAL, "reversible normals have no positive zero-combination")
+    x0 = int_row(relative_interior_point(h))[1]
+    _require(all(sum(map(mul, r, x0)) < 0 for i, r in enumerate(rows) if i not in reversible),
+             "a normal off the reversible set is not strict at x0")
     gens = extract_cone(h, mcd)
     _require(isinstance(gens, VectorSet), "extraction failed at feasible k")
     _require(verify_cone_generators(h, gens, mcd), "extracted cone invalid")
     if mcd < d:
         _require(isinstance(extract_cone(h, mcd + 1), InfeasibleCone),
                  "extraction beyond the maximum did not report infeasible")
-    relative_interior_point(h)  # self-asserting
     for k in range(1, d + 1):
         rep = verify_cone_helly(h, k)
         _require(rep.conclusion == (mcd >= k), "conclusion flag wrong")

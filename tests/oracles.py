@@ -11,17 +11,30 @@ naive integer coefficient grid, which would need entries up to the
 Cramer denominators to be sound.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from conehelly.cone import is_linear, reversible_indices
-from conehelly.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult
+from conehelly.lp import INFEASIBLE, OPTIMAL
 from conehelly.ratlin import VectorSet, rank_of_rows, rref_rows
 
 
 # ---------------------------------------------------------------------------
 # Reference kernels: plain Gauss-Jordan and the two-phase Bland simplex on
 # Fractions, the arithmetic the library used before it moved to integers.
+# The library keeps only phase 1; phase 2 stays here, to solve reference
+# programs such as the interior-point LP in the tests.
+
+UNBOUNDED = "unbounded"
+
+
+@dataclass
+class RefLPResult:
+    status: str
+    x: list | None = None
+    objective: Fraction | None = None
+    farkas: list | None = None  # infeasible case: y.A <= 0, y.b > 0
 
 
 def ref_rref_rows(rows, ncols):
@@ -112,7 +125,7 @@ def ref_solve_standard_form(a, b, c):
     tab.append(cost)
     _ref_run_simplex(tab, basis, ncols)
     if -tab[m][ncols] > 0:
-        return LPResult(INFEASIBLE, farkas=[sign[i] * (one - tab[m][n + i]) for i in range(m)])
+        return RefLPResult(INFEASIBLE, farkas=[sign[i] * (one - tab[m][n + i]) for i in range(m)])
     drop = []
     for i in range(m):
         if basis[i] >= n:
@@ -133,11 +146,11 @@ def ref_solve_standard_form(a, b, c):
             cost = [x - cb * y for x, y in zip(cost, tab[i])]
     tab.append(cost)
     if _ref_run_simplex(tab, basis, n) == UNBOUNDED:
-        return LPResult(UNBOUNDED)
+        return RefLPResult(UNBOUNDED)
     x = [zero] * n
     for i in range(m):
         x[basis[i]] = tab[i][n]
-    return LPResult(OPTIMAL, x=x, objective=sum((ci * xi for ci, xi in zip(c, x)), zero))
+    return RefLPResult(OPTIMAL, x=x, objective=sum((ci * xi for ci, xi in zip(c, x)), zero))
 
 
 def ref_project_onto_complement(s, v):

@@ -286,6 +286,60 @@ class TestRelativeInteriorPoint:
             else:
                 assert s < 0
 
+    @settings(max_examples=100, deadline=None)
+    @given(int_vector_sets(max_d=4, max_n=6, bound=2, min_n=1, nonzero=True))
+    def test_matches_the_interior_point_program(self, a):
+        # The interior-point LP, with one t_i per normal so that it needs no
+        # implicit set as input: maximize sum_i t_i subject to
+        # a_i.(p - q) + t_i <= 0 and t_i <= 1.  Scaling a feasible point
+        # scales every slack, so at the optimum t_i = 1 off the implicit
+        # normals and t_i = 0 on them.
+        d, n = a.ambient_dim, len(a)
+        width = 2 * d + 3 * n  # p, q, t, then the slacks of both row blocks
+        rows, b = [], []
+        for i, normal in enumerate(a):
+            row = list(normal) + [-c for c in normal] + [F(0)] * (3 * n)
+            row[2 * d + i] = row[2 * d + n + i] = F(1)
+            rows.append(row)
+            b.append(F(0))
+        for i in range(n):
+            row = [F(0)] * width
+            row[2 * d + i] = row[2 * d + 2 * n + i] = F(1)
+            rows.append(row)
+            b.append(F(1))
+        cost = [F(0)] * (2 * d) + [F(-1)] * n + [F(0)] * (2 * n)
+        ref = ref_solve_standard_form(rows, b, cost)
+        assert ref.status == lp.OPTIMAL
+        implicit = {i for i in range(n) if ref.x[2 * d + i] == 0}
+        x0 = relative_interior_point(HalfspaceSystem(a))
+        assert {i for i, normal in enumerate(a) if dot(normal, x0) == 0} == implicit
+        assert all(dot(normal, x0) < 0 for i, normal in enumerate(a) if i not in implicit)
+        assert all(dot(w, x0) == 0 for w in lineality_space(a).basis)
+
+    # Separators e1, e3 and -e2 drop normals 1, 4 and 0 in three rounds and
+    # leave the reversible pair 2, 3 on the e4 axis.  The last round needs
+    # M = 3: normal 1 is -1 at x = (1, 0, 1, 0) and +2 on -e2, so the plain
+    # sum (1, -1, 1, 0) of the separators violates it.
+    CHAIN = [[0, 2, 0, -1], [-1, -2, 0, -1], [0, 0, 0, 2], [0, 0, 0, -2], [0, -1, -2, -1]]
+
+    def test_fold_scales_the_earlier_rounds(self):
+        a = vs(self.CHAIN, 4)
+        assert cone._deflation(a) == ((2, 3), ((1, 0, 0, 0), (0, 0, 1, 0), (0, -1, 0, 0)))
+        assert dot(a[1], vec([1, -1, 1, 0])) > 0
+        assert relative_interior_point(HalfspaceSystem(a)) == vec([3, -1, 3, 0])
+
+    def test_shares_the_deflation_memo(self, monkeypatch):
+        calls = []
+        separator = cone._separator
+        monkeypatch.setattr(cone, "_separator",
+                            lambda rows: calls.append(len(rows)) or separator(rows))
+        cone._deflation.cache_clear()
+        a = vs(self.CHAIN, 4)
+        assert lineality_dim(a) == 1
+        assert calls == [5, 4, 3, 2]  # three separators, then the linear pair
+        relative_interior_point(HalfspaceSystem(a))
+        assert calls == [5, 4, 3, 2]
+
     @settings(max_examples=150, deadline=None)
     @given(int_vector_sets(max_d=4, max_n=7, bound=2, min_n=1, nonzero=True))
     def test_implicit_normals_are_the_reversible_ones(self, a):

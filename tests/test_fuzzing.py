@@ -6,6 +6,7 @@ import pytest
 import conehelly.fuzzing as fuzzing
 from conehelly.cli import EXIT_INTERNAL, run
 from conehelly.fuzzing import ALL_CHECKS, FuzzConfig, run_fuzz, trial_instance
+from conehelly.ratlin import VectorSet
 
 
 class TestConfig:
@@ -77,6 +78,24 @@ class TestPosHelly:
         with pytest.raises(fuzzing.CheckFailed,
                            match="hypothesis/conclusion mismatch at k=1"):
             fuzzing.check_pos_helly(gen_axis_pairs(2, 2))
+
+
+class TestConeHelly:
+    # Normals 0, 1 and 2 lie on the first axis and are reversible; normal 3
+    # is not.  The check certifies the reversible set from both sides.
+    NORMALS = [[1, 0], [-1, 0], [2, 0], [0, -1]]
+
+    def test_passes_on_the_true_set(self):
+        fuzzing.check_cone_helly(VectorSet.from_rows(self.NORMALS, 2))
+
+    @pytest.mark.parametrize("listed, message", [
+        ((0, 1), "not strict at x0"),
+        ((0, 1, 2, 3), "no positive zero-combination"),
+    ])
+    def test_a_wrong_reversible_set_fails(self, monkeypatch, listed, message):
+        monkeypatch.setattr(fuzzing, "reversible_indices", lambda vs: listed)
+        with pytest.raises(fuzzing.CheckFailed, match=message):
+            fuzzing.check_cone_helly(VectorSet.from_rows(self.NORMALS, 2))
 
 
 class TestFailureRecording:

@@ -11,7 +11,12 @@ combination, Farkas separator and extracted generator is printed.
 
 Entry 1059, ``flat-helly`` on 25 normals, was re-recorded from exit 3 to
 its report when ``flat-helly``, which scans no subsets, stopped being
-gated on input size.
+gated on input size.  The 22 feasible ``extract-cone`` reports on
+instances with a nonzero relative interior point were re-recorded, by
+``rerecord_golden.py extract-cone --write``, when that point came to be
+folded from the deflation's separators instead of solved for by an LP:
+their generators start from the new point.  The script checked every
+other entry byte-identical and every new report verified.
 """
 
 import io

@@ -1,14 +1,14 @@
-"""The integer simplex against the Fraction reference in ``oracles``:
-same status, same x, same objective, same Farkas vector.  Equal outputs
-on degenerate and redundant systems mean equal pivot sequences."""
+"""The integer phase-1 simplex against the Fraction reference in
+``oracles``: same status, same x, same Farkas vector.  Equal outputs on
+degenerate and redundant systems mean equal pivot sequences."""
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-import conehelly.lp as lp
-from conehelly.lp import INFEASIBLE, OPTIMAL, UNBOUNDED, nonneg_combination, solve_standard_form
+from conehelly.lp import INFEASIBLE, OPTIMAL, nonneg_combination
 
 from conftest import small_fraction
 from oracles import ref_solve_standard_form
@@ -20,17 +20,28 @@ def fr(rows):
     return [[F(v) for v in row] for row in rows]
 
 
-def solve_both(a, b, c):
-    got = solve_standard_form(a, b, c)
-    assert got == ref_solve_standard_form(a, b, c)
+def solve_both(a, b):
+    """Phase 1 on the rational system a x = b, x >= 0, scaled to integers
+    by one common factor, which changes no pivot; checked against the
+    reference at zero cost and returned as (status, x, farkas) in
+    Fractions."""
+    n = len(a[0])
+    scale = lcm(*(v.denominator for row in a for v in row), *(v.denominator for v in b))
+    res = nonneg_combination([[int(row[j] * scale) for row in a] for j in range(n)],
+                             [int(v * scale) for v in b])
+    got = (res.status, res.x and [F(v, res.den) for v in res.x],
+           res.farkas and [F(v, res.den) for v in res.farkas])
+    ref = ref_solve_standard_form(a, b, [F(0)] * n)
+    assert res.den > 0 and got == (ref.status, ref.x, ref.farkas)
     return got
 
 
 @st.composite
-def standard_form_lps(draw, max_rows=4, max_cols=5):
-    """Rational LPs with denominators up to 7: feasible ones (b = a x for a
-    drawn x >= 0), arbitrary ones, and ones with a redundant row."""
-    m = draw(st.integers(0, max_rows))
+def standard_form_systems(draw, max_rows=4, max_cols=5):
+    """Rational systems a x = b with denominators up to 7: feasible ones
+    (b = a x for a drawn x >= 0), arbitrary ones, and ones with a
+    redundant row."""
+    m = draw(st.integers(1, max_rows))
     n = draw(st.integers(1, max_cols))
     entry = small_fraction(max_num=4, max_den=7)
     a = [[draw(entry) for _ in range(n)] for _ in range(m)]
@@ -43,30 +54,23 @@ def standard_form_lps(draw, max_rows=4, max_cols=5):
         b = [sum((row[j] * x[j] for j in range(n)), F(0)) for row in a]
     else:
         b = [draw(entry) for _ in range(m)]
-    c = [draw(entry) for _ in range(n)]
-    return a, b, c
+    return a, b
 
 
 class TestAgainstReference:
-    @given(standard_form_lps())
-    def test_matches_reference(self, lp_data):
-        a, b, c = lp_data
-        res = solve_both(a, b, c)
-        if res.status == OPTIMAL:
+    @given(standard_form_systems())
+    def test_feasibility_matches_reference(self, system):
+        # x is wherever phase 1 stops, so it pins the phase-1 pivots
+        a, b = system
+        status, x, y = solve_both(a, b)
+        if status == OPTIMAL:
             for row, bi in zip(a, b):
-                assert sum((v * x for v, x in zip(row, res.x)), F(0)) == bi
-            assert all(x >= 0 for x in res.x)
-        elif res.status == INFEASIBLE:
-            y = res.farkas
-            for j in range(len(c)):
+                assert sum((v * xj for v, xj in zip(row, x)), F(0)) == bi
+            assert all(xj >= 0 for xj in x)
+        else:
+            for j in range(len(a[0])):
                 assert sum((y[i] * a[i][j] for i in range(len(a))), F(0)) <= 0
             assert sum((yi * bi for yi, bi in zip(y, b)), F(0)) > 0
-
-    @given(standard_form_lps())
-    def test_feasibility_matches_reference(self, lp_data):
-        # c = 0: x is wherever phase 1 stops, so it pins the phase-1 pivots
-        a, b, c = lp_data
-        solve_both(a, b, [F(0)] * len(c))
 
 
 @st.composite
@@ -109,48 +113,24 @@ class TestIntegerCombination:
 
 class TestCases:
     def test_feasible(self):
-        res = solve_both(fr([[1, 2]]), [F(3)], [F(1), F(1)])
-        assert res.status == OPTIMAL
-        assert res.x == [F(0), F(3, 2)] and res.objective == F(3, 2)
+        assert solve_both(fr([[1, 2]]), [F(3)]) == (OPTIMAL, [F(3), F(0)], None)
 
     def test_infeasible_farkas(self):
-        res = solve_both(fr([[1, 1]]), [F(-1)], [F(0), F(0)])
-        assert res.status == INFEASIBLE
-        assert res.farkas == [F(-1)]
-
-    def test_unbounded(self):
-        res = solve_both(fr([[1, -1]]), [F(0)], [F(-1), F(0)])
-        assert res.status == UNBOUNDED
+        assert solve_both(fr([[1, 1]]), [F(-1)]) == (INFEASIBLE, None, [F(-1)])
 
     def test_no_constraints(self):
-        assert solve_both([], [], [F(1), F(2)]).x == [F(0), F(0)]
-        assert solve_both([], [], [F(-1)]).status == UNBOUNDED
+        res = nonneg_combination([[], []], [])
+        assert res.status == OPTIMAL and res.x == [0, 0]
+        assert ref_solve_standard_form([], [], [F(0), F(0)]).x == [F(0), F(0)]
 
-    def test_redundant_rows_negative_drive_out_pivot(self, monkeypatch):
-        # Row 3 = row 1 - row 2.  An artificial stays basic at level zero
-        # after phase 1 and is driven out on a negative entry, so the
-        # tableau denominator has to be kept positive by negation.
+    def test_redundant_rows(self):
+        # Row 3 = row 1 - row 2, so an artificial stays basic at level
+        # zero when phase 1 stops; x is read off the structural columns.
         a = [[F(-1), F(0), F(-3)],
              [F(1), F(-3, 2), F(1)],
              [F(-2), F(3, 2), F(-4)]]
         b = [F(-2), F(2), F(-4)]
-        c = [F(-3, 2), F(0), F(-2)]
-        signs = []
-        pivot = lp._pivot
-
-        def spy(tab, basis, den, r, col):
-            signs.append(tab[r][col] < 0)
-            return pivot(tab, basis, den, r, col)
-
-        monkeypatch.setattr(lp, "_pivot", spy)
-        res = solve_both(a, b, c)
-        assert True in signs
-        assert res.status == OPTIMAL
-        assert res.x == [F(2), F(0), F(0)] and res.objective == F(-3)
-
-    def test_rational_cost(self):
-        res = solve_both(fr([[1, 1, 1]]), [F(1)], [F(1, 3), F(-2, 7), F(1, 5)])
-        assert res.x == [F(0), F(1), F(0)] and res.objective == F(-2, 7)
+        assert solve_both(a, b) == (OPTIMAL, [F(2), F(0), F(0)], None)
 
     def test_bland_tie_break_decides(self):
         # Phase 1 meets a ratio tie; Bland's rule (smallest basic variable
@@ -158,18 +138,20 @@ class TestCases:
         # (0, 2/3, 2/3, 1).
         a = fr([[2, 1, 2, 0], [-1, -2, 2, 2], [-1, 0, 0, 1]])
         b = [F(2), F(2), F(1)]
-        res = solve_both(a, b, [F(0)] * 4)
-        assert res.x == [F(4, 5), F(2, 5), F(0), F(9, 5)]
+        assert solve_both(a, b)[1] == [F(4, 5), F(2, 5), F(0), F(9, 5)]
 
     def test_beale_degenerate(self):
-        # Beale's cycling example in standard form (slacks x1..x3 first);
-        # Bland's rule terminates at the optimum -5/4.
+        # Beale's cycling example in standard form (slacks x1..x3 first),
+        # with its objective as a fourth row: phase 1 pivots through the
+        # degenerate vertices, reaches the optimal level -5/4 at Beale's
+        # optimum, and proves the level -3/2 infeasible.
         a = [[F(1), F(0), F(0), F(1, 4), F(-8), F(-1), F(9)],
              [F(0), F(1), F(0), F(1, 2), F(-12), F(-1, 2), F(3)],
-             [F(0), F(0), F(1), F(0), F(0), F(1), F(0)]]
-        c = [F(0), F(0), F(0), F(-3, 4), F(20), F(-1, 2), F(6)]
-        res = solve_both(a, [F(0), F(0), F(1)], c)
-        assert res.status == OPTIMAL and res.objective == F(-5, 4)
+             [F(0), F(0), F(1), F(0), F(0), F(1), F(0)],
+             [F(0), F(0), F(0), F(-3, 4), F(20), F(-1, 2), F(6)]]
+        status, x, _ = solve_both(a, [F(0), F(0), F(1), F(-5, 4)])
+        assert status == OPTIMAL and x == [F(3, 4), F(0), F(0), F(1), F(0), F(1), F(0)]
+        assert solve_both(a, [F(0), F(0), F(1), F(-3, 2)])[0] == INFEASIBLE
 
     def test_nonneg_combination(self):
         res = nonneg_combination([[2, 0], [0, 2]], [1, 6])
