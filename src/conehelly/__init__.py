@@ -8,13 +8,11 @@ and bounded witnesses throughout.  All arithmetic is exact rational.
 
 from .errors import CapacityError, TheoremContradiction
 from .ratlin import (
-    RationalMatrix,
     SubspaceBasis,
     Vec,
     VectorSet,
     dot,
     kernel_basis,
-    orth_complement,
     project_onto_complement,
     span_basis,
     vec,

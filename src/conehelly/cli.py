@@ -388,7 +388,7 @@ def _flat_helly(h: HalfspaceSystem, p: dict, certs) -> dict:
         certs = {"witness": rep.witness and witness_to_json(rep.witness)}
     result = {
         "polar_lineality_dim": polar_dim,
-        "normal_rank": rank_of_rows(h.normals.vectors, d),
+        "normal_rank": rank_of_rows(h.normals.int_rows, d),
         "subspace_conclusion": conclusion,
         "all_small_subsets_dependent": all_dependent,
     }
@@ -412,7 +412,7 @@ def _indices_ok(ids, n: int) -> bool:
 def _check_membership(vs: VectorSet, inputs: dict, res: dict) -> bool:
     point = vec(inputs["point"])
     if not res["member"]:
-        y = vec(res["separator"])
+        y = tuple(frac_from_json(c) for c in res["separator"])
         return (len(y) == vs.ambient_dim and all(dot(y, a) <= 0 for a in vs)
                 and dot(y, point) > 0)
     pairs = res["combination"]
@@ -435,7 +435,8 @@ def _check_posbasis(vs: VectorSet, inputs: dict, res: dict) -> bool:
 
 def _check_reay(vs: VectorSet, inputs: dict, res: dict) -> bool:
     parts = res["parts"]
-    if sorted(i for part in parts for i in part) != list(range(len(vs))):
+    if (not all(_indices_ok(part, len(vs)) for part in parts)
+            or sorted(i for part in parts for i in part) != list(range(len(vs)))):
         return False
     return verify_reay(ReayPartition(vs.ambient_dim,
                                      tuple(vs.subset(part) for part in parts)))
@@ -444,7 +445,8 @@ def _check_reay(vs: VectorSet, inputs: dict, res: dict) -> bool:
 def _check_generators(h: HalfspaceSystem, inputs: dict, res: dict) -> bool:
     if not res["feasible"]:
         return True
-    gens = VectorSet(h.ambient_dim, tuple(vec(r) for r in res["generators"]))
+    gens = VectorSet(h.ambient_dim, tuple(tuple(frac_from_json(c) for c in r)
+                                          for r in res["generators"]))
     return verify_cone_generators(h, gens, inputs["k"])
 
 

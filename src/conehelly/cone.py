@@ -21,9 +21,9 @@ Nearly every Helly question needs only the dimension of the lineality
 space, and :func:`lineality_dim` answers it by one integer rank of the
 reversible generators.  A Fraction basis, :func:`lineality_space`, is
 built only where the subspace itself is used: the lineality report, the
-target of a positive basis, the projection of
-:func:`project_out_lineality` and the complement that
-:func:`extract_cone` works in.
+target of a positive basis and the projection of
+:func:`project_out_lineality`.  The complement that :func:`extract_cone`
+works in is the kernel of the reversible normals' integer rows.
 
 The deflation that finds the reversible generators keeps the separator
 of each round, in one memo, and :func:`relative_interior_point` folds
@@ -43,20 +43,15 @@ from typing import Sequence
 from . import lp
 from .errors import TheoremContradiction
 from .ratlin import (
-    RationalMatrix,
     SubspaceBasis,
     Vec,
     VectorSet,
-    dot,
     int_row,
     is_zero,
     kernel_basis,
-    orth_complement,
     project_onto_complement,
-    span_basis,
-    vadd,
-    vscale,
     rank_of_rows,
+    span_basis,
 )
 
 __all__ = [
@@ -370,35 +365,38 @@ def extract_cone(h: HalfspaceSystem, k: int) -> VectorSet | InfeasibleCone:
         return InfeasibleCone(requested_k=k, max_dim=d - ldim, lineality_dim=ldim)
     if k == 0:
         return VectorSet(d, ())
-    complement = orth_complement(lineality_space(h.normals)).basis
+    rows = h.normals.int_rows
+    implicit = reversible_indices(h.normals)
+    complement = kernel_basis([rows[i] for i in implicit], d).basis
     x0 = relative_interior_point(h)
     if is_zero(x0):
-        gens = complement[:k]
-        return VectorSet(d, tuple(gens))
-    # Basis of the complement that starts with x0, extended greedily in
-    # the canonical complement order; the rank tests run on integer rows.
-    u: list[Vec] = [x0]
-    urows = [int_row(x0)[1]]
-    for cand in complement:
+        return VectorSet(d, complement[:k])
+    # Basis of the complement that starts with the integer point x0,
+    # extended greedily in the canonical complement order, as pairs (c, u)
+    # of a vector's integer scale and its integer row u = c v.
+    x = int_row(x0)[1]
+    u = [(1, x)]
+    for v in complement:
         if len(u) == k:
             break
-        row = int_row(cand)[1]
-        if rank_of_rows(urows + [row], d) > len(u):
-            u.append(cand)
-            urows.append(row)
-    implicit = set(reversible_indices(h.normals))
-    active = [a for i, a in enumerate(h.normals) if i not in implicit]
+        c, row = int_row(v)
+        if rank_of_rows([r for _, r in u] + [row], d) > len(u):
+            u.append((c, row))
+    # On an integer normal row a with a.v > 0, a.(x0 + t v) <= 0 holds for
+    # t up to -a.x0 / a.v = -a.x0 c / a.u.
     bound: Fraction | None = None
-    for a in active:
-        ax0 = dot(a, x0)
-        for ui in u:
-            aui = dot(a, ui)
-            if aui > 0:
-                cand = -ax0 / aui
+    for i, a in enumerate(rows):
+        if i in implicit:
+            continue
+        ax0 = sum(map(mul, a, x))
+        for c, row in u:
+            au = sum(map(mul, a, row))
+            if au > 0:
+                cand = Fraction(-ax0 * c, au)
                 if bound is None or cand < bound:
                     bound = cand
     eps = bound / 2 if bound is not None else Fraction(1)
-    gens = [x0] + [vadd(x0, vscale(eps, ui)) for ui in u]
+    gens = [x0] + [tuple(xi + eps / c * r for xi, r in zip(x0, row)) for c, row in u]
     return VectorSet(d, tuple(g for g in gens if not is_zero(g)))
 
 
@@ -416,4 +414,4 @@ def verify_cone_generators(h: HalfspaceSystem, gens: VectorSet, k: int) -> bool:
 def lineality_of_polar(h: HalfspaceSystem) -> SubspaceBasis:
     """Largest subspace contained in the intersection of the halfspaces:
     the kernel of the normal matrix, {x : a.x = 0 for all normals a}."""
-    return kernel_basis(RationalMatrix(h.normals.vectors, h.ambient_dim))
+    return kernel_basis(h.normals.int_rows, h.ambient_dim)

@@ -132,7 +132,7 @@ WITNESS_PROPERTIES = {
     "no_k_dim_cone": _no_k_dim_cone,
     "solution_rank_below_k": _no_k_dim_cone,
     "independent_normals":
-        lambda h, ids, k: rank_of_rows([h.normals[i] for i in ids],
+        lambda h, ids, k: rank_of_rows([h.normals.int_rows[i] for i in ids],
                                        h.ambient_dim) == k + 1,
 }
 

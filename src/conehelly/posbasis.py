@@ -52,7 +52,7 @@ def is_positive_basis(x: VectorSet, target: SubspaceBasis) -> bool:
     """pos(x) = target and no single element can be dropped."""
     d, rows = x.ambient_dim, list(x.int_rows)
     return (d == target.ambient_dim
-            and rank_of_rows([*target.basis, *rows], d) == target.dim
+            and rank_of_rows([*target.int_rows, *rows], d) == target.dim
             and _minimally_spans(rows, d, target.dim))
 
 

@@ -9,22 +9,22 @@ Python ints and every division is exact.  No floating point appears
 anywhere; rank and dimension decisions are therefore exact, which is
 what makes the Helly checkers in the rest of the package trustworthy.
 
-Vectors are plain tuples of Fractions.  Matrices and subspaces get small
-frozen dataclasses so they can be hashed and memoized.
+Vectors are plain tuples of Fractions.  Vector sets and subspaces get
+small frozen dataclasses so they can be hashed and memoized.
 
 :func:`int_row`, a vector times the lcm of its denominators, is the one
 Fraction-to-integer converter.  A positive scale changes no rank, rref or
-positive hull, so a :class:`VectorSet` converts its vectors once and the
-cone, positive-basis and Helly code computes on those integer rows.
+positive hull, so vector sets and subspace bases convert their vectors
+once and the cone, positive-basis and Helly code computes on those
+integer rows.
 
-Callers that need only the dimension of a span (lineality and cone
-dimensions, positive-basis and witness checks) ask :func:`rank_of_rows`,
-forward elimination that builds no Fraction.  Only callers that need the
-subspace itself (a basis to report, a complement, a projection) go
-through the full reduction of :func:`rref_rows`, in :func:`span_basis`,
-:func:`kernel_basis` and :func:`orth_complement`;
-:func:`project_onto_complement` eliminates once, on integers, for a
-whole sequence of vectors.
+Integer rows are the one format that reaches elimination.
+:func:`rank_of_rows`, for callers that need only the dimension of a span,
+takes integer rows and builds no Fraction.  Callers that need the
+subspace itself go through :func:`rref_rows`, :func:`span_basis` and
+:func:`kernel_basis`, which take rational rows and convert each with
+:func:`int_row`; :func:`project_onto_complement` eliminates once, on
+integers, for a whole sequence of vectors.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ def vec(coords: Iterable) -> Vec:
     return tuple(Fraction(c) for c in coords)
 
 
-def zero_vec(d: int) -> Vec:
-    return (Fraction(0),) * d
-
-
 def unit_vec(i: int, d: int) -> Vec:
     return tuple(Fraction(1 if j == i else 0) for j in range(d))
 
@@ -58,34 +54,12 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vscale(c: Fraction, u: Vec) -> Vec:
-    return tuple(c * a for a in u)
-
-
 def vneg(u: Vec) -> Vec:
     return tuple(-a for a in u)
 
 
 def is_zero(u: Vec) -> bool:
     return all(a == 0 for a in u)
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Rectangular matrix of Fractions; ``ncols`` is kept explicitly so the
-    zero-row matrix still knows its width."""
-
-    rows: tuple[Vec, ...]
-    ncols: int
-
-    def __post_init__(self):
-        for r in self.rows:
-            if len(r) != self.ncols:
-                raise ValueError("ragged matrix")
 
 
 @dataclass(frozen=True)
@@ -153,7 +127,9 @@ class VectorSet:
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Linear subspace given by a basis; the empty basis is the zero
-    subspace, a first-class value here rather than an error."""
+    subspace, a first-class value here rather than an error.  The integer
+    form is a cache outside the dataclass fields, as in
+    :class:`VectorSet`."""
 
     ambient_dim: int
     basis: tuple[Vec, ...]
@@ -162,12 +138,17 @@ class SubspaceBasis:
         for v in self.basis:
             if len(v) != self.ambient_dim:
                 raise ValueError("basis vector of wrong length")
-        if rank_of_rows(self.basis, self.ambient_dim) != len(self.basis):
+        if rank_of_rows(self.int_rows, self.ambient_dim) != len(self.basis):
             raise ValueError("basis vectors are linearly dependent")
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def int_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each basis vector as its :func:`int_row`, converted once."""
+        return tuple(int_row(v)[1] for v in self.basis)
 
     def contains(self, v: Vec) -> bool:
         """Exact membership of a vector in the spanned subspace."""
@@ -175,7 +156,7 @@ class SubspaceBasis:
             raise ValueError("dimension mismatch")
         if is_zero(v):
             return True
-        return rank_of_rows([*self.basis, v], self.ambient_dim) == self.dim
+        return rank_of_rows([*self.int_rows, int_row(v)[1]], self.ambient_dim) == self.dim
 
 
 def int_row(v: Sequence) -> tuple[int, tuple[int, ...]]:
@@ -185,12 +166,6 @@ def int_row(v: Sequence) -> tuple[int, tuple[int, ...]]:
     if c == 1:
         return 1, tuple(x.numerator for x in v)
     return c, tuple(x.numerator * (c // x.denominator) for x in v)
-
-
-def _int_matrix(rows: Iterable[Sequence]) -> list[Sequence[int]]:
-    """The rows as integer rows: integer rows as they are, the others
-    through :func:`int_row`.  Same row space, same rref."""
-    return [r if all(type(x) is int for x in r) else int_row(r)[1] for r in rows]
 
 
 def _gauss_jordan(m: list[Sequence[int]],
@@ -239,17 +214,19 @@ def rref_rows(rows: Sequence[Sequence],
     Gauss-Jordan on the integer-scaled rows; the last pivot divides out
     into the Fraction result.  Rows past the rank come back as zero rows.
     """
-    m, pivots, prev = _gauss_jordan(_int_matrix(rows), ncols)
+    m, pivots, prev = _gauss_jordan([int_row(r)[1] for r in rows], ncols)
     r = len(pivots)
     out = [[Fraction(a, prev) for a in m[i]] for i in range(r)]
     out += [[Fraction(0)] * ncols for _ in range(len(m) - r)]
     return out, pivots
 
 
-def rank_of_rows(rows: Sequence[Sequence], ncols: int) -> int:
-    """Rank of rational or integer rows by forward-only Bareiss
-    elimination; builds no Fraction."""
-    m = _int_matrix(rows)
+def rank_of_rows(rows: Sequence[Sequence[int]], ncols: int) -> int:
+    """Rank of integer rows, such as :attr:`VectorSet.int_rows`, by
+    forward-only Bareiss elimination; builds no Fraction.  The exact
+    divisions are floor divisions, so rows must hold ints: a non-integer
+    Fraction would floor silently."""
+    m = list(rows)
     nrows = len(m)
     prev = 1
     r = 0
@@ -278,25 +255,19 @@ def span_basis(s: VectorSet) -> SubspaceBasis:
     return SubspaceBasis(s.ambient_dim, basis)
 
 
-def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
-    """Canonical basis of ``{x : m x = 0}``; dimension is ncols - rank."""
-    rows, pivots = rref_rows(m.rows, m.ncols)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
+def kernel_basis(rows: Sequence[Sequence], ncols: int) -> SubspaceBasis:
+    """Canonical basis of ``{x : r.x = 0 for every row r}``, one vector per
+    free column of the rref; dimension is ncols - rank.  The rref depends
+    only on the row space, so any rows spanning it give the same basis."""
+    m, pivots, prev = _gauss_jordan([int_row(r)[1] for r in rows], ncols)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * m.ncols
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for i, p in enumerate(pivots):
-            v[p] = -rows[i][f]
+            v[p] = Fraction(-m[i][f], prev)
         basis.append(tuple(v))
-    return SubspaceBasis(m.ncols, tuple(basis))
-
-
-def orth_complement(s: SubspaceBasis) -> SubspaceBasis:
-    """Orthogonal complement within the ambient space."""
-    m = RationalMatrix(s.basis, s.ambient_dim)
-    return kernel_basis(m)
+    return SubspaceBasis(ncols, tuple(basis))
 
 
 def project_onto_complement(s: SubspaceBasis, vs: Sequence[Vec]) -> list[Vec]:
@@ -315,7 +286,7 @@ def project_onto_complement(s: SubspaceBasis, vs: Sequence[Vec]) -> list[Vec]:
         raise ValueError("dimension mismatch")
     if not s.dim:
         return [tuple(v) for v in vs]
-    basis = _int_matrix(s.basis)
+    basis = s.int_rows
     scaled = [int_row(v) for v in vs]
     gram = [[sum(map(mul, bi, bj)) for bj in basis]
             + [sum(map(mul, bi, w)) for _, w in scaled] for bi in basis]

@@ -17,7 +17,12 @@ from itertools import combinations
 
 from conehelly.cone import is_linear, reversible_indices
 from conehelly.lp import INFEASIBLE, OPTIMAL
-from conehelly.ratlin import VectorSet, rank_of_rows, rref_rows
+from conehelly.ratlin import VectorSet, int_row, rank_of_rows, rref_rows
+
+
+def _rank(vectors, d):
+    """Rank of rational vectors: rank_of_rows takes integer rows."""
+    return rank_of_rows([int_row(v)[1] for v in vectors], d)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +195,7 @@ def oracle_in_pos(b, vs: VectorSet) -> bool:
     for size in range(1, d + 1):
         for t in combinations(range(len(vs)), size):
             cols = [vs[i] for i in t]
-            if rank_of_rows([list(c) for c in cols], d) < size:
+            if _rank(cols, d) < size:
                 continue
             sol = _solve_columns(cols, b, d)
             if sol is not None and all(a >= 0 for a in sol):
@@ -206,7 +211,7 @@ def oracle_reversible(vs: VectorSet) -> tuple[int, ...]:
 
 def oracle_lineality_dim(vs: VectorSet) -> int:
     members = oracle_reversible(vs)
-    return rank_of_rows([list(vs[i]) for i in members], vs.ambient_dim)
+    return _rank([vs[i] for i in members], vs.ambient_dim)
 
 
 def oracle_lineality_contains(vs: VectorSet, w) -> bool:
@@ -219,8 +224,7 @@ def _oracle_positively_spans(x: VectorSet, target) -> bool:
     the target lies in pos(x), each decided by oracle_in_pos."""
     d = x.ambient_dim
     dim = len(target.basis)
-    basis = [list(w) for w in target.basis]
-    if any(rank_of_rows(basis + [list(v)], d) > dim for v in x):
+    if any(_rank([*target.basis, v], d) > dim for v in x):
         return False
     return all(oracle_in_pos(w, x) and oracle_in_pos(tuple(-c for c in w), x)
                for w in target.basis)
@@ -280,6 +284,6 @@ def oracle_first_independent(vs: VectorSet, size: int):
     """Lexicographically-first linearly independent subset of the given
     size, by scanning every subset in order; None if there is none."""
     for t in combinations(range(len(vs)), size):
-        if rank_of_rows([list(vs[i]) for i in t], vs.ambient_dim) == size:
+        if _rank([vs[i] for i in t], vs.ambient_dim) == size:
             return t
     return None

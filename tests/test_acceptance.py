@@ -120,12 +120,14 @@ def test_criterion_07_cone_helly_fuzz(cone_fuzz_run):
 
 def test_criterion_08_duality_and_extraction(cone_fuzz_run):
     summary, elapsed = cone_fuzz_run
-    # the cone_helly check asserts max_cone_dim + dim lpos = d and verifies
-    # extract_cone output rank and inequalities on every instance
+    # the cone_helly check certifies the reversible normals from both
+    # sides (a checked positive zero-combination on them, and the relative
+    # interior point strict off them) and verifies extract_cone output rank
+    # and inequalities at max_cone_dim on every instance
     ok = (summary.checks_passed["cone_helly"] == summary.trials_run
           and not [f for f in summary.failures if f.check == "cone_helly"])
-    _record(8, "duality identity and certified cone extraction on every "
-               "fuzz instance", ok, 0.0, 1.0)
+    _record(8, "two-sided reversible-set certificate and certified cone "
+               "extraction on every fuzz instance", ok, 0.0, 1.0)
 
 
 def test_criterion_09_corollary_equivalence(cone_fuzz_run):

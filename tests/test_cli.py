@@ -296,6 +296,39 @@ class TestVerifyMode:
             assert code == EXIT_OK, (argv, err)
             assert json.loads(out)["result"]["verified"] is True, argv
 
+    def _verify_altered(self, capsys, monkeypatch, tmp_path, argv, stdin, key, value):
+        path, rep = self._report(capsys, monkeypatch, tmp_path, argv, stdin)
+        rep["result"][key] = value(rep["result"][key])
+        path.write_text(json.dumps(rep))
+        return invoke(capsys, monkeypatch, [argv[0], "--verify", str(path)])
+
+    def test_float_separator_rejected(self, capsys, monkeypatch, tmp_path):
+        # The separator of (-1, 1) from pos{e1, e2} is (-1, 0); as JSON
+        # floats it is malformed, like a float point or instance.
+        plane = json.dumps({"d": 2, "role": "generators", "vectors": [[1, 0], [0, 1]]})
+        code, out, _ = self._verify_altered(
+            capsys, monkeypatch, tmp_path, ["membership", "--point=-1,1"], plane,
+            "separator", lambda y: [float(c) for c in y])
+        assert code == EXIT_INPUT and out == ""
+
+    def test_float_generators_rejected(self, capsys, monkeypatch, tmp_path):
+        quadrant = json.dumps({"d": 2, "role": "normals", "vectors": [[1, 0], [0, 1]]})
+        code, out, _ = self._verify_altered(
+            capsys, monkeypatch, tmp_path, ["extract-cone", "--k", "2"], quadrant,
+            "generators", lambda gens: [[float(Fraction(c)) for c in g] for g in gens])
+        assert code == EXIT_INPUT and out == ""
+
+    @pytest.mark.parametrize("parts", [[[False, 1, 2]], [[1, 0, 2]]],
+                             ids=["boolean index", "unsorted part"])
+    def test_reay_part_indices_checked(self, capsys, monkeypatch, tmp_path, parts):
+        # Each part is a strictly increasing list of int indices, as
+        # element indices and witness subsets are.
+        inst = gen_out(capsys, monkeypatch, ["gen", "--example", "simplex", "--d", "2"])
+        code, out, _ = self._verify_altered(capsys, monkeypatch, tmp_path, ["reay"],
+                                            inst, "parts", lambda _: parts)
+        assert code == EXIT_INTERNAL
+        assert json.loads(out)["result"]["verified"] is False
+
     def test_tampered_witness_fails(self, capsys, monkeypatch, tmp_path):
         inst = gen_out(capsys, monkeypatch,
                        ["gen", "--example", "example2", "--d", "3", "--k", "1"])

@@ -35,7 +35,7 @@ class TestSimplexLike:
         for d in range(1, 7):
             a = gen_simplex_like(d)
             for sub in combinations(range(d + 1), d):
-                assert rank_of_rows(a.subset(sub).vectors, d) == d
+                assert rank_of_rows(a.subset(sub).int_rows, d) == d
 
     def test_lineality_structure(self):
         from itertools import combinations
