@@ -29,6 +29,12 @@ The deflation that finds the reversible generators keeps the separator
 of each round, in one memo, and :func:`relative_interior_point` folds
 those separators into an integer point; no LP is solved for it.
 
+The deflation, positive-basis extraction and re-certification, the Reay
+search and the witness searches put the same row sets to the LP many
+times over, so :func:`_lp_separator` is memoized by
+:func:`ratlin.rows_memo`, storing only answers that passed
+:func:`_checked`.
+
 All cones have apex at the origin.
 """
 
@@ -51,6 +57,7 @@ from .ratlin import (
     kernel_basis,
     project_onto_complement,
     rank_of_rows,
+    rows_memo,
     span_basis,
 )
 
@@ -183,7 +190,7 @@ def _sign_separator(rows: list[list[int]]) -> list[int] | None:
     return None
 
 
-def _separator(rows: Sequence[Sequence[int]]) -> list[int] | None:
+def _separator(rows: Sequence[Sequence[int]]) -> Sequence[int] | None:
     """None when pos(rows) is a linear subspace; otherwise an integer
     functional y with y.r <= 0 on every row and y.r < 0 on at least one.
     The sign pretest answers first where it can, and
@@ -208,13 +215,19 @@ def _separator(rows: Sequence[Sequence[int]]) -> list[int] | None:
     return _checked(rows, t, lp.LPResult(lp.INFEASIBLE, farkas=y)).farkas
 
 
-def _lp_separator(rows: Sequence[Sequence[int]]) -> list[int] | None:
+@rows_memo
+def _lp_separator(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
     """:func:`_separator` without the sign pretest, for nonempty rows: the
     checked LP certificate alone.  The minimal-witness search of
     :mod:`helly` calls it directly, as its cut pool has already tried
-    every functional the pretest could return."""
+    every functional the pretest could return.
+
+    Memoized by :func:`rows_memo`, whose key keeps the row order: the
+    rows are the LP's columns and the Bland pivots follow their order.
+    A failed check raises and leaves no entry."""
     t = [-sum(col) for col in zip(*rows)]
-    return _checked(rows, t, lp.nonneg_combination(rows, t)).farkas
+    y = _checked(rows, t, lp.nonneg_combination(rows, t)).farkas
+    return None if y is None else tuple(y)
 
 
 def is_linear(rows: Sequence[Sequence[int]]) -> bool:

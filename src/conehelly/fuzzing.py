@@ -19,8 +19,8 @@ from operator import mul
 
 from .cone import (
     HalfspaceSystem,
-    _checked,
     extract_cone,
+    is_linear,
     lineality_dim,
     lineality_space,
     max_cone_dim,
@@ -40,7 +40,6 @@ from .helly import (
     witness_lineality_enum,
     witness_lineality_reay,
 )
-from .lp import OPTIMAL, nonneg_combination
 from .posbasis import extract_positive_basis, reay_partition, verify_reay
 from .ratlin import VectorSet, int_row, vneg
 
@@ -185,23 +184,21 @@ def check_cone_helly(vs: VectorSet) -> None:
     cone Helly report for every k.
 
     max_cone_dim is d minus the rank of the reversible normals R, so the
-    check certifies R from both sides.  A checked x >= 0 with
-    sum_i x_i r_i = -den sum_i r_i on R's integer rows makes
-    lambda = den + x > 0 a positive zero-combination, so span R lies in
-    the lineality space and mcd >= the true maximum.  The relative
-    interior point x0 has a.x0 < 0 on every normal off R, so none of them
-    lies in the lineality space, which is therefore span R, and mcd is
-    the true maximum; the generators extracted at mcd, verified below,
-    show it attained."""
+    check certifies R from both sides.  is_linear on R's integer rows is
+    True only on a checked x >= 0 with sum_i x_i r_i = -den sum_i r_i,
+    and lambda = den + x > 0 is then a positive zero-combination, so
+    span R lies in the lineality space and mcd >= the true maximum.  The
+    relative interior point x0 has a.x0 < 0 on every normal off R, so
+    none of them lies in the lineality space, which is therefore span R,
+    and mcd is the true maximum; the generators extracted at mcd,
+    verified below, show it attained."""
     h = HalfspaceSystem(vs)
     d = h.ambient_dim
     mcd = max_cone_dim(h)
     rows = vs.int_rows
     reversible = reversible_indices(vs)
-    rev_rows = [rows[i] for i in reversible]
-    t = [-sum(r[j] for r in rev_rows) for j in range(d)]
-    cert = _checked(rev_rows, t, nonneg_combination(rev_rows, t))
-    _require(cert.status == OPTIMAL, "reversible normals have no positive zero-combination")
+    _require(is_linear([rows[i] for i in reversible]),
+             "reversible normals have no positive zero-combination")
     x0 = int_row(relative_interior_point(h))[1]
     _require(all(sum(map(mul, r, x0)) < 0 for i, r in enumerate(rows) if i not in reversible),
              "a normal off the reversible set is not strict at x0")

@@ -103,7 +103,7 @@ def nonneg_combination(columns, target) -> LPResult:
            + [sign[i] * target[i]] for i in range(m)]
     ncols = n + m
     basis = [n + i for i in range(m)]
-    cost = [-sum(row[j] for row in tab) for j in range(ncols + 1)]
+    cost = [-sum(col) for col in zip(*tab)] if m else [0] * (ncols + 1)
     for i in range(m):
         cost[n + i] = 0
     tab.append(cost)

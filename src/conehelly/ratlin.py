@@ -25,13 +25,18 @@ subspace itself go through :func:`rref_rows`, :func:`span_basis` and
 :func:`kernel_basis`, which take rational rows and convert each with
 :func:`int_row`; :func:`project_onto_complement` eliminates once, on
 integers, for a whole sequence of vectors.
+
+The Helly searches ask the rank of the same rows many times over, so
+:func:`rank_of_rows` is memoized by :func:`rows_memo`, whose docstring
+states the policy.  A rank is a fact of the rows alone, so a stored
+answer is the one a fresh elimination would give.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache, wraps
 from math import lcm
 from operator import mul
 from typing import Iterable, Sequence
@@ -221,11 +226,39 @@ def rref_rows(rows: Sequence[Sequence],
     return out, pivots
 
 
+ROWS_MEMO_SIZE = 4096
+
+
+def rows_memo(fn):
+    """Memoize a function of integer rows on the exact rows, in order.
+
+    The one statement of the memo policy of :func:`rank_of_rows` and
+    ``cone._lp_separator``.  The key is the rows as a tuple of row tuples
+    plus any further (hashable) arguments, so a list and a tuple of the
+    same rows share one entry.  The key is never sorted: an answer may
+    depend on the row order (an LP certificate does).  At most
+    ``ROWS_MEMO_SIZE`` entries are kept, least recently used out first.
+    An exception is not stored, so only answers that returned are.  The
+    wrapper keeps ``cache_info()`` (hits and misses) and
+    ``cache_clear()``, and ``__wrapped__`` is the uncached function.
+    """
+    cached = lru_cache(maxsize=ROWS_MEMO_SIZE)(fn)
+
+    @wraps(fn)
+    def memo(rows, *args):
+        return cached(tuple(map(tuple, rows)), *args)
+
+    memo.cache_info = cached.cache_info
+    memo.cache_clear = cached.cache_clear
+    return memo
+
+
+@rows_memo
 def rank_of_rows(rows: Sequence[Sequence[int]], ncols: int) -> int:
     """Rank of integer rows, such as :attr:`VectorSet.int_rows`, by
     forward-only Bareiss elimination; builds no Fraction.  The exact
     divisions are floor divisions, so rows must hold ints: a non-integer
-    Fraction would floor silently."""
+    Fraction would floor silently.  Memoized by :func:`rows_memo`."""
     m = list(rows)
     nrows = len(m)
     prev = 1

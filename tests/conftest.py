@@ -1,9 +1,27 @@
+import importlib
+import pkgutil
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
+import conehelly
 from conehelly.fuzzing import FuzzConfig
 from conehelly.ratlin import VectorSet
+
+# Every memo of the package: each module attribute with a cache_clear.
+_MODULES = [conehelly] + [importlib.import_module(f"conehelly.{info.name}")
+                          for info in pkgutil.iter_modules(conehelly.__path__)]
+CACHES = list({id(v): v for m in _MODULES for v in vars(m).values()
+               if callable(getattr(v, "cache_clear", None))}.values())
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    """Start every test with every memo empty, so an answer stored by an
+    earlier test cannot stand in for a call the test makes or patches."""
+    for cache in CACHES:
+        cache.cache_clear()
 
 # The two fuzz streams of the acceptance criteria.
 POS_FUZZ = FuzzConfig(d_max=5, n_max=12, bound=3, trials=1000,

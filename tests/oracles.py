@@ -15,14 +15,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from conehelly.cone import is_linear, reversible_indices
+from conehelly import cone
+from conehelly.cone import reversible_indices
 from conehelly.lp import INFEASIBLE, OPTIMAL
 from conehelly.ratlin import VectorSet, int_row, rank_of_rows, rref_rows
 
 
+def _is_linear(rows):
+    """is_linear without its memo: the sign pretest, then the uncached
+    checked LP, so the reference shares no stored answer with the library."""
+    return (cone._sign_separator(rows) is None
+            and cone._lp_separator.__wrapped__(rows) is None)
+
+
 def _rank(vectors, d):
-    """Rank of rational vectors: rank_of_rows takes integer rows."""
-    return rank_of_rows([int_row(v)[1] for v in vectors], d)
+    """Rank of rational vectors: rank_of_rows takes integer rows.  The
+    uncached elimination, so the oracles share no memo with the library."""
+    return rank_of_rows.__wrapped__([int_row(v)[1] for v in vectors], d)
 
 
 # ---------------------------------------------------------------------------
@@ -263,8 +272,8 @@ def oracle_minimal_witness(vs: VectorSet, k: int, cap: int):
 
 
 def plain_minimal_witness(vs: VectorSet, threshold: int):
-    """The minimal-witness search without its cut pool: is_linear and then
-    the exact rank of every subset of the reversible generators, sizes
+    """The minimal-witness search without its cut pool or the memos: the
+    linearity certificate and then the exact rank of every subset of the reversible generators, sizes
     ascending up to h(threshold, d), each size in index-lexicographic
     order.  Returns (the first witness or None, candidates scanned)."""
     rows, d = vs.int_rows, vs.ambient_dim
@@ -275,7 +284,7 @@ def plain_minimal_witness(vs: VectorSet, threshold: int):
         for combo in combinations(members, size):
             scanned += 1
             sub = [rows[i] for i in combo]
-            if is_linear(sub) and rank_of_rows(sub, d) > threshold:
+            if _is_linear(sub) and rank_of_rows.__wrapped__(sub, d) > threshold:
                 return combo, scanned
     return None, scanned
 

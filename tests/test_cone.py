@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -24,11 +25,11 @@ from conehelly.cone import (
     verify_cone_generators,
 )
 from conehelly.errors import TheoremContradiction
-from conehelly.fuzzing import trial_instance
+from conehelly.fuzzing import run_trial_checks, trial_instance
 from conehelly.gens import gen_axis_pairs, gen_example2, gen_simplex_like
 from conehelly.ratlin import VectorSet, dot, is_zero, vec
 
-from conftest import POS_FUZZ, int_vector_sets, small_fraction
+from conftest import CACHES, CONE_FUZZ, POS_FUZZ, int_vector_sets, small_fraction
 from oracles import (
     oracle_in_pos,
     oracle_lineality_dim,
@@ -471,3 +472,66 @@ class TestLinearityCertificate:
             lp.INFEASIBLE, farkas=[1, 0], den=1))
         with pytest.raises(TheoremContradiction):
             is_linear(self.HALFPLANE)
+
+
+class TestLinearityMemo:
+    """_lp_separator is memoized on its rows in order and stores only
+    checked answers."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(int_vector_sets(min_n=1))
+    def test_memo_matches_uncached_and_oracle(self, a):
+        rows = a.int_rows
+        fresh = cone._lp_separator.__wrapped__([list(r) for r in rows])
+        linear = oracle_in_pos(tuple(-sum(col) for col in zip(*a.vectors)), a)
+        assert (fresh is None) == linear
+        for form in ([list(r) for r in rows], list(rows), rows):
+            for _ in range(2):
+                assert cone._lp_separator(form) == fresh
+
+    def test_key_keeps_row_order(self):
+        # The Bland pivots follow the row order, and so does the separator:
+        # a key that sorted the rows would hand one order the other's.
+        rows = [(-1, -2, 2), (-1, -1, 1), (1, 1, 0), (0, 2, -2)]
+        swapped = [rows[0], rows[1], rows[3], rows[2]]
+        assert cone._lp_separator(rows) == (1, -1, -1)
+        assert cone._lp_separator(swapped) == (2, -2, -2)
+
+    @pytest.mark.parametrize("rows, wrong", [
+        (TestLinearityCertificate.LINEAR,
+         lp.LPResult(lp.INFEASIBLE, farkas=[1, 0], den=1)),
+        (TestLinearityCertificate.HALFPLANE,
+         lp.LPResult(lp.OPTIMAL, x=[0, 0, 5], den=1)),
+    ])
+    def test_failed_check_is_not_stored(self, monkeypatch, rows, wrong):
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "nonneg_combination", lambda cols, target: wrong)
+            with pytest.raises(TheoremContradiction):
+                cone._lp_separator(rows)
+        assert cone._lp_separator.cache_info().currsize == 0
+        assert (cone._lp_separator(rows) is None) == (wrong.status == lp.INFEASIBLE)
+        assert cone._lp_separator.cache_info().currsize == 1
+
+    def test_no_linearity_lp_solved_twice_in_a_trial(self, monkeypatch):
+        # Every linearity LP is solved inside the uncached _lp_separator;
+        # within one trial, as the benchmark runs it with every memo
+        # emptied first, none is solved twice on the same rows.
+        inner = cone._lp_separator.__wrapped__.__code__
+        solve = lp.nonneg_combination
+        solved = []
+
+        def counting(cols, target):
+            if sys._getframe(1).f_code is inner:
+                solved.append(tuple(map(tuple, cols)))
+            return solve(cols, target)
+
+        monkeypatch.setattr(lp, "nonneg_combination", counting)
+        total = 0
+        for i in range(10):
+            for cache in CACHES:
+                cache.cache_clear()
+            solved.clear()
+            run_trial_checks(trial_instance(CONE_FUZZ, i)[1])
+            assert len(solved) == len(set(solved)), f"trial {i}"
+            total += len(solved)
+        assert total > 0

@@ -27,7 +27,7 @@ from conehelly.helly import (
     witness_lineality_enum,
     witness_lineality_reay,
 )
-from conehelly.ratlin import VectorSet, vec
+from conehelly.ratlin import VectorSet, rank_of_rows, vec
 
 from conftest import POS_FUZZ, int_vector_sets
 from oracles import (
@@ -215,7 +215,10 @@ def _pool_and_plain(a, threshold):
     reversible_indices(a)  # its deflation LPs belong to neither search
     with _counting_lps() as plain_lps:
         want, scanned = plain_minimal_witness(a, threshold)
-    helly._minimal_lineality_witness.cache_clear()
+    # Neither the deflation nor the plain scan may leave the pooled search
+    # a stored answer: each of its LPs is then counted.
+    for memo in (helly._minimal_lineality_witness, cone._lp_separator, rank_of_rows):
+        memo.cache_clear()
     with _counting_lps() as pool_lps:
         got = helly._minimal_lineality_witness(a, threshold)
     return got, len(pool_lps), want, scanned, len(plain_lps)

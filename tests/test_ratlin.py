@@ -149,6 +149,32 @@ class TestRank:
         assert rref_rows(scaled, ncols) == rref_rows(rows, ncols)
 
 
+class TestRankMemo:
+    """rank_of_rows is memoized on its rows in order; the memo answers as
+    the uncached elimination and the Fraction reference do."""
+
+    @given(low_rank_rows())
+    def test_memo_matches_uncached_and_reference(self, data):
+        rows, ncols = data
+        want = len(ref_rref_rows(rows, ncols)[1])
+        as_lists = [list(r) for r in ints(rows)]
+        assert rank_of_rows.__wrapped__(as_lists, ncols) == want
+        before = rank_of_rows.cache_info()
+        for form in (as_lists, ints(rows), tuple(ints(rows))):
+            for _ in range(2):
+                assert rank_of_rows(form, ncols) == want
+        after = rank_of_rows.cache_info()
+        # Lists and tuples of the same rows share one entry.
+        assert after.misses - before.misses <= 1
+        assert after.hits - before.hits >= 5
+
+    def test_key_keeps_row_order_and_ncols(self):
+        rank_of_rows([(1, 0), (0, 1)], 2)
+        rank_of_rows([(0, 1), (1, 0)], 2)
+        rank_of_rows([(1, 0), (0, 1)], 1)
+        assert rank_of_rows.cache_info().currsize == 3
+
+
 class TestSpanBasis:
     def test_collinear_pair(self):
         s = VectorSet.from_rows([[1, 0], [2, 0]], 2)
