@@ -58,7 +58,6 @@ from .helly import (
     bound_h,
     bound_m,
     check_flat_helly,
-    check_lineality_hypothesis,
     corollary_check,
     verify_cone_helly,
     witness_lineality_enum,
@@ -315,19 +314,14 @@ def _helly_pos(vs: VectorSet, p: dict, certs) -> dict:
     k = p["k"]
     ldim = lineality_dim(vs)
     h = bound_h(k, vs.ambient_dim)
-    hypothesis = ldim <= k
-    if certs is None:
-        # One minimal-witness search decides the hypothesis; when the
-        # conclusion fails it is the enumerative witness, and it raises if
-        # none exists within h(k,d).
-        if ldim > k:
-            certs = {"witness_enum": witness_to_json(witness_lineality_enum(vs, k)),
-                     "witness_reay": witness_to_json(witness_lineality_reay(vs, k))}
-            hypothesis = False
-        else:
-            hypothesis = check_lineality_hypothesis(vs, k)
+    if certs is None and ldim > k:
+        # The minimal-witness search is the enumerative witness, and it
+        # raises if none exists within h(k,d): the hypothesis then fails
+        # exactly when the conclusion does.
+        certs = {"witness_enum": witness_to_json(witness_lineality_enum(vs, k)),
+                 "witness_reay": witness_to_json(witness_lineality_reay(vs, k))}
     result = {
-        "hypothesis": hypothesis,
+        "hypothesis": ldim <= k,
         "conclusion": ldim <= k,
         "lineality_dim": ldim,
         "h": h,
@@ -341,13 +335,11 @@ def _helly_pos(vs: VectorSet, p: dict, certs) -> dict:
 def _helly_cone(h: HalfspaceSystem, p: dict, certs) -> dict:
     k = p["k"]
     mcd = max_cone_dim(h)
-    hypothesis = mcd >= k
     if certs is None:
         rep = verify_cone_helly(h, k)
-        hypothesis = rep.hypothesis
         certs = {"witness": rep.witness and witness_to_json(rep.witness)}
     result = {
-        "hypothesis": hypothesis,
+        "hypothesis": mcd >= k,
         "conclusion": mcd >= k,
         "max_cone_dim": mcd,
         "lineality_dim": h.ambient_dim - mcd,
@@ -361,15 +353,13 @@ def _helly_cone(h: HalfspaceSystem, p: dict, certs) -> dict:
 def _corollary(h: HalfspaceSystem, p: dict, certs) -> dict:
     k = p["k"]
     r = max_cone_dim(h)
-    subsystems_hold = r >= k
     if certs is None:
         rep = corollary_check(h, k)
-        subsystems_hold = rep.subsystems_hold
         certs = {"witness": rep.witness and witness_to_json(rep.witness)}
     result = {
         "rank": r,
         "global_holds": r >= k,
-        "subsystems_hold": subsystems_hold,
+        "subsystems_hold": r >= k,
     }
     if r < k:
         result["witness"] = _witness(certs, "witness", "solution_rank_below_k",
@@ -381,16 +371,14 @@ def _flat_helly(h: HalfspaceSystem, p: dict, certs) -> dict:
     k, d = p["k"], h.ambient_dim
     polar_dim = lineality_of_polar(h).dim
     conclusion = polar_dim >= d - k
-    all_dependent = conclusion
     if certs is None:
         rep = check_flat_helly(h, k)
-        all_dependent = rep.all_small_subsets_dependent
         certs = {"witness": rep.witness and witness_to_json(rep.witness)}
     result = {
         "polar_lineality_dim": polar_dim,
         "normal_rank": rank_of_rows(h.normals.int_rows, d),
         "subspace_conclusion": conclusion,
-        "all_small_subsets_dependent": all_dependent,
+        "all_small_subsets_dependent": conclusion,
     }
     if not conclusion:
         result["witness"] = _witness(certs, "witness", "independent_normals", k + 1)

@@ -275,7 +275,8 @@ def lineality_space(gens: VectorSet) -> SubspaceBasis:
     suite certifies each output against the defining intersection
     pos A and -pos A, so the characterization is checked, not trusted.
     """
-    return span_basis(gens.subset(reversible_indices(gens)))
+    rows = gens.int_rows
+    return span_basis([rows[i] for i in reversible_indices(gens)], gens.ambient_dim)
 
 
 def lineality_dim(gens: VectorSet) -> int:

@@ -7,9 +7,10 @@ the artificial basis.  Bland's rule (smallest eligible index enters,
 smallest basic variable leaves on ratio ties) guarantees termination,
 and the arithmetic is exact, so the outcome is a decision, not an
 estimate.  The tableau is kept as integers over one positive common
-denominator and pivoted integer-preservingly (Edmonds, J. Res. NBS 71B,
-1967): every division is exact and every sign and ratio test reads the
-same as on the rational tableau, so the pivots are the same.  Positive
+denominator and pivoted integer-preservingly by :func:`ratlin._pivot`,
+the elimination step of Gauss-Jordan (Edmonds, J. Res. NBS 71B, 1967):
+every division is exact and every sign and ratio test reads the same as
+on the rational tableau, so the pivots are the same.  Positive
 column and rhs scales change no Bland pivot (each scales a column's
 reduced costs, or a ratio test's ratios, alike).
 
@@ -23,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .ratlin import _pivot
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
@@ -35,32 +38,13 @@ class LPResult:
     den: int = 1  # x and farkas are integers over den
 
 
-def _pivot(tab: list[list[int]], basis: list[int], den: int, r: int, c: int) -> int:
-    """Pivot the rational tableau tab/den on (r, c), whose entry is
-    positive, and return its new denominator, that entry.
-
-    The pivot row keeps its integers; every other row becomes
-    (p * row - f * pivot row) / den, an exact division.
-    """
-    prow = tab[r]
-    p = prow[c]
-    for i, row in enumerate(tab):
-        if i != r:
-            f = row[c]
-            if f:
-                tab[i] = [(p * a - f * b) // den for a, b in zip(row, prow)]
-            elif p != den:
-                tab[i] = [p * a // den for a in row]
-    basis[r] = c
-    return p
-
-
 def _run_simplex(tab: list[list[int]], basis: list[int], ncols: int) -> int:
     """Iterate Bland pivots on a tableau tab/1 whose last row is the
     reduced-cost row and last column the rhs, until no reduced cost is
-    negative; returns the final denominator.  As it stays positive, signs
-    are read off the integers, and ratios rhs/entry are compared by
-    cross-multiplying."""
+    negative; returns the final denominator.  Each pivot is the
+    :func:`ratlin._pivot` step on a positive entry, which becomes the
+    denominator, so it stays positive: signs are read off the integers,
+    and ratios rhs/entry are compared by cross-multiplying."""
     m = len(tab) - 1
     den = 1
     while True:
@@ -82,7 +66,8 @@ def _run_simplex(tab: list[list[int]], basis: list[int], ncols: int) -> int:
                 if better:
                     leave, best_num, best_den = i, num, a
         assert leave >= 0, "phase 1 is bounded below by 0"
-        den = _pivot(tab, basis, den, leave, enter)
+        den = _pivot(tab, leave, enter, den)
+        basis[leave] = enter
 
 
 def nonneg_combination(columns, target) -> LPResult:

@@ -18,7 +18,7 @@ from itertools import combinations
 from conehelly import cone
 from conehelly.cone import reversible_indices
 from conehelly.lp import INFEASIBLE, OPTIMAL
-from conehelly.ratlin import VectorSet, int_row, rank_of_rows, rref_rows
+from conehelly.ratlin import VectorSet, int_row, rank_of_rows
 
 
 def _is_linear(rows):
@@ -191,7 +191,7 @@ def _solve_columns(cols, b, d):
     independent; None when inconsistent."""
     n = len(cols)
     aug = [[cols[j][r] for j in range(n)] + [b[r]] for r in range(d)]
-    red, piv = rref_rows(aug, n + 1)
+    red, piv = ref_rref_rows(aug, n + 1)
     if n in piv or len(piv) != n:
         return None
     return [red[i][n] for i in range(n)]

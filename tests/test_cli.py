@@ -2,6 +2,7 @@ import copy
 import io
 import json
 import os
+import time
 
 import pytest
 
@@ -186,6 +187,17 @@ class TestExitCodes:
                 {"d": d, "role": "generators", "vectors": vectors}))
             assert code == EXIT_OK, (argv, err)
             assert json.loads(out)["operation"] == argv[0]
+
+    def test_no_vectors_in_a_huge_dimension(self, capsys, monkeypatch):
+        # Elimination over no rows stops before it walks the columns.
+        stdin = json.dumps({"d": 10**7, "role": "generators", "vectors": []})
+        for argv, key, want in ((["lineality"], "lineality", {"dim": 0, "basis": []}),
+                                (["helly-pos", "--k", "1"], "conclusion", True)):
+            start = time.perf_counter()
+            code, out, err = invoke(capsys, monkeypatch, argv, stdin=stdin)
+            assert time.perf_counter() - start < 1, argv
+            assert code == EXIT_OK, (argv, err)
+            assert json.loads(out)["result"][key] == want
 
     def test_boolean_d_rejected(self, capsys, monkeypatch):
         code, out, _ = invoke(capsys, monkeypatch, ["lineality"], stdin=json.dumps(

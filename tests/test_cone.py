@@ -203,7 +203,7 @@ class TestLinealityDim:
     def test_dimension_only_paths_build_no_basis(self, monkeypatch):
         # These answers need only dimensions; none may build a Fraction
         # basis of a lineality space.
-        def refuse(_):
+        def refuse(*_):
             raise AssertionError("span_basis on a dimension-only path")
 
         monkeypatch.setattr(cone, "span_basis", refuse)

@@ -26,6 +26,7 @@ from collections import defaultdict
 
 import pytest
 
+import conehelly
 from conehelly import cli, cone, helly, posbasis, ratlin
 from conehelly.cli import run
 from conehelly.fuzzing import run_trial_checks, trial_instance
@@ -77,27 +78,36 @@ def test_replay(command, capsys, monkeypatch, tmp_path):
 
 
 def test_elimination_takes_integer_rows(capsys, monkeypatch, tmp_path):
-    # rank_of_rows divides exactly by floor division, so a non-integer
-    # Fraction reaching it would give a wrong rank, not an error.  Every
-    # module that binds it gets a version that asserts int entries, and
-    # the commands and fuzz checks that rank normals, positive bases and
-    # cones run through it.
-    rank_of_rows = ratlin.rank_of_rows
-    ranked = []
+    # Elimination divides exactly by floor division, so a non-integer
+    # Fraction reaching it would give a wrong answer, not an error.  Every
+    # module that binds an elimination entry point gets a version that
+    # asserts int entries, and the commands and fuzz checks that rank
+    # normals, positive bases and cones and build their subspaces run
+    # through them.
+    calls = defaultdict(int)
 
-    def integer_rows_only(rows, ncols):
-        rows = list(rows)
-        assert all(type(x) is int for r in rows for x in r), rows
-        ranked.append(len(rows))
-        return rank_of_rows(rows, ncols)
+    def integer_rows_only(name):
+        eliminate = getattr(ratlin, name)
 
-    for module in (ratlin, cone, posbasis, helly, cli):
-        monkeypatch.setattr(module, "rank_of_rows", integer_rows_only)
+        def checked(rows, ncols):
+            rows = list(rows)
+            assert all(type(x) is int for r in rows for x in r), (name, rows)
+            calls[name] += 1
+            return eliminate(rows, ncols)
+
+        return checked
+
+    for name in ("rank_of_rows", "span_basis", "kernel_basis"):
+        checked = integer_rows_only(name)
+        for module in (conehelly, ratlin, cone, posbasis, helly, cli):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, checked)
     # Memos that earlier tests filled would skip the ranks behind them.
     helly._minimal_lineality_witness.cache_clear()
     helly._reay_input_parts.cache_clear()
-    assert not _replay(["flat-helly", "posbasis", "reay", "extract-cone"],
-                       capsys, monkeypatch, tmp_path)
+    assert not _replay(["lineality", "polar-lineality", "flat-helly", "posbasis",
+                        "reay", "extract-cone"], capsys, monkeypatch, tmp_path)
     for i in range(20):
         run_trial_checks(trial_instance(CONE_FUZZ, i)[1], CONE_FUZZ.checks)
-    assert len(ranked) > 1000
+    assert calls["rank_of_rows"] > 1000
+    assert calls["span_basis"] > 100 and calls["kernel_basis"] > 100

@@ -43,7 +43,7 @@ class TestIsPositiveBasis:
     def test_simplex_like_is_positive_basis_of_everything(self):
         for d in (2, 3, 4):
             a = gen_simplex_like(d)
-            full = span_basis(a)
+            full = span_basis(a.int_rows, d)
             assert full.dim == d
             assert is_positive_basis(a, full)
 
@@ -55,7 +55,7 @@ class TestIsPositiveBasis:
 
     def test_spanning_but_not_minimal(self):
         a = vs([[1, 0], [0, 1], [-1, 0], [0, -1], [-1, -1]], 2)
-        full = span_basis(a)
+        full = span_basis(a.int_rows, 2)
         assert not is_positive_basis(a, full)
         assert not oracle_is_positive_basis(a, full)
         assert is_positive_basis(a.subset([0, 1, 4]), full)
@@ -162,7 +162,8 @@ class TestReayPartition:
         prefix = []
         for j, part in enumerate(p.parts, start=1):
             prefix.extend(part.vectors)
-            assert span_basis(VectorSet(a.ambient_dim, tuple(prefix))).dim >= j
+            assert span_basis(VectorSet(a.ambient_dim, tuple(prefix)).int_rows,
+                              a.ambient_dim).dim >= j
 
 
 class TestVerifyReay:
