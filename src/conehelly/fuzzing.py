@@ -91,6 +91,8 @@ class FuzzSummary:
     failures: list = field(default_factory=list)
     reay_bases: int = 0
     reay_max_seconds: float = 0.0
+    # Wall seconds spent in each check, summed over the trials.
+    check_seconds: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -253,11 +255,13 @@ def run_trial_checks(vs: VectorSet, checks=ALL_CHECKS) -> dict:
 
 def run_fuzz(config: FuzzConfig) -> FuzzSummary:
     summary = FuzzSummary(config=config,
-                          checks_passed={name: 0 for name in config.checks})
+                          checks_passed={name: 0 for name in config.checks},
+                          check_seconds={name: 0.0 for name in config.checks})
     for trial in range(config.trials):
         trial_seed, vs = trial_instance(config, trial)
         summary.trials_run += 1
         for name in config.checks:
+            t0 = time.perf_counter()
             try:
                 res = _CHECK_FUNCS[name](vs)
             except Exception as exc:  # record and continue; replay comes later
@@ -268,6 +272,8 @@ def run_fuzz(config: FuzzConfig) -> FuzzSummary:
                                         for c in v) for v in vs),
                 ))
                 continue
+            finally:
+                summary.check_seconds[name] += time.perf_counter() - t0
             summary.checks_passed[name] += 1
             if name == "posbasis" and isinstance(res, float):
                 summary.reay_bases += 1

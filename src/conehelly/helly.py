@@ -32,6 +32,14 @@ exact rank, so the pool changes what the search costs, never what it
 finds.  Wherever a witness is checked, its property is decided afresh
 on its own subset by WITNESS_PROPERTIES, the one definition of what
 each witness property claims.
+
+The answers at different thresholds are nested, and the search keeps
+one memo per instance to use that.  Let W be the witness at t' and
+t > t'.  Every subset before W in (size, index-lexicographic) order has
+lineality dimension at most t' < t, so the witness at t is W itself
+when rank W > t, and otherwise comes after W.  A check that asks
+k = 1, 2, ... in turn thus scans each subset at most once, and reuses
+only answers the theorem already fixes: no cut crosses scans.
 """
 
 from __future__ import annotations
@@ -169,6 +177,13 @@ def _cut(y, points) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=2048)
+def _witness_answers(a: VectorSet) -> dict[int, tuple[int, ...] | None]:
+    """The answers of _minimal_lineality_witness on a, keyed by threshold:
+    the memo of the search, one per instance, so that a threshold can
+    resume after the witness of the threshold below."""
+    return {}
+
+
 def _minimal_lineality_witness(a: VectorSet,
                                threshold: int) -> tuple[int, ...] | None:
     """Lexicographically-first smallest subset B with
@@ -185,9 +200,17 @@ def _minimal_lineality_witness(a: VectorSet,
     so a candidate qualifies iff it is linear and its rank exceeds the
     threshold; linearity is asked first, as nearly every candidate has
     the rank.  Sizes are scanned in ascending order, subsets of the
-    reversible generators in index-lexicographic order.  Memoized: the
-    pos check at threshold k and the cone and corollary checks at
-    k' = d - k all ask for (a, k).
+    reversible generators in index-lexicographic order.
+
+    Memoized per instance in _witness_answers: the pos check at
+    threshold k and the cone and corollary checks at k' = d - k all ask
+    for (a, k), and the answers at different thresholds are nested.  Let
+    W be the answer at t' < threshold.  Every candidate before W in
+    (size, index-lexicographic) order has lineality dimension at most
+    t' < threshold, so none of them is the answer here; W itself is
+    linear, so it is the answer iff its rank exceeds the threshold.
+    Otherwise the scan resumes right after W, from the largest answered
+    threshold below, and a cold search scans from size threshold + 2.
 
     Linearity goes through a pool of cuts, each an integer functional y
     held as two bitmasks over the reversible generators: pos where
@@ -202,14 +225,30 @@ def _minimal_lineality_witness(a: VectorSet,
     front, and a cut that fires moves to the front.  Every rejection
     rests on exact integer dot products and every acceptance on the
     checked certificate and the exact rank, so the witness is the one a
-    plain scan finds.  The pool lives for one
-    search and is built only once the search has to scan.
+    plain scan finds.  The pool lives for one scan and is built only
+    once the search has to scan.
     """
+    answers = _witness_answers(a)
+    if threshold not in answers:
+        answers[threshold] = _scan_for_witness(a, threshold, answers)
+    return answers[threshold]
+
+
+def _scan_for_witness(a: VectorSet, threshold: int,
+                      answers: dict) -> tuple[int, ...] | None:
+    """The search of _minimal_lineality_witness, resumed after the stored
+    answer of the largest threshold below, if there is one."""
     rows, d = a.int_rows, a.ambient_dim
     members = reversible_indices(a)
     points = [rows[i] for i in members]
     if rank_of_rows(points, d) <= threshold:
         return None  # dim lpos(a) itself is within the threshold
+    # A None below would put dim lpos(a) within the threshold, so any
+    # answer below is a witness.
+    below = [t for t in answers if t < threshold]
+    after = answers[max(below)] if below else ()
+    if after and rank_of_rows([rows[i] for i in after], d) > threshold:
+        return after
     if len(members) > ENUMERATION_CUTOFF:
         raise CapacityError(
             f"{len(members)} reversible generators exceed the enumeration "
@@ -218,9 +257,12 @@ def _minimal_lineality_witness(a: VectorSet,
     cuts = [_cut(y, points) for y in axes + points]
     bits = [1 << b for b in range(len(members))]
     top = min(_h(threshold, d), len(members))
-    for size in range(threshold + 2, top + 1):
-        for combo, mask in zip(itertools.combinations(members, size),
-                               map(sum, itertools.combinations(bits, size))):
+    for size in range(max(threshold + 2, len(after)), top + 1):
+        candidates = zip(itertools.combinations(members, size),
+                         map(sum, itertools.combinations(bits, size)))
+        if size == len(after):
+            candidates = itertools.dropwhile(lambda c: c[0] <= after, candidates)
+        for combo, mask in candidates:
             for i, (pos, neg) in enumerate(cuts):
                 if (not mask & pos) != (not mask & neg):
                     if i:

@@ -275,7 +275,8 @@ def rank_of_rows(rows: Sequence[Sequence[int]], ncols: int) -> int:
         for i in range(r + 1, nrows):
             row = m[i]
             f = row[c]
-            m[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+            if f or p != prev:  # else the update would leave the row as is
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
         prev = p
         r += 1
     return r

@@ -18,7 +18,7 @@ from itertools import combinations
 from conehelly import cone
 from conehelly.cone import reversible_indices
 from conehelly.lp import INFEASIBLE, OPTIMAL
-from conehelly.ratlin import VectorSet, int_row, rank_of_rows
+from conehelly.ratlin import VectorSet
 
 
 def _is_linear(rows):
@@ -29,9 +29,10 @@ def _is_linear(rows):
 
 
 def _rank(vectors, d):
-    """Rank of rational vectors: rank_of_rows takes integer rows.  The
-    uncached elimination, so the oracles share no memo with the library."""
-    return rank_of_rows.__wrapped__([int_row(v)[1] for v in vectors], d)
+    """Rank of rational or integer vectors: the pivot count of the
+    reference Fraction Gauss-Jordan, so the oracles share neither a memo
+    nor an elimination with the library."""
+    return len(ref_rref_rows(vectors, d)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +274,10 @@ def oracle_minimal_witness(vs: VectorSet, k: int, cap: int):
 
 def plain_minimal_witness(vs: VectorSet, threshold: int):
     """The minimal-witness search without its cut pool or the memos: the
-    linearity certificate and then the exact rank of every subset of the reversible generators, sizes
-    ascending up to h(threshold, d), each size in index-lexicographic
-    order.  Returns (the first witness or None, candidates scanned)."""
+    linearity certificate and then the reference rank of every subset of
+    the reversible generators, sizes ascending up to h(threshold, d), each
+    size in index-lexicographic order.  Returns (the first witness or
+    None, candidates scanned)."""
     rows, d = vs.int_rows, vs.ambient_dim
     members = reversible_indices(vs)
     top = min(max(d + 1, 2 * (threshold + 1)), len(members))
@@ -284,7 +286,7 @@ def plain_minimal_witness(vs: VectorSet, threshold: int):
         for combo in combinations(members, size):
             scanned += 1
             sub = [rows[i] for i in combo]
-            if _is_linear(sub) and rank_of_rows.__wrapped__(sub, d) > threshold:
+            if _is_linear(sub) and _rank(sub, d) > threshold:
                 return combo, scanned
     return None, scanned
 

@@ -199,6 +199,18 @@ class TestExitCodes:
             assert code == EXIT_OK, (argv, err)
             assert json.loads(out)["result"][key] == want
 
+    def test_no_normals_in_a_large_dimension(self, capsys, monkeypatch):
+        # Both build the 400 x 400 identity as a kernel basis and rank it.
+        stdin = json.dumps({"d": 400, "role": "normals", "vectors": []})
+        for argv, expected in (
+                (["polar-lineality"], lambda r: r["lineality_of_polar"]["dim"] == 400),
+                (["extract-cone", "--k", "1"], lambda r: len(r["generators"]) == 1)):
+            start = time.perf_counter()
+            code, out, err = invoke(capsys, monkeypatch, argv, stdin=stdin)
+            assert time.perf_counter() - start < 1, argv
+            assert code == EXIT_OK, (argv, err)
+            assert expected(json.loads(out)["result"]), argv
+
     def test_boolean_d_rejected(self, capsys, monkeypatch):
         code, out, _ = invoke(capsys, monkeypatch, ["lineality"], stdin=json.dumps(
             {"d": True, "role": "generators", "vectors": [[1]]}))
@@ -467,6 +479,8 @@ class TestFuzzCommand:
         code2, out2, _ = invoke(capsys, monkeypatch, argv)
         assert code1 == code2 == EXIT_OK
         assert out1 == out2
+        # FuzzSummary's wall-clock fields stay out of the report.
+        assert "seconds" not in out1
 
     def test_env_seed_override(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("CONEHELLY_SEED", "99")

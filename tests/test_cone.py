@@ -207,7 +207,7 @@ class TestLinealityDim:
             raise AssertionError("span_basis on a dimension-only path")
 
         monkeypatch.setattr(cone, "span_basis", refuse)
-        helly._minimal_lineality_witness.cache_clear()
+        helly._witness_answers.cache_clear()
         a = gen_simplex_like(3)
         assert max_cone_dim(HalfspaceSystem(a)) == 0
         assert not helly.verify_cone_helly(HalfspaceSystem(a), 1).hypothesis

@@ -53,6 +53,13 @@ class TestDeterminism:
         assert a.checks_passed == b.checks_passed
         assert a.failures == b.failures
 
+    def test_check_seconds_per_check(self):
+        cfg = FuzzConfig(d_max=3, n_max=5, bound=2, trials=4, seed=3,
+                         checks=("lineality", "posbasis"))
+        seconds = run_fuzz(cfg).check_seconds
+        assert list(seconds) == list(cfg.checks)
+        assert all(s > 0 for s in seconds.values())
+
 
 class TestPosHelly:
     def test_one_witness_search_per_k(self, monkeypatch):

@@ -103,7 +103,7 @@ def test_elimination_takes_integer_rows(capsys, monkeypatch, tmp_path):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, checked)
     # Memos that earlier tests filled would skip the ranks behind them.
-    helly._minimal_lineality_witness.cache_clear()
+    helly._witness_answers.cache_clear()
     helly._reay_input_parts.cache_clear()
     assert not _replay(["lineality", "polar-lineality", "flat-helly", "posbasis",
                         "reay", "extract-cone"], capsys, monkeypatch, tmp_path)

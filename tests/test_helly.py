@@ -29,7 +29,7 @@ from conehelly.helly import (
 )
 from conehelly.ratlin import VectorSet, rank_of_rows, vec
 
-from conftest import POS_FUZZ, int_vector_sets
+from conftest import CACHES, POS_FUZZ, int_vector_sets
 from oracles import (
     oracle_check_hypothesis,
     oracle_first_independent,
@@ -125,7 +125,7 @@ class TestLinealityHypothesis:
         real = helly._lp_separator
         monkeypatch.setattr(helly, "_lp_separator",
                             lambda rows: calls.append(1) or real(rows))
-        helly._minimal_lineality_witness.cache_clear()
+        helly._witness_answers.cache_clear()
         with pytest.raises(CapacityError):
             witness_lineality_enum(vs(AXIS_PAIRS_25, 2), 1)
         assert calls == []
@@ -217,7 +217,7 @@ def _pool_and_plain(a, threshold):
         want, scanned = plain_minimal_witness(a, threshold)
     # Neither the deflation nor the plain scan may leave the pooled search
     # a stored answer: each of its LPs is then counted.
-    for memo in (helly._minimal_lineality_witness, cone._lp_separator, rank_of_rows):
+    for memo in (helly._witness_answers, cone._lp_separator, rank_of_rows):
         memo.cache_clear()
     with _counting_lps() as pool_lps:
         got = helly._minimal_lineality_witness(a, threshold)
@@ -257,7 +257,7 @@ class TestCutPool:
         # a candidate they leave goes straight to the LP.
         a = gen_random(6, 16, 3, 1)
         reversible_indices(a)  # the deflation does use the pretest
-        helly._minimal_lineality_witness.cache_clear()
+        helly._witness_answers.cache_clear()
         monkeypatch.setattr(cone, "_sign_separator", lambda rows: pytest.fail(
             "sign pretest inside the witness search"))
         assert helly._minimal_lineality_witness(a, 2) is not None
@@ -269,6 +269,57 @@ class TestCutPool:
             got, pool_lps, want, _, plain_lps = _pool_and_plain(a, threshold)
             assert got == want
             assert pool_lps <= plain_lps
+
+
+class TestSharedAnswers:
+    """One memo per instance: a threshold resumes after the witness of
+    the largest answered threshold below, and finds what a cold search
+    finds."""
+
+    def test_memo_is_among_the_cleared_caches(self):
+        assert helly._witness_answers in CACHES
+
+    @settings(max_examples=60, deadline=None)
+    @given(_closed_sets(), st.data())
+    def test_any_order_of_thresholds(self, a, data):
+        thresholds = range(a.ambient_dim + 1)
+        cold = {}
+        for t in thresholds:
+            helly._witness_answers.cache_clear()
+            cold[t] = helly._minimal_lineality_witness(a, t)
+            assert cold[t] == plain_minimal_witness(a, t)[0], t
+        shuffled = data.draw(st.permutations(thresholds))
+        for order in (thresholds, reversed(thresholds), shuffled):
+            helly._witness_answers.cache_clear()
+            assert {t: helly._minimal_lineality_witness(a, t) for t in order} == cold
+
+    def test_resumes_within_the_size_of_the_witness_below(self):
+        # The witness at 1 is the axis pairs of a plane, of rank 2; at 2 it
+        # is the next linear 4-set in order, a simplex basis of rank 3.
+        a = vs([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1],
+                [-1, -1, -1]], 3)
+        assert [helly._minimal_lineality_witness(a, t) for t in range(4)] == \
+            [(0, 1), (0, 1, 2, 3), (0, 2, 4, 5), None]
+
+    @pytest.mark.parametrize("trial", [13, 16, 25, 48])
+    def test_witness_below_answers_without_an_lp(self, trial):
+        # The threshold-1 witness has rank 5, so it is the witness at 2-4.
+        _, a = trial_instance(POS_FUZZ, trial)
+        w = helly._minimal_lineality_witness(a, 1)
+        cone._lp_separator.cache_clear()
+        with _counting_lps() as lps:
+            assert [helly._minimal_lineality_witness(a, t) for t in (2, 3, 4)] == [w] * 3
+        assert lps == []
+
+    def test_gate_fires_at_every_threshold_before_any_lp(self):
+        a = vs(AXIS_PAIRS_25, 2)
+        reversible_indices(a)  # its deflation LPs come before the search
+        with _counting_lps() as lps:
+            for t in (0, 1):
+                with pytest.raises(CapacityError, match="cutoff"):
+                    helly._minimal_lineality_witness(a, t)
+            assert helly._minimal_lineality_witness(a, 2) is None
+        assert lps == []
 
 
 class TestConeHelly:
@@ -314,9 +365,9 @@ class TestConeHelly:
         d = a.ambient_dim
         for k in range(1, d + 1):
             # Each side runs its own search, not the other's memoized one.
-            helly._minimal_lineality_witness.cache_clear()
+            helly._witness_answers.cache_clear()
             cone = verify_cone_helly(h, k).witness
-            helly._minimal_lineality_witness.cache_clear()
+            helly._witness_answers.cache_clear()
             cor = corollary_check(h, k).witness
             expect = oracle_minimal_witness(a, d - k, bound_m(k, d))
             got = [None if w is None else w.subset_indices for w in (cone, cor)]

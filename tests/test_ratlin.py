@@ -128,6 +128,14 @@ class TestAgainstReference:
         assert rank_of_rows([], 3) == 0
         assert kernel_basis([], 2).basis == (vec([1, 0]), vec([0, 1]))
 
+    def test_kernel_of_no_rows_in_a_large_dimension(self):
+        # SubspaceBasis ranks the d x d identity this returns; a row that is
+        # 0 in the pivot column is left alone while the pivot stays 1, so
+        # that rank takes O(d^2) steps, not O(d^3).
+        start = time.perf_counter()
+        assert kernel_basis([], 400).dim == 400
+        assert time.perf_counter() - start < 1
+
     def test_zero_rows_stay_below(self):
         # Zero and dependent rows give no basis vector, wherever they sit.
         red, piv = rref(ints([[F(0), F(0)], [F(1, 2), F(1, 3)], [F(3), F(2)]]), 2)
