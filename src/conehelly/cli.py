@@ -53,19 +53,18 @@ from .gens import (
     verify_tightness_example2,
 )
 from .helly import (
-    WITNESS_PROPERTIES,
     HellyBounds,
     bound_h,
     bound_m,
     check_flat_helly,
     corollary_check,
     verify_cone_helly,
+    witness_holds,
     witness_lineality_enum,
     witness_lineality_reay,
 )
 from .posbasis import (
     PositiveBasis,
-    ReayPartition,
     extract_positive_basis_indices,
     is_positive_basis,
     reay_parts,
@@ -74,8 +73,9 @@ from .posbasis import (
 from .ratlin import (
     SubspaceBasis,
     VectorSet,
-    rank_of_rows,
     dot,
+    is_index_set,
+    rank_of_rows,
     vec,
 )
 
@@ -391,12 +391,6 @@ def _flat_helly(h: HalfspaceSystem, p: dict, certs) -> dict:
 # and size bound.
 
 
-def _indices_ok(ids, n: int) -> bool:
-    """A strictly increasing list of indices into n vectors."""
-    return (isinstance(ids, list) and all(type(i) is int for i in ids)
-            and ids == sorted(set(ids)) and all(0 <= i < n for i in ids))
-
-
 def _check_membership(vs: VectorSet, inputs: dict, res: dict) -> bool:
     point = vec(inputs["point"])
     if not res["member"]:
@@ -404,7 +398,7 @@ def _check_membership(vs: VectorSet, inputs: dict, res: dict) -> bool:
         return (len(y) == vs.ambient_dim and all(dot(y, a) <= 0 for a in vs)
                 and dot(y, point) > 0)
     pairs = res["combination"]
-    if not _indices_ok([pair[0] for pair in pairs], len(vs)):
+    if not is_index_set([pair[0] for pair in pairs], len(vs)):
         return False
     total = [Fraction(0)] * vs.ambient_dim
     for i, c in pairs:
@@ -417,17 +411,12 @@ def _check_membership(vs: VectorSet, inputs: dict, res: dict) -> bool:
 
 def _check_posbasis(vs: VectorSet, inputs: dict, res: dict) -> bool:
     kept = res["element_indices"]
-    return (_indices_ok(kept, len(vs))
+    return (is_index_set(kept, len(vs))
             and is_positive_basis(vs.subset(kept), lineality_space(vs)))
 
 
 def _check_reay(vs: VectorSet, inputs: dict, res: dict) -> bool:
-    parts = res["parts"]
-    if (not all(_indices_ok(part, len(vs)) for part in parts)
-            or sorted(i for part in parts for i in part) != list(range(len(vs)))):
-        return False
-    return verify_reay(ReayPartition(vs.ambient_dim,
-                                     tuple(vs.subset(part) for part in parts)))
+    return verify_reay(vs, res["parts"])
 
 
 def _check_generators(h: HalfspaceSystem, inputs: dict, res: dict) -> bool:
@@ -436,12 +425,6 @@ def _check_generators(h: HalfspaceSystem, inputs: dict, res: dict) -> bool:
     gens = VectorSet(h.ambient_dim, tuple(tuple(frac_from_json(c) for c in r)
                                           for r in res["generators"]))
     return verify_cone_generators(h, gens, inputs["k"])
-
-
-def _witness_ok(x, k: int, w: dict) -> bool:
-    ids = w["subset_indices"]
-    return (_indices_ok(ids, len(x)) and len(ids) <= w["size_bound"]
-            and WITNESS_PROPERTIES[w["property"]](x, ids, k))
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +506,8 @@ def _verify_report(name: str, rep: dict) -> dict:
     if ok:
         res = rep["result"]
         check = COMMANDS[name].check
-        ok = all(_witness_ok(x, inputs.get("k"), w)
+        ok = all(witness_holds(x, inputs.get("k"), w["subset_indices"],
+                               w["property"], w["size_bound"])
                  for key, w in res.items() if key.startswith("witness"))
         ok = ok and (check is None or check(x, inputs, res))
     return {
@@ -547,12 +531,11 @@ def cmd_gen(args) -> dict:
         if args.d is None or args.k is None:
             raise InputError("gen example2 requires --k and --d")
         return instance_to_json(gen_example2(args.d, args.k).normals, "normals")
-    if name == "random":
-        if args.d is None or args.n is None:
-            raise InputError("gen random requires --d and --n")
-        vs = gen_random(args.d, args.n, args.bound, args.seed)
-        return instance_to_json(vs, "generators")
-    raise InputError(f"unknown example {name!r}")
+    # "random", the one choice left
+    if args.d is None or args.n is None:
+        raise InputError("gen random requires --d and --n")
+    vs = gen_random(args.d, args.n, args.bound, args.seed)
+    return instance_to_json(vs, "generators")
 
 
 def cmd_verify_tightness(args) -> dict:
@@ -561,13 +544,11 @@ def cmd_verify_tightness(args) -> dict:
             raise InputError("--d is required")
         holds = verify_tightness_example1(args.d)
         inputs = {"example": "1", "d": args.d}
-    elif args.example == "2":
+    else:  # "2", the one choice left
         if args.d is None or args.k is None:
             raise InputError("--d and --k are required")
         holds = verify_tightness_example2(args.d, args.k)
         inputs = {"example": "2", "d": args.d, "k": args.k}
-    else:
-        raise InputError(f"unknown example {args.example!r}")
     return make_report("verify-tightness", inputs, {"holds": holds})
 
 
@@ -594,8 +575,7 @@ def cmd_fuzz(args) -> tuple[dict, int]:
             "trial_seed": f.trial_seed,
             "check": f.check,
             "message": f.message,
-            "instance": {"d": f.d, "role": "generators",
-                         "vectors": [list(v) for v in f.vectors]},
+            "instance": instance_to_json(f.instance, "generators"),
         })
         path = os.path.join(args.dump_dir,
                             f"fuzz_failure_trial{f.trial}_{f.check}.json")

@@ -40,7 +40,7 @@ from .helly import (
     witness_lineality_enum,
     witness_lineality_reay,
 )
-from .posbasis import extract_positive_basis, reay_partition, verify_reay
+from .posbasis import extract_positive_basis, reay_parts, verify_reay
 from .ratlin import VectorSet, int_row, vneg
 
 __all__ = [
@@ -79,8 +79,7 @@ class FuzzFailure:
     trial_seed: int
     check: str
     message: str
-    d: int
-    vectors: tuple
+    instance: VectorSet
 
 
 @dataclass
@@ -171,12 +170,9 @@ def check_posbasis(vs: VectorSet) -> float:
     else:
         _require(m + 1 <= len(pb) <= 2 * m, "positive basis size out of range")
     t0 = time.perf_counter()
-    partition = reay_partition(pb)
+    parts = reay_parts(pb)
     dt = time.perf_counter() - t0
-    _require(verify_reay(partition), "Reay partition failed verification")
-    union = sorted(partition.union().vectors)
-    _require(union == sorted(pb.elements.vectors),
-             "partition does not cover the basis")
+    _require(verify_reay(pb.elements, parts), "Reay partition failed verification")
     return dt
 
 
@@ -267,10 +263,7 @@ def run_fuzz(config: FuzzConfig) -> FuzzSummary:
             except Exception as exc:  # record and continue; replay comes later
                 summary.failures.append(FuzzFailure(
                     trial=trial, trial_seed=trial_seed, check=name,
-                    message=f"{type(exc).__name__}: {exc}", d=vs.ambient_dim,
-                    vectors=tuple(tuple(int(c) if c.denominator == 1 else str(c)
-                                        for c in v) for v in vs),
-                ))
+                    message=f"{type(exc).__name__}: {exc}", instance=vs))
                 continue
             finally:
                 summary.check_seconds[name] += time.perf_counter() - t0

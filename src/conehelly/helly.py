@@ -29,9 +29,10 @@ integer functional held as two bitmasks, rules nearly all of those out
 with two ANDs each; only the rest reach the checked LP certificate of
 cone._lp_separator.  Acceptance still rests on that certificate and the
 exact rank, so the pool changes what the search costs, never what it
-finds.  Wherever a witness is checked, its property is decided afresh
-on its own subset by WITNESS_PROPERTIES, the one definition of what
-each witness property claims.
+finds.  Wherever a witness is checked, witness_holds checks all of it:
+that its subset is an index set into the instance, within the size
+bound, and has the claimed property, decided afresh on that subset by
+WITNESS_PROPERTIES, the one definition of what each property claims.
 
 The answers at different thresholds are nested, and the search keeps
 one memo per instance to use that.  Let W be the witness at t' and
@@ -64,13 +65,14 @@ from .posbasis import (
     reay_parts,
     PositiveBasis,
 )
-from .ratlin import VectorSet, rank_of_rows
+from .ratlin import VectorSet, is_index_set, rank_of_rows
 
 __all__ = [
     "ENUMERATION_CUTOFF",
     "HellyBounds",
     "WITNESS_PROPERTIES",
     "Witness",
+    "witness_holds",
     "bound_m",
     "bound_h",
     "check_lineality_hypothesis",
@@ -132,8 +134,8 @@ def _no_k_dim_cone(h: HalfspaceSystem, ids, k: int) -> bool:
 
 
 # What each witness property claims of the subset ids of an instance x at
-# parameter k, decided afresh on that subset: the one definition that
-# --verify and the fuzz checks apply.
+# parameter k, decided afresh on that subset: the one definition of each
+# property, applied through witness_holds.
 WITNESS_PROPERTIES = {
     "lineality_dim_exceeds":
         lambda vs, ids, k: lineality_dim(vs.subset(ids)) > k,
@@ -143,6 +145,14 @@ WITNESS_PROPERTIES = {
         lambda h, ids, k: rank_of_rows([h.normals.int_rows[i] for i in ids],
                                        h.ambient_dim) == k + 1,
 }
+
+
+def witness_holds(x, k: int, ids, prop: str, size_bound: int) -> bool:
+    """Whether the subset ids of the instance x witnesses prop at k: ids
+    is an index set into x, within size_bound, and the subset has the
+    property.  The one witness check, of Witness.holds and of --verify."""
+    return (is_index_set(ids, len(x)) and len(ids) <= size_bound
+            and WITNESS_PROPERTIES[prop](x, ids, k))
 
 
 @dataclass(frozen=True)
@@ -160,7 +170,8 @@ class Witness:
 
     def holds(self, x, k: int) -> bool:
         """Whether the subset has its claimed property in the instance x."""
-        return WITNESS_PROPERTIES[self.property](x, self.subset_indices, k)
+        return witness_holds(x, k, self.subset_indices, self.property,
+                             self.size_bound)
 
 
 def _cut(y, points) -> tuple[int, int]:

@@ -13,6 +13,11 @@ coefficients or a separating functional, is checked by substitution.  So
 a positive basis is certified by |X| + 1 linearity certificates, and a
 Reay prefix B_j by the same test with dim L = |B_j| - j.  Ranks and
 linearity are read off the integer rows of the vector sets.
+
+A Reay partition is certified as index sets into its basis:
+:func:`verify_reay` checks that the parts partition the basis, their
+sizes and every prefix.  :class:`ReayPartition` holds the same parts as
+vector sets, a view for reading only.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 
 from .errors import TheoremContradiction
 from .cone import is_linear, lineality_dim, lineality_space, reversible_indices
-from .ratlin import SubspaceBasis, VectorSet, rank_of_rows
+from .ratlin import SubspaceBasis, VectorSet, is_index_set, rank_of_rows
 
 __all__ = [
     "PositiveBasis",
@@ -74,9 +79,10 @@ class PositiveBasis:
 
 @dataclass(frozen=True)
 class ReayPartition:
-    """Ordered partition candidate; validity is a question for
-    :func:`verify_reay`, not for the constructor, so that invalid
-    partitions can be represented and rejected."""
+    """The parts of a Reay partition as vector sets: a view for reading
+    only.  A partition is checked as index sets into its basis, by
+    :func:`verify_reay`, since vectors alone cannot tell whether the parts
+    cover the basis."""
 
     ambient_dim: int
     parts: tuple[VectorSet, ...]
@@ -85,12 +91,6 @@ class ReayPartition:
         for p in self.parts:
             if p.ambient_dim != self.ambient_dim:
                 raise ValueError("part in wrong ambient dimension")
-
-    def union(self) -> VectorSet:
-        vectors: list = []
-        for p in self.parts:
-            vectors.extend(p.vectors)
-        return VectorSet(self.ambient_dim, tuple(vectors))
 
 
 def extract_positive_basis_indices(a: VectorSet) -> tuple[int, ...]:
@@ -170,29 +170,29 @@ def reay_parts(x: PositiveBasis) -> tuple[tuple[int, ...], ...]:
 
 
 def reay_partition(x: PositiveBasis) -> ReayPartition:
-    """The partition of :func:`reay_parts` as vector sets."""
+    """The partition of :func:`reay_parts` as vector sets, for reading;
+    :func:`verify_reay` checks the index sets."""
     return ReayPartition(x.elements.ambient_dim,
                          tuple(x.elements.subset(p) for p in reay_parts(x)))
 
 
-def verify_reay(p: ReayPartition) -> bool:
-    """Exact check of every Reay invariant: part sizes nonincreasing and
-    at least 2, parts disjoint, and every prefix union a positive basis of
-    its span with dimension |B_j| - j."""
-    sizes = [len(part) for part in p.parts]
-    if any(s < 2 for s in sizes):
+def verify_reay(elements: VectorSet, parts) -> bool:
+    """Exact check of every Reay invariant of parts, given as index sets
+    into elements: each part is an index set, together they partition the
+    indices of elements, their sizes are nonincreasing and at least 2,
+    and every prefix union B_j is a positive basis of its span, which has
+    dimension |B_j| - j.  The last prefix is elements itself, so True
+    also certifies that elements is a positive basis of its span."""
+    n = len(elements)
+    if (not all(is_index_set(part, n) for part in parts)
+            or sorted(i for part in parts for i in part) != list(range(n))):
         return False
-    if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
+    sizes = [len(part) for part in parts]
+    if any(s < 2 for s in sizes) or any(a < b for a, b in zip(sizes, sizes[1:])):
         return False
-    seen: set = set()
-    for part in p.parts:
-        for v in part:
-            if v in seen:
-                return False
-            seen.add(v)
-    prefix: list = []
-    for j, part in enumerate(p.parts, start=1):
-        prefix.extend(part.int_rows)
-        if not _minimally_spans(prefix, p.ambient_dim, len(prefix) - j):
+    rows, prefix = elements.int_rows, []
+    for j, part in enumerate(parts, start=1):
+        prefix.extend(rows[i] for i in part)
+        if not _minimally_spans(prefix, elements.ambient_dim, len(prefix) - j):
             return False
     return True

@@ -68,6 +68,13 @@ def is_zero(u: Vec) -> bool:
     return all(a == 0 for a in u)
 
 
+def is_index_set(ids, n: int) -> bool:
+    """ids is a strictly increasing list or tuple of int indices into n
+    items: the one test of every certificate that names a subset."""
+    return (isinstance(ids, (list, tuple)) and all(type(i) is int for i in ids)
+            and list(ids) == sorted(set(ids)) and all(0 <= i < n for i in ids))
+
+
 @dataclass(frozen=True)
 class VectorSet:
     """Finite ordered list of vectors in a common ambient dimension.

@@ -261,13 +261,19 @@ def oracle_check_hypothesis(vs: VectorSet, k: int, cap: int) -> bool:
     return True
 
 
-def oracle_minimal_witness(vs: VectorSet, k: int, cap: int):
+def oracle_minimal_witness(vs: VectorSet, k: int, cap: int, dims=None):
     """Lexicographically-first smallest subset with oracle lineality
-    dimension above k, scanning sizes ascending; None if none within cap."""
+    dimension above k, scanning sizes ascending; None if none within cap.
+    A caller asking several k of one vs may pass the same dict as dims,
+    which keeps the oracle lineality dimension of each subset across the
+    calls."""
     n = len(vs)
+    dims = {} if dims is None else dims
     for size in range(1, min(cap, n) + 1):
         for t in combinations(range(n), size):
-            if oracle_lineality_dim(vs.subset(t)) > k:
+            if t not in dims:
+                dims[t] = oracle_lineality_dim(vs.subset(t))
+            if dims[t] > k:
                 return t
     return None
 

@@ -18,6 +18,7 @@ from conehelly.cli import (
     instance_to_json,
     run,
 )
+from conehelly.errors import TheoremContradiction
 from conehelly.gens import gen_random
 from fractions import Fraction
 
@@ -267,6 +268,56 @@ class TestExitCodes:
         code, _, _ = invoke(capsys, monkeypatch, ["reay"], stdin=json.dumps(
             {"d": 2, "role": "generators", "vectors": [[1, 0], [0, 1]]}))
         assert code == EXIT_INPUT
+
+
+SIMPLEX2 = json.dumps({"d": 2, "role": "generators",
+                       "vectors": [[1, 0], [0, 1], [-1, -1]]})
+
+# (argv, stdin) of malformed inputs; "{tmp}" is a fresh directory, so
+# "{tmp}/missing.json" names no file.
+INPUT_ERRORS = {
+    "bad coordinate": (["lineality"], json.dumps(
+        {"d": 1, "role": "generators", "vectors": [["1/x"]]})),
+    "instance not an object": (["lineality"], "[]"),
+    "unknown role": (["lineality"], json.dumps(
+        {"d": 1, "role": "points", "vectors": []})),
+    "unreadable report": (["lineality", "--verify", "{tmp}/missing.json"], None),
+    "k missing": (["helly-pos"], SIMPLEX2),
+    "k above d": (["helly-pos", "--k", "3"], SIMPLEX2),
+    "k below its least value": (["helly-cone", "--k", "0"], SIMPLEX2),
+    "point missing": (["membership"], SIMPLEX2),
+    "point of the wrong length": (["membership", "--point", "1,2,3"], SIMPLEX2),
+    "zero generator as a normal": (["maxcone"], json.dumps(
+        {"d": 2, "role": "generators", "vectors": [[1, 0], [0, 0]]})),
+    "gen simplex without --d": (["gen", "--example", "simplex"], None),
+    "gen axis-pairs without --k": (["gen", "--example", "axis-pairs", "--d", "2"], None),
+    "gen example2 without --d": (["gen", "--example", "example2", "--k", "1"], None),
+    "gen random without --n": (["gen", "--example", "random", "--d", "2"], None),
+    "gen unknown example": (["gen", "--example", "bogus", "--d", "2"], None),
+    "tightness 1 without --d": (["verify-tightness", "--example", "1"], None),
+    "tightness 2 without --k": (["verify-tightness", "--example", "2", "--d", "3"],
+                                None),
+    "fuzz unknown check": (["fuzz", "--trials", "1", "--checks", "bogus"], None),
+}
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("argv, stdin", INPUT_ERRORS.values(), ids=INPUT_ERRORS)
+    def test_exits_input_with_empty_stdout(self, capsys, monkeypatch, tmp_path,
+                                           argv, stdin):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        code, out, err = invoke(capsys, monkeypatch, argv, stdin=stdin)
+        assert code == EXIT_INPUT and out == "" and err
+
+    def test_theorem_contradiction_exits_internal(self, capsys, monkeypatch):
+        def contradiction(x, p, certs):
+            raise TheoremContradiction("synthetic contradiction")
+
+        monkeypatch.setitem(cli.COMMANDS, "lineality",
+                            cli.Command("generators", contradiction))
+        code, out, err = invoke(capsys, monkeypatch, ["lineality"], stdin=SIMPLEX2)
+        assert code == EXIT_INTERNAL and out == ""
+        assert "synthetic contradiction" in err
 
 
 class TestVerifyMode:

@@ -4,7 +4,7 @@ import os
 import pytest
 
 import conehelly.fuzzing as fuzzing
-from conehelly.cli import EXIT_INTERNAL, run
+from conehelly.cli import EXIT_INTERNAL, instance_from_json, run
 from conehelly.fuzzing import ALL_CHECKS, FuzzConfig, run_fuzz, trial_instance
 from conehelly.ratlin import VectorSet
 
@@ -119,7 +119,7 @@ class TestFailureRecording:
         f = summary.failures[0]
         assert f.check == "lineality"
         assert "synthetic failure" in f.message
-        assert f.vectors  # instance recorded for replay
+        assert f.instance == trial_instance(cfg, 0)[1]  # recorded for replay
 
     def test_cli_dumps_and_exits_internal(self, monkeypatch, tmp_path, capsys):
         def broken(vs):
@@ -137,4 +137,7 @@ class TestFailureRecording:
         assert len(dumps) == 2
         dumped = json.loads((tmp_path / dumps[0]).read_text())
         assert dumped["check"] == "posbasis"
-        assert dumped["instance"]["vectors"]
+        cfg = FuzzConfig(d_max=2, n_max=3, bound=3, trials=2, seed=1,
+                         checks=("posbasis",))
+        assert instance_from_json(dumped["instance"]) \
+            == (trial_instance(cfg, 0)[1], "generators")

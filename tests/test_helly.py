@@ -24,6 +24,7 @@ from conehelly.helly import (
     check_lineality_hypothesis,
     corollary_check,
     verify_cone_helly,
+    witness_holds,
     witness_lineality_enum,
     witness_lineality_reay,
 )
@@ -95,6 +96,16 @@ class TestWitnessType:
     def test_size_bound_enforced(self):
         with pytest.raises(ValueError):
             Witness(subset_indices=(0, 1, 2), property="x", size_bound=2)
+
+    @pytest.mark.parametrize("ids, size_bound, holds", [
+        ([0, 1], 3, True), ((0, 1), 2, True), ([0, 1], 1, False),
+        ([1, 0], 3, False), ([0, 0, 1], 3, False), ([0, 4], 3, False),
+        ([False, 1], 3, False), ([0, 2], 3, False), ("01", 3, False),
+    ])
+    def test_witness_holds_checks_the_whole_witness(self, ids, size_bound, holds):
+        # +-e1 has lineality dimension 1 > 0; {e1, e2} has none
+        a = vs([[1, 0], [-1, 0], [0, 1], [0, -1]], 2)
+        assert witness_holds(a, 0, ids, "lineality_dim_exceeds", size_bound) is holds
 
 
 class TestLinealityHypothesis:
@@ -363,13 +374,14 @@ class TestConeHelly:
     def test_cone_and_corollary_share_the_lex_first_witness(self, a):
         h = HalfspaceSystem(a)
         d = a.ambient_dim
+        dims = {}  # the oracle's lineality dimension of each subset, for every k
         for k in range(1, d + 1):
             # Each side runs its own search, not the other's memoized one.
             helly._witness_answers.cache_clear()
             cone = verify_cone_helly(h, k).witness
             helly._witness_answers.cache_clear()
             cor = corollary_check(h, k).witness
-            expect = oracle_minimal_witness(a, d - k, bound_m(k, d))
+            expect = oracle_minimal_witness(a, d - k, bound_m(k, d), dims)
             got = [None if w is None else w.subset_indices for w in (cone, cor)]
             assert got == [expect, expect]
 

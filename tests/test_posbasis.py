@@ -8,11 +8,11 @@ from conehelly.cone import is_linear, lineality_space, reversible_indices
 from conehelly.gens import gen_axis_pairs, gen_simplex_like
 from conehelly.posbasis import (
     PositiveBasis,
-    ReayPartition,
     extract_positive_basis,
     extract_positive_basis_indices,
     is_positive_basis,
     reay_partition,
+    reay_parts,
     verify_reay,
 )
 from conehelly.ratlin import SubspaceBasis, VectorSet, span_basis, vec
@@ -114,18 +114,22 @@ class TestExtract:
             assert m + 1 <= len(pb) <= 2 * m
 
 
+def reay_checked(pb):
+    """reay_parts of pb, after verify_reay has accepted them."""
+    parts = reay_parts(pb)
+    assert verify_reay(pb.elements, parts)
+    return parts
+
+
 class TestReayPartition:
     def test_single_pair(self):
         pb = PositiveBasis(target=line(2), elements=vs([[1, 0], [-1, 0]], 2))
-        p = reay_partition(pb)
-        assert len(p.parts) == 1
-        assert verify_reay(p)
+        assert reay_checked(pb) == ((0, 1),)
 
     def test_axis_pairs_split_into_pairs(self):
         pb = extract_positive_basis(gen_axis_pairs(2, 2))
+        assert [len(part) for part in reay_checked(pb)] == [2, 2]
         p = reay_partition(pb)
-        assert [len(part) for part in p.parts] == [2, 2]
-        assert verify_reay(p)
         groups = {frozenset(part.vectors) for part in p.parts}
         assert groups == {
             frozenset({vec([1, 0]), vec([-1, 0])}),
@@ -135,17 +139,12 @@ class TestReayPartition:
     def test_simplex_like_is_one_part(self):
         for d in (2, 3, 4):
             pb = extract_positive_basis(gen_simplex_like(d))
-            p = reay_partition(pb)
-            assert len(p.parts) == 1
-            assert len(p.parts[0]) == d + 1
-            assert verify_reay(p)
+            assert reay_checked(pb) == (tuple(range(d + 1)),)
 
     def test_mixed_structure(self):
         a = vs([[1, 0, 0], [0, 1, 0], [-1, -1, 0], [0, 0, 1], [0, 0, -1]], 3)
         pb = extract_positive_basis(a)
-        p = reay_partition(pb)
-        assert [len(part) for part in p.parts] == [3, 2]
-        assert verify_reay(p)
+        assert [len(part) for part in reay_checked(pb)] == [3, 2]
 
     def test_rejects_non_basis_input(self):
         with pytest.raises(ValueError):
@@ -155,9 +154,10 @@ class TestReayPartition:
     @given(int_vector_sets(max_d=3, max_n=6, bound=2))
     def test_partition_always_verifies(self, a):
         pb = extract_positive_basis(a)
+        parts = reay_checked(pb)
+        # the vector view holds the same parts
         p = reay_partition(pb)
-        assert verify_reay(p)
-        assert sorted(p.union().vectors) == sorted(pb.elements.vectors)
+        assert p.parts == tuple(pb.elements.subset(part) for part in parts)
         # prefix dimension grows at least linearly in the part count
         prefix = []
         for j, part in enumerate(p.parts, start=1):
@@ -166,28 +166,42 @@ class TestReayPartition:
                               a.ambient_dim).dim >= j
 
 
+AXIS_PAIRS = vs([[1, 0], [-1, 0], [0, 1], [0, -1]], 2)
+
+
 class TestVerifyReay:
     def test_bad_split_rejected(self):
-        p = ReayPartition(2, (vs([[1, 0], [0, 1]], 2), vs([[-1, 0], [0, -1]], 2)))
-        assert not verify_reay(p)
+        assert not verify_reay(AXIS_PAIRS, [[0, 2], [1, 3]])
 
     def test_single_part_of_non_basis_rejected(self):
-        p = ReayPartition(2, (vs([[1, 0], [0, 1]], 2),))
-        assert not verify_reay(p)
+        assert not verify_reay(vs([[1, 0], [0, 1]], 2), [[0, 1]])
 
     def test_size_ordering_enforced(self):
-        p = ReayPartition(3, (
-            vs([[0, 0, 1], [0, 0, -1]], 3),
-            vs([[1, 0, 0], [0, 1, 0], [-1, -1, 0]], 3),
-        ))
-        assert not verify_reay(p)
+        a = vs([[0, 0, 1], [0, 0, -1], [1, 0, 0], [0, 1, 0], [-1, -1, 0]], 3)
+        assert not verify_reay(a, [[0, 1], [2, 3, 4]])
+        assert verify_reay(a, [[2, 3, 4], [0, 1]])
 
     def test_undersized_part_rejected(self):
-        p = ReayPartition(2, (vs([[1, 0]], 2),))
-        assert not verify_reay(p)
+        assert not verify_reay(vs([[1, 0]], 2), [[0]])
 
     def test_empty_partition_is_valid(self):
-        assert verify_reay(ReayPartition(2, ()))
+        assert verify_reay(VectorSet(2, ()), ())
+
+    def test_parts_must_cover_the_basis(self):
+        # {e1, -e1} is a Reay partition of itself, not of +-e1, +-e2
+        assert verify_reay(AXIS_PAIRS.subset([0, 1]), [[0, 1]])
+        assert not verify_reay(AXIS_PAIRS, [[0, 1]])
+        assert not verify_reay(AXIS_PAIRS, [])
+        assert verify_reay(AXIS_PAIRS, [[0, 1], [2, 3]])
+
+    def test_overlapping_parts_rejected(self):
+        assert not verify_reay(AXIS_PAIRS, [[0, 1], [0, 1], [2, 3]])
+        assert not verify_reay(AXIS_PAIRS, [[0, 1, 2], [2, 3]])
+
+    @pytest.mark.parametrize("part", [[1, 0], [0, 0, 1], [-1, 0], [0, 4],
+                                      [False, 1], [0.0, 1], "01", 1])
+    def test_part_must_be_an_index_set(self, part):
+        assert not verify_reay(AXIS_PAIRS, [part, [2, 3]])
 
 
 class TestLinear:
