@@ -13,7 +13,6 @@ from .ratlin import (
     VectorSet,
     dot,
     kernel_basis,
-    project_onto_complement,
     span_basis,
     vec,
 )
@@ -21,14 +20,13 @@ from .cone import (
     FarkasCertificate,
     HalfspaceSystem,
     InfeasibleCone,
+    complementary_point,
     extract_cone,
-    is_pointed,
     lineality_dim,
     lineality_of_polar,
     lineality_space,
     max_cone_dim,
     membership,
-    project_out_lineality,
     relative_interior_point,
     verify_cone_generators,
 )

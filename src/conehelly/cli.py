@@ -579,8 +579,11 @@ def cmd_fuzz(args) -> tuple[dict, int]:
         })
         path = os.path.join(args.dump_dir,
                             f"fuzz_failure_trial{f.trial}_{f.check}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(failures[-1], fh, indent=2)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(failures[-1], fh, indent=2)
+        except OSError as exc:  # the report below still lists the failure
+            print(f"error: cannot write failure dump {path}: {exc}", file=sys.stderr)
     report = make_report("fuzz", {
         "d_max": args.d_max, "n_max": args.n_max, "bound": args.bound,
         "trials": args.trials, "seed": seed, "checks": list(checks),
@@ -590,7 +593,7 @@ def cmd_fuzz(args) -> tuple[dict, int]:
         "trials_run": summary.trials_run,
         "checks_passed": summary.checks_passed,
         "failures": failures,
-        "reay_bases": summary.reay_bases,
+        "reay_bases": summary.checks_passed.get("posbasis", 0),
     })
     return report, (EXIT_INTERNAL if failures else EXIT_OK)
 

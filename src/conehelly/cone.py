@@ -20,14 +20,16 @@ Membership turns its certificate back into Fractions.
 Nearly every Helly question needs only the dimension of the lineality
 space, and :func:`lineality_dim` answers it by one integer rank of the
 reversible generators.  A Fraction basis, :func:`lineality_space`, is
-built only where the subspace itself is used: the lineality report, the
-target of a positive basis and the projection of
-:func:`project_out_lineality`.  The complement that :func:`extract_cone`
-works in is the kernel of the reversible normals' integer rows.
+built only where the subspace itself is used: the lineality report and
+the target of a positive basis.  The complement that
+:func:`extract_cone` works in is the kernel of the reversible normals'
+integer rows.
 
-The deflation that finds the reversible generators keeps the separator
-of each round, in one memo, and :func:`relative_interior_point` folds
-those separators into an integer point; no LP is solved for it.
+The deflation that finds the reversible set keeps the separator of each
+round, in one memo, and :func:`complementary_point` folds those
+separators into an integer point; no LP is solved for it.  With the
+checked zero-combination on the reversible set, that point certifies the
+set from both sides, for generators and normals alike.
 
 The deflation, positive-basis extraction and re-certification, the Reay
 search and the witness searches put the same row sets to the LP many
@@ -55,7 +57,6 @@ from .ratlin import (
     int_row,
     is_zero,
     kernel_basis,
-    project_onto_complement,
     rank_of_rows,
     rows_memo,
     span_basis,
@@ -70,8 +71,7 @@ __all__ = [
     "lineality_dim",
     "reversible_indices",
     "is_linear",
-    "is_pointed",
-    "project_out_lineality",
+    "complementary_point",
     "max_cone_dim",
     "relative_interior_point",
     "extract_cone",
@@ -287,25 +287,58 @@ def lineality_dim(gens: VectorSet) -> int:
                         gens.ambient_dim)
 
 
-def is_pointed(gens: VectorSet) -> bool:
-    return lineality_dim(gens) == 0
-
-
-def project_out_lineality(gens: VectorSet) -> VectorSet:
-    """Project the generators onto the orthogonal complement of their own
-    lineality space and drop zero images; the result is pointed."""
-    ls = lineality_space(gens)
-    if ls.dim == 0:
-        return gens
-    images = project_onto_complement(ls, gens.vectors)
-    return VectorSet(gens.ambient_dim, tuple(v for v in images if not is_zero(v)))
-
-
 def max_cone_dim(h: HalfspaceSystem) -> int:
     """Largest k such that the intersection of the halfspaces contains a
     k-dimensional cone: the codimension of the lineality space of the
     positive hull of the outer normals."""
     return h.ambient_dim - lineality_dim(h.normals)
+
+
+def complementary_point(vs: VectorSet) -> tuple[int, ...]:
+    """The certificate of the reversible set R = :func:`reversible_indices`
+    of a generator or normal set: an integer point x0 with r.x0 = 0 on R
+    and r.x0 < 0 off R, after checking that pos R is linear.
+
+    The two sides are a strictly complementary pair (Goldman and Tucker,
+    in Linear Inequalities and Related Systems, 1956).  :func:`is_linear`
+    on R's integer rows holds only on a checked positive zero-combination
+    of R, so every vector of R is reversible and span R lies in the
+    lineality space.  x0 is <= 0 on pos(vs) and < 0 on each vector off R,
+    so none of those is reversible, and the lineality space is span R.  A
+    zero generator lies in R and meets x0 at 0, and the zero point answers
+    a set whose vectors are all reversible.  A failed check can only come
+    from a fault in the deflation and raises TheoremContradiction.
+
+    Folded from the separators y_1, y_2, ... of the deflation, in order:
+    x <- M x + y_r, with M the least integer >= 1 such that
+    M r.x + r.y_r < 0 wherever r.x < 0.  Before round r, r.x = 0 on the
+    live vectors and r.x < 0 on the dropped ones; y_r keeps the first
+    property for the vectors it leaves live and makes r.x < 0 on those it
+    drops, and M keeps the second; x0 is the last x.  The arithmetic is on
+    the integer rows, and after the deflation the linearity check is a
+    memo hit.
+    """
+    rows = vs.int_rows
+    live, ys = _deflation(vs)
+    if not is_linear([rows[i] for i in live]):
+        raise TheoremContradiction("reversible set has no positive zero-combination")
+    x = [0] * vs.ambient_dim
+    for y in ys:
+        m = 1
+        for r in rows:
+            rx = sum(map(mul, r, x))
+            if rx < 0:
+                m = max(m, sum(map(mul, r, y)) // -rx + 1)
+        x = [m * xi + yi for xi, yi in zip(x, y)]
+    reversible = set(live)
+    for i, r in enumerate(rows):
+        s = sum(map(mul, r, x))
+        if i in reversible:
+            if s != 0:
+                raise TheoremContradiction("a reversible vector is not orthogonal to x0")
+        elif s >= 0:
+            raise TheoremContradiction("a vector off the reversible set is not strict at x0")
+    return tuple(x)
 
 
 def relative_interior_point(h: HalfspaceSystem) -> Vec:
@@ -317,38 +350,10 @@ def relative_interior_point(h: HalfspaceSystem) -> Vec:
     The implicit normals, those with a.x = 0 on every feasible point, are
     the normals lying in the lineality space of pos(normals), and those
     are exactly the reversible normals: a and -a both lie in that
-    subspace, and a reversible a has a and -a in pos(normals).
-
-    Folded from the separators y_1, y_2, ... of the deflation, in order:
-    x <- M x + y_r, with M the least integer >= 1 such that
-    M a.x + a.y_r < 0 wherever a.x < 0.  Before round r, a.x = 0 on the
-    live normals and a.x < 0 on the dropped ones; y_r keeps the first
-    property for the normals it leaves live and makes a.x < 0 on those it
-    drops, and M keeps the second.  So x0 is strictly feasible off the
-    reversible normals and orthogonal to them, hence to the lineality
-    space they span (Goldman and Tucker, strict complementarity, in
-    Linear Inequalities and Related Systems, 1956).  The arithmetic is on
-    the normals' integer rows, and x0 is checked by substitution.
+    subspace, and a reversible a has a and -a in pos(normals).  So x0 is
+    the checked :func:`complementary_point` of the normals, as Fractions.
     """
-    rows = h.normals.int_rows
-    live, ys = _deflation(h.normals)
-    x = [0] * h.ambient_dim
-    for y in ys:
-        m = 1
-        for r in rows:
-            ax = sum(map(mul, r, x))
-            if ax < 0:
-                m = max(m, sum(map(mul, r, y)) // -ax + 1)
-        x = [m * xi + yi for xi, yi in zip(x, y)]
-    implicit = set(live)
-    for i, r in enumerate(rows):
-        s = sum(map(mul, r, x))
-        if i in implicit:
-            if s != 0:
-                raise TheoremContradiction("implicit normal not orthogonal to x0")
-        elif s >= 0:
-            raise TheoremContradiction("x0 fails strict feasibility")
-    return tuple(Fraction(xi) for xi in x)
+    return tuple(map(Fraction, complementary_point(h.normals)))
 
 
 @dataclass(frozen=True)

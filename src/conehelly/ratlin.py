@@ -24,8 +24,7 @@ here and in the simplex of :mod:`conehelly.lp`.  :func:`rank_of_rows`,
 for callers that need only the dimension of a span, builds no Fraction.
 Callers that need the subspace itself go through :func:`span_basis` and
 :func:`kernel_basis`, which read a Fraction basis off one Gauss-Jordan
-pass; :func:`project_onto_complement` eliminates once, on integers, for
-a whole sequence of vectors.
+pass.
 
 The Helly searches ask the rank of the same rows many times over, so
 :func:`rank_of_rows` is memoized by :func:`rows_memo`, whose docstring
@@ -39,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
 from math import lcm
-from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -311,34 +309,3 @@ def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> SubspaceBasis:
             v[p] = Fraction(-m[i][f], prev)
         basis.append(tuple(v))
     return SubspaceBasis(ncols, tuple(basis))
-
-
-def project_onto_complement(s: SubspaceBasis, vs: Sequence[Vec]) -> list[Vec]:
-    """Orthogonal projections of the vectors ``vs`` onto the orthogonal
-    complement of ``s``: each ``v`` minus sum_j c_j b_j, where c solves the
-    Gram system (b_i . b_j) c = (b_i . v), nonsingular as the b_j are a
-    basis.
-
-    One elimination serves every vector.  With the basis rows B and each
-    vector as the integer row V = q v (scaling B keeps its span, so every
-    projection), Gauss-Jordan on [B B^T | B V^T] leaves g c in the
-    right-hand columns, c the coefficients of V in B and g the last
-    pivot, and the projection of v is (g V - sum_j g c_j B_j) / (g q).
-    """
-    if any(len(v) != s.ambient_dim for v in vs):
-        raise ValueError("dimension mismatch")
-    if not s.dim:
-        return [tuple(v) for v in vs]
-    basis = s.int_rows
-    scaled = [int_row(v) for v in vs]
-    gram = [[sum(map(mul, bi, bj)) for bj in basis]
-            + [sum(map(mul, bi, w)) for _, w in scaled] for bi in basis]
-    red, _, g = _gauss_jordan(gram, s.dim + len(vs))
-    out = []
-    for col, (q, w) in enumerate(scaled, start=s.dim):
-        acc = [g * x for x in w]
-        for row, b in zip(red, basis):
-            if row[col]:
-                acc = [a - row[col] * x for a, x in zip(acc, b)]
-        out.append(tuple(Fraction(a, g * q) for a in acc))
-    return out

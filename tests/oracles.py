@@ -168,21 +168,6 @@ def ref_solve_standard_form(a, b, c):
     return RefLPResult(OPTIMAL, x=x, objective=sum((ci * xi for ci, xi in zip(c, x)), zero))
 
 
-def ref_project_onto_complement(s, v):
-    """Orthogonal projection of one vector onto the complement of the
-    subspace basis s, by its own Fraction Gram system (b_i . b_j) c =
-    (b_i . v) solved with the reference rref: the per-vector projection
-    the library used before it eliminated once for a whole set."""
-    gram = [[sum((x * y for x, y in zip(bi, bj)), Fraction(0)) for bj in s.basis]
-            + [sum((x * y for x, y in zip(bi, v)), Fraction(0))]
-            for bi in s.basis]
-    red, _ = ref_rref_rows(gram, s.dim + 1)
-    out = list(v)
-    for row, b in zip(red, s.basis):
-        out = [x - row[-1] * y for x, y in zip(out, b)]
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Brute-force oracles
 

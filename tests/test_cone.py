@@ -11,15 +11,14 @@ from conehelly.cone import (
     FarkasCertificate,
     HalfspaceSystem,
     InfeasibleCone,
+    complementary_point,
     extract_cone,
     is_linear,
-    is_pointed,
     lineality_dim,
     lineality_of_polar,
     lineality_space,
     max_cone_dim,
     membership,
-    project_out_lineality,
     relative_interior_point,
     reversible_indices,
     verify_cone_generators,
@@ -27,14 +26,13 @@ from conehelly.cone import (
 from conehelly.errors import TheoremContradiction
 from conehelly.fuzzing import run_trial_checks, trial_instance
 from conehelly.gens import gen_axis_pairs, gen_example2, gen_simplex_like
-from conehelly.ratlin import VectorSet, dot, is_zero, vec
+from conehelly.ratlin import VectorSet, dot, vec
 
 from conftest import CACHES, CONE_FUZZ, POS_FUZZ, int_vector_sets, small_fraction
 from oracles import (
     oracle_in_pos,
     oracle_lineality_dim,
     oracle_reversible,
-    ref_project_onto_complement,
     ref_solve_standard_form,
 )
 
@@ -168,24 +166,13 @@ class TestLineality:
             assert lineality_space(sub).dim <= full
 
 
-def _ref_project_out_lineality(a):
-    """project_out_lineality with one Gram system per generator."""
-    ls = lineality_space(a)
-    if ls.dim == 0:
-        return a
-    images = [ref_project_onto_complement(ls, v) for v in a]
-    return VectorSet(a.ambient_dim, tuple(v for v in images if not is_zero(v)))
-
-
 class TestLinealityDim:
     """The integer rank of the reversible generators is the dimension of
-    the rref basis, and the one-elimination projection is the per-vector
-    Gram projection."""
+    the rref basis."""
 
     @staticmethod
     def _agrees(a):
         assert lineality_dim(a) == lineality_space(a).dim
-        assert project_out_lineality(a) == _ref_project_out_lineality(a)
 
     @settings(max_examples=120, deadline=None)
     @given(int_vector_sets(max_d=4, max_n=8, bound=3))
@@ -218,27 +205,65 @@ class TestLinealityDim:
 
 
 class TestPointedness:
+    """pos A is pointed iff its lineality dimension is 0; the
+    complementary point then certifies it, strict on every nonzero
+    generator."""
+
     def test_quadrant_is_pointed(self):
-        assert is_pointed(vs([[1, 0], [0, 1]], 2))
+        a = vs([[1, 0], [0, 1]], 2)
+        assert lineality_dim(a) == 0
+        assert all(dot(v, complementary_point(a)) < 0 for v in a)
 
     def test_line_is_not(self):
-        assert not is_pointed(vs([[1, 0], [-1, 0]], 2))
+        a = vs([[1, 0], [-1, 0]], 2)
+        assert lineality_dim(a) == 1
+        assert complementary_point(a) == (0, 0)
 
-    def test_projection_removes_lineality(self):
-        out = project_out_lineality(vs([[1, 0], [-1, 0], [0, 1]], 2))
-        assert out.vectors == (vec([0, 1]),)
 
-    def test_pointed_input_unchanged(self):
-        a = vs([[1, 0], [0, 1]], 2)
-        assert project_out_lineality(a) == a
+class TestComplementaryPoint:
+    """complementary_point certifies the reversible set R of generators
+    and normals alike: r.x0 = 0 on R and r.x0 < 0 off R."""
 
-    def test_full_lineality_projects_to_nothing(self):
-        assert len(project_out_lineality(gen_axis_pairs(2, 2))) == 0
+    @staticmethod
+    def _certified(a, reversible):
+        assert reversible_indices(a) == reversible
+        x0 = complementary_point(a)
+        assert all(type(c) is int for c in x0)
+        for i, v in enumerate(a):
+            assert dot(v, x0) == 0 if i in reversible else dot(v, x0) < 0
+        return x0
 
-    @settings(max_examples=60, deadline=None)
-    @given(int_vector_sets(max_d=3, max_n=6, bound=2))
-    def test_projected_set_is_always_pointed(self, a):
-        assert is_pointed(project_out_lineality(a))
+    def test_zero_generator_is_reversible(self):
+        x0 = self._certified(vs([[0, 0], [1, 0], [0, 1]], 2), (0,))
+        assert x0[0] < 0 and x0[1] < 0
+
+    def test_line_with_zero_in_one_dimension(self):
+        assert self._certified(vs([[0], [1], [-2]], 1), (0, 1, 2)) == (0,)
+
+    def test_ray_with_zero_in_one_dimension(self):
+        assert self._certified(vs([[0], [1], [2]], 1), (0,))[0] < 0
+
+    def test_fractional_generators(self):
+        # Generator 1 is -3 times generator 0; nothing else is reversible.
+        a = vs([[F(1, 2), F(1, 3), 0], [F(-3, 2), -1, 0],
+                [0, F(2, 5), 1], [F(1, 7), 0, F(-1, 4)]], 3)
+        self._certified(a, oracle_reversible(a))
+
+    def test_empty_set(self):
+        assert self._certified(VectorSet(3, ()), ()) == (0, 0, 0)
+
+    def test_all_reversible_set_gives_origin(self):
+        assert self._certified(gen_simplex_like(3), (0, 1, 2, 3)) == (0, 0, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.lists(small_fraction(max_num=2, max_den=3), min_size=d, max_size=d),
+        max_size=6).map(lambda rows: VectorSet(d, tuple(map(tuple, rows))))))
+    def test_zero_exactly_on_the_oracle_set(self, a):
+        # Drawn sets include zero vectors, repeated directions and fractions.
+        x0 = complementary_point(a)
+        assert tuple(i for i, v in enumerate(a) if dot(v, x0) == 0) == oracle_reversible(a)
+        assert all(dot(v, x0) <= 0 for v in a)
 
 
 class TestMaxConeDim:
@@ -327,6 +352,7 @@ class TestRelativeInteriorPoint:
         a = vs(self.CHAIN, 4)
         assert cone._deflation(a) == ((2, 3), ((1, 0, 0, 0), (0, 0, 1, 0), (0, -1, 0, 0)))
         assert dot(a[1], vec([1, -1, 1, 0])) > 0
+        assert complementary_point(a) == (3, -1, 3, 0)
         assert relative_interior_point(HalfspaceSystem(a)) == vec([3, -1, 3, 0])
 
     def test_shares_the_deflation_memo(self, monkeypatch):
@@ -338,8 +364,12 @@ class TestRelativeInteriorPoint:
         a = vs(self.CHAIN, 4)
         assert lineality_dim(a) == 1
         assert calls == [5, 4, 3, 2]  # three separators, then the linear pair
+        misses = cone._lp_separator.cache_info().misses
         relative_interior_point(HalfspaceSystem(a))
-        assert calls == [5, 4, 3, 2]
+        # No second deflation: only the certificate's linearity check on
+        # the reversible pair, which the LP memo answers.
+        assert calls == [5, 4, 3, 2, 2]
+        assert cone._lp_separator.cache_info().misses == misses
 
     @settings(max_examples=150, deadline=None)
     @given(int_vector_sets(max_d=4, max_n=7, bound=2, min_n=1, nonzero=True))

@@ -4,9 +4,14 @@ import os
 import pytest
 
 import conehelly.fuzzing as fuzzing
+from conehelly import cone, lp
 from conehelly.cli import EXIT_INTERNAL, instance_from_json, run
+from conehelly.errors import TheoremContradiction
 from conehelly.fuzzing import ALL_CHECKS, FuzzConfig, run_fuzz, trial_instance
-from conehelly.ratlin import VectorSet
+from conehelly.gens import gen_axis_pairs
+from conehelly.ratlin import VectorSet, span_basis
+
+from conftest import CONE_FUZZ
 
 
 class TestConfig:
@@ -65,8 +70,6 @@ class TestPosHelly:
     def test_one_witness_search_per_k(self, monkeypatch):
         # axis pairs in the plane: lineality 2, so the conclusion fails at
         # k=1 (the witness search alone decides) and holds at k=2
-        from conehelly.gens import gen_axis_pairs
-
         calls = []
         hyp = fuzzing.check_lineality_hypothesis
         monkeypatch.setattr(fuzzing, "check_lineality_hypothesis",
@@ -75,9 +78,6 @@ class TestPosHelly:
         assert calls == [2]
 
     def test_missing_witness_is_a_mismatch(self, monkeypatch):
-        from conehelly.errors import TheoremContradiction
-        from conehelly.gens import gen_axis_pairs
-
         def no_witness(vs, k):
             raise TheoremContradiction("no witness")
 
@@ -87,9 +87,34 @@ class TestPosHelly:
             fuzzing.check_pos_helly(gen_axis_pairs(2, 2))
 
 
+class TestLineality:
+    def test_no_lp_after_the_deflation(self, monkeypatch):
+        # The certificate reads the deflation's memo, so once the
+        # lineality dimension is known the check solves no LP.
+        solve = lp.nonneg_combination
+        solved = []
+        monkeypatch.setattr(lp, "nonneg_combination",
+                            lambda cols, t: solved.append(t) or solve(cols, t))
+        instances = [gen_axis_pairs(2, 3)] + [trial_instance(CONE_FUZZ, i)[1]
+                                              for i in range(10)]
+        for vs in instances:
+            fuzzing.lineality_dim(vs)
+            before = len(solved)
+            fuzzing.check_lineality(vs)
+            assert len(solved) == before, vs
+        assert solved
+
+    def test_a_basis_of_the_wrong_line_fails(self, monkeypatch):
+        # The lineality space of +-e1 is the e1 axis; a basis of the e2 axis
+        # has the right dimension and fails the span check.
+        monkeypatch.setattr(fuzzing, "lineality_space", lambda vs: span_basis([(0, 1)], 2))
+        with pytest.raises(fuzzing.CheckFailed, match="does not span"):
+            fuzzing.check_lineality(gen_axis_pairs(1, 2))
+
+
 class TestConeHelly:
     # Normals 0, 1 and 2 lie on the first axis and are reversible; normal 3
-    # is not.  The check certifies the reversible set from both sides.
+    # is not.  The library certifies the reversible set from both sides.
     NORMALS = [[1, 0], [-1, 0], [2, 0], [0, -1]]
 
     def test_passes_on_the_true_set(self):
@@ -100,9 +125,12 @@ class TestConeHelly:
         ((0, 1, 2, 3), "no positive zero-combination"),
     ])
     def test_a_wrong_reversible_set_fails(self, monkeypatch, listed, message):
-        monkeypatch.setattr(fuzzing, "reversible_indices", lambda vs: listed)
-        with pytest.raises(fuzzing.CheckFailed, match=message):
-            fuzzing.check_cone_helly(VectorSet.from_rows(self.NORMALS, 2))
+        # A deflation that lists the wrong set, with the true separators.
+        vs = VectorSet.from_rows(self.NORMALS, 2)
+        separators = cone._deflation(vs)[1]
+        monkeypatch.setattr(cone, "_deflation", lambda vs: (listed, separators))
+        with pytest.raises(TheoremContradiction, match=message):
+            fuzzing.check_cone_helly(vs)
 
 
 class TestFailureRecording:
@@ -120,6 +148,20 @@ class TestFailureRecording:
         assert f.check == "lineality"
         assert "synthetic failure" in f.message
         assert f.instance == trial_instance(cfg, 0)[1]  # recorded for replay
+
+    def test_unwritable_dump_keeps_the_report(self, monkeypatch, tmp_path, capsys):
+        def broken(vs):
+            raise fuzzing.CheckFailed("synthetic failure")
+
+        monkeypatch.setitem(fuzzing._CHECK_FUNCS, "lineality", broken)
+        missing = tmp_path / "missing"
+        code = run(["fuzz", "--trials", "1", "--checks", "lineality",
+                    "--dump-dir", str(missing)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INTERNAL
+        assert len(json.loads(captured.out)["result"]["failures"]) == 1
+        assert "fuzz_failure_trial0_lineality.json" in captured.err
+        assert not missing.exists()
 
     def test_cli_dumps_and_exits_internal(self, monkeypatch, tmp_path, capsys):
         def broken(vs):

@@ -14,7 +14,6 @@ from conehelly.ratlin import (
     dot,
     int_row,
     kernel_basis,
-    project_onto_complement,
     rank_of_rows,
     span_basis,
     unit_vec,
@@ -260,39 +259,6 @@ class TestOrthComplement:
         for u in s.basis:
             for w in comp.basis:
                 assert dot(u, w) == 0
-
-
-class TestProjection:
-    def test_project_off_axis(self):
-        s = SubspaceBasis(2, (vec([1, 0]),))
-        assert project_onto_complement(s, [vec([3, 4])]) == [vec([0, 4])]
-
-    def test_zero_subspace_is_identity(self):
-        s = SubspaceBasis(2, ())
-        assert project_onto_complement(s, [vec([3, 4])]) == [vec([3, 4])]
-
-    def test_diagonal_line(self):
-        # Gram system by hand: G = [[2]], rhs = [1], coefficient 1/2, so
-        # the projection onto span{(1,1)} is (1/2, 1/2).
-        s = SubspaceBasis(2, (vec([1, 1]),))
-        assert project_onto_complement(s, [vec([1, 0])]) == [(F(1, 2), F(-1, 2))]
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            project_onto_complement(SubspaceBasis(2, ()), [vec([1, 2, 3])])
-
-    @given(rational_matrices(max_rows=3, max_cols=4),
-           st.lists(st.integers(-4, 4), min_size=1, max_size=4))
-    def test_decomposition(self, data, coords):
-        rows, ncols = data
-        s = span_basis(ints(rows), ncols)
-        v = vec((coords + [0] * ncols)[:ncols])
-        [out] = project_onto_complement(s, [v])
-        inside = tuple(a - b for a, b in zip(v, out))
-        assert tuple(a + b for a, b in zip(out, inside)) == v
-        for u in s.basis:
-            assert dot(out, u) == 0
-        assert s.contains(inside)
 
 
 class TestSubspaceBasis:
