@@ -12,10 +12,11 @@ with --verify.
 
 Each instance subcommand is one entry of COMMANDS: the role its instance
 takes, the function that builds its report, and the checker of the
-certificates in that report.  --verify rebuilds the report from the
-echoed instance - recomputing the cheap fields, taking each hypothesis
-flag from its theorem and copying the certificates - requires it to equal
-the given report, and checks every certificate on its own.
+certificates in that report.  A builder serves both modes: it recomputes
+the cheap fields, and each certificate is the one fork (_cert), found by
+its search when computing and copied from the given report under
+--verify.  --verify requires the rebuilt report to equal the given one,
+and checks every certificate on its own; it reruns no search.
 
 Exit codes: 0 success, 2 malformed input, 3 enumeration capacity
 exceeded, 4 internal-error signal (a theorem-backed assertion fired, or a
@@ -57,7 +58,6 @@ from .helly import (
     bound_h,
     bound_m,
     check_flat_helly,
-    corollary_check,
     verify_cone_helly,
     witness_holds,
     witness_lineality_enum,
@@ -150,14 +150,6 @@ def subspace_to_json(s: SubspaceBasis) -> dict:
     return {"dim": s.dim, "basis": [vector_to_json(v) for v in s.basis]}
 
 
-def witness_to_json(w) -> dict:
-    return {
-        "subset_indices": list(w.subset_indices),
-        "property": w.property,
-        "size_bound": w.size_bound,
-    }
-
-
 def bounds_to_json(b) -> dict:
     return {"k": b.k, "d": b.d, "m": b.m, "h": b.h}
 
@@ -223,20 +215,30 @@ def load_report(path: str) -> dict:
 # ---------------------------------------------------------------------------
 # Report builders
 #
-# A builder gets the instance, the validated parameters and ``certs``.
-# Computing, ``certs`` is None: the builder runs the searches, which raise
-# TheoremContradiction where a theorem would fail.  Verifying, ``certs`` is
-# the result of the given report: the builder copies its certificates
-# (witness subsets, membership certificates, extracted indices, generators,
-# partitions) and takes each hypothesis flag from the theorem that equates
-# it with its conclusion.  Every other field is recomputed from the
-# instance in both modes, so the two modes build the same report.
+# A builder gets the instance, the validated parameters and ``certs``, the
+# result of the report being verified or None when computing.  It reads
+# each certificate (witness subset, extracted indices, generators, Reay
+# parts) through _cert, the one fork between the modes; membership keeps
+# its own, as the kind of its certificate is its answer.  The searches
+# raise TheoremContradiction where a theorem would fail.  Every other
+# field is recomputed from the instance in both modes, each hypothesis
+# flag from the theorem that equates it with its conclusion.
 
 
-def _witness(certs: dict, key: str, prop: str, size_bound: int) -> dict:
-    """A witness field: the subset is the certificate; its property and
+def _cert(certs: dict | None, key: str, find: Callable):
+    """Certificate ``key``: ``find()`` computing, the report's verifying."""
+    return find() if certs is None else certs.get(key)
+
+
+def _witness(certs, key: str, find: Callable, prop: str, size_bound: int) -> dict:
+    """A witness field: the certificate is the subset of the Witness that
+    ``find()`` returns (None where the conclusion holds); its property and
     size bound follow from the theorem."""
-    w = certs.get(key)
+    def found():
+        w = find()
+        return {"subset_indices": w and list(w.subset_indices)}
+
+    w = _cert(certs, key, found)
     ids = w.get("subset_indices") if isinstance(w, dict) else None
     return {"subset_indices": ids, "property": prop, "size_bound": size_bound}
 
@@ -258,24 +260,25 @@ def _membership(vs: VectorSet, p: dict, certs) -> dict:
 
 
 def _posbasis(vs: VectorSet, p: dict, certs) -> dict:
-    if certs is None:
-        certs = {"element_indices": list(extract_positive_basis_indices(vs))}
     return {
         "target": subspace_to_json(lineality_space(vs)),
-        "element_indices": certs.get("element_indices"),
+        "element_indices": _cert(certs, "element_indices",
+                                 lambda: list(extract_positive_basis_indices(vs))),
     }
 
 
 def _reay(vs: VectorSet, p: dict, certs) -> dict:
     target = lineality_space(vs)
-    if certs is None:
+
+    def find():
         try:
             basis = PositiveBasis(target=target, elements=vs)
         except ValueError:
             raise InputError(
                 "input is not a positive basis of its own lineality space") from None
-        certs = {"parts": [list(part) for part in reay_parts(basis)]}
-    return {"target": subspace_to_json(target), "parts": certs.get("parts")}
+        return [list(part) for part in reay_parts(basis)]
+
+    return {"target": subspace_to_json(target), "parts": _cert(certs, "parts", find)}
 
 
 def _maxcone(h: HalfspaceSystem, p: dict, certs) -> dict:
@@ -295,14 +298,11 @@ def _polar_lineality(h: HalfspaceSystem, p: dict, certs) -> dict:
 
 def _extract_cone(h: HalfspaceSystem, p: dict, certs) -> dict:
     k = p["k"]
-    if certs is None:
-        out = extract_cone(h, k)
-        certs = {}
-        if isinstance(out, VectorSet):
-            certs["generators"] = [vector_to_json(v) for v in out]
     mcd = max_cone_dim(h)
     if k <= mcd:
-        return {"feasible": True, "generators": certs.get("generators")}
+        gens = _cert(certs, "generators",
+                     lambda: [vector_to_json(v) for v in extract_cone(h, k)])
+        return {"feasible": True, "generators": gens}
     return {
         "feasible": False,
         "max_cone_dim": mcd,
@@ -314,12 +314,6 @@ def _helly_pos(vs: VectorSet, p: dict, certs) -> dict:
     k = p["k"]
     ldim = lineality_dim(vs)
     h = bound_h(k, vs.ambient_dim)
-    if certs is None and ldim > k:
-        # The minimal-witness search is the enumerative witness, and it
-        # raises if none exists within h(k,d): the hypothesis then fails
-        # exactly when the conclusion does.
-        certs = {"witness_enum": witness_to_json(witness_lineality_enum(vs, k)),
-                 "witness_reay": witness_to_json(witness_lineality_reay(vs, k))}
     result = {
         "hypothesis": ldim <= k,
         "conclusion": ldim <= k,
@@ -327,17 +321,19 @@ def _helly_pos(vs: VectorSet, p: dict, certs) -> dict:
         "h": h,
     }
     if ldim > k:
-        for key in ("witness_enum", "witness_reay"):
-            result[key] = _witness(certs, key, "lineality_dim_exceeds", h)
+        # The minimal-witness search is the enumerative witness, and it
+        # raises if none exists within h(k,d): the hypothesis then fails
+        # exactly when the conclusion does.
+        for key, find in (("witness_enum", witness_lineality_enum),
+                          ("witness_reay", witness_lineality_reay)):
+            result[key] = _witness(certs, key, lambda: find(vs, k),
+                                   "lineality_dim_exceeds", h)
     return result
 
 
 def _helly_cone(h: HalfspaceSystem, p: dict, certs) -> dict:
     k = p["k"]
     mcd = max_cone_dim(h)
-    if certs is None:
-        rep = verify_cone_helly(h, k)
-        certs = {"witness": rep.witness and witness_to_json(rep.witness)}
     result = {
         "hypothesis": mcd >= k,
         "conclusion": mcd >= k,
@@ -345,43 +341,41 @@ def _helly_cone(h: HalfspaceSystem, p: dict, certs) -> dict:
         "lineality_dim": h.ambient_dim - mcd,
     }
     if mcd < k:
-        result["witness"] = _witness(certs, "witness", "no_k_dim_cone",
-                                     bound_m(k, h.ambient_dim))
+        # Where mcd >= k the search stops, with no check, at its first rank.
+        result["witness"] = _witness(certs, "witness",
+                                     lambda: verify_cone_helly(h, k).witness,
+                                     "no_k_dim_cone", bound_m(k, h.ambient_dim))
     return result
 
 
 def _corollary(h: HalfspaceSystem, p: dict, certs) -> dict:
-    k = p["k"]
-    r = max_cone_dim(h)
-    if certs is None:
-        rep = corollary_check(h, k)
-        certs = {"witness": rep.witness and witness_to_json(rep.witness)}
+    # The cone Helly report under other names, as helly.corollary_check.
+    cone = _helly_cone(h, p, certs)
     result = {
-        "rank": r,
-        "global_holds": r >= k,
-        "subsystems_hold": r >= k,
+        "rank": cone["max_cone_dim"],
+        "global_holds": cone["conclusion"],
+        "subsystems_hold": cone["hypothesis"],
     }
-    if r < k:
-        result["witness"] = _witness(certs, "witness", "solution_rank_below_k",
-                                     bound_m(k, h.ambient_dim))
+    if "witness" in cone:
+        result["witness"] = cone["witness"] | {"property": "solution_rank_below_k"}
     return result
 
 
 def _flat_helly(h: HalfspaceSystem, p: dict, certs) -> dict:
     k, d = p["k"], h.ambient_dim
-    polar_dim = lineality_of_polar(h).dim
-    conclusion = polar_dim >= d - k
-    if certs is None:
-        rep = check_flat_helly(h, k)
-        certs = {"witness": rep.witness and witness_to_json(rep.witness)}
+    rank = rank_of_rows(h.normals.int_rows, d)
+    # The greedy search runs on every compute: its theorem check compares
+    # the polar kernel with the greedy independent set.
+    witness = _witness(certs, "witness", lambda: check_flat_helly(h, k).witness,
+                       "independent_normals", k + 1)
     result = {
-        "polar_lineality_dim": polar_dim,
-        "normal_rank": rank_of_rows(h.normals.int_rows, d),
-        "subspace_conclusion": conclusion,
-        "all_small_subsets_dependent": conclusion,
+        "polar_lineality_dim": d - rank,
+        "normal_rank": rank,
+        "subspace_conclusion": rank <= k,
+        "all_small_subsets_dependent": rank <= k,
     }
-    if not conclusion:
-        result["witness"] = _witness(certs, "witness", "independent_normals", k + 1)
+    if rank > k:
+        result["witness"] = witness
     return result
 
 

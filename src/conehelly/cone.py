@@ -387,13 +387,13 @@ def extract_cone(h: HalfspaceSystem, k: int) -> VectorSet | InfeasibleCone:
     rows = h.normals.int_rows
     implicit = reversible_indices(h.normals)
     complement = kernel_basis([rows[i] for i in implicit], d).basis
-    x0 = relative_interior_point(h)
-    if is_zero(x0):
+    x = complementary_point(h.normals)
+    if not any(x):
         return VectorSet(d, complement[:k])
     # Basis of the complement that starts with the integer point x0,
     # extended greedily in the canonical complement order, as pairs (c, u)
     # of a vector's integer scale and its integer row u = c v.
-    x = int_row(x0)[1]
+    x0 = tuple(map(Fraction, x))
     u = [(1, x)]
     for v in complement:
         if len(u) == k:

@@ -67,6 +67,8 @@ class FuzzConfig:
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
+        if len(set(self.checks)) < len(self.checks):
+            raise ValueError(f"repeated checks: {list(self.checks)}")
 
 
 @dataclass(frozen=True)

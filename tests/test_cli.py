@@ -298,6 +298,8 @@ INPUT_ERRORS = {
     "tightness 2 without --k": (["verify-tightness", "--example", "2", "--d", "3"],
                                 None),
     "fuzz unknown check": (["fuzz", "--trials", "1", "--checks", "bogus"], None),
+    "fuzz repeated check": (["fuzz", "--trials", "3", "--checks",
+                             "lineality,lineality"], None),
 }
 
 
@@ -316,6 +318,36 @@ class TestInputErrors:
         monkeypatch.setitem(cli.COMMANDS, "lineality",
                             cli.Command("generators", contradiction))
         code, out, err = invoke(capsys, monkeypatch, ["lineality"], stdin=SIMPLEX2)
+        assert code == EXIT_INTERNAL and out == ""
+        assert "synthetic contradiction" in err
+
+
+# The searches of the report builders, as bound in cli.
+SEARCHES = ("witness_lineality_enum", "witness_lineality_reay", "verify_cone_helly",
+            "check_flat_helly", "extract_cone", "extract_positive_basis_indices",
+            "reay_parts", "membership")
+
+
+class TestTheoremChecks:
+    # Computing, each library theorem check still runs where it can fire:
+    # flat-helly's where its conclusion holds, the cone check's where it
+    # fails.
+    @pytest.mark.parametrize("search, gen, argv", [
+        ("check_flat_helly", ["--example", "simplex", "--d", "2"],
+         ["flat-helly", "--k", "2"]),
+        ("verify_cone_helly", ["--example", "example2", "--d", "4", "--k", "2"],
+         ["helly-cone", "--k", "2"]),
+        ("verify_cone_helly", ["--example", "example2", "--d", "4", "--k", "2"],
+         ["corollary", "--k", "2"]),
+    ], ids=["flat-helly", "helly-cone", "corollary"])
+    def test_compute_runs_the_check(self, capsys, monkeypatch, search, gen, argv):
+        inst = gen_out(capsys, monkeypatch, ["gen"] + gen)
+
+        def contradiction(*args):
+            raise TheoremContradiction("synthetic contradiction")
+
+        monkeypatch.setattr(cli, search, contradiction)
+        code, out, err = invoke(capsys, monkeypatch, argv, stdin=inst)
         assert code == EXIT_INTERNAL and out == ""
         assert "synthetic contradiction" in err
 
@@ -403,6 +435,40 @@ class TestVerifyMode:
                                             inst, "parts", lambda _: parts)
         assert code == EXIT_INTERNAL
         assert json.loads(out)["result"]["verified"] is False
+
+    def test_verify_reruns_no_search(self, capsys, monkeypatch, tmp_path):
+        # Genuine reports of all 12 instance commands, each certificate
+        # field present, verify with every search bound in cli raising.
+        cases = [
+            (["--example", "axis-pairs", "--k", "2", "--d", "3"],
+             [["lineality"], ["membership", "--point", "0,1,0"],
+              ["membership", "--point", "0,0,1"], ["posbasis"], ["reay"],
+              ["helly-pos", "--k", "1"]]),
+            (["--example", "example2", "--d", "4", "--k", "2"],
+             [["maxcone"], ["extract-cone", "--k", "1"], ["solution-rank"],
+              ["polar-lineality"], ["helly-cone", "--k", "2"],
+              ["corollary", "--k", "2"], ["flat-helly", "--k", "1"]]),
+        ]
+        reports = []
+        for gen, argvs in cases:
+            inst = gen_out(capsys, monkeypatch, ["gen"] + gen)
+            for argv in argvs:
+                code, out, err = invoke(capsys, monkeypatch, argv, stdin=inst)
+                assert code == EXIT_OK, (argv, err)
+                reports.append((argv[0], out))
+        assert {op for op, _ in reports} == set(cli.COMMANDS)
+
+        def search(*args):
+            raise AssertionError("a search ran under --verify")
+
+        for name in SEARCHES:
+            monkeypatch.setattr(cli, name, search)
+        path = tmp_path / "report.json"
+        for op, out in reports:
+            path.write_text(out)
+            code, out, err = invoke(capsys, monkeypatch, [op, "--verify", str(path)])
+            assert code == EXIT_OK, (op, err)
+            assert json.loads(out)["result"]["verified"] is True, op
 
     def test_tampered_witness_fails(self, capsys, monkeypatch, tmp_path):
         inst = gen_out(capsys, monkeypatch,

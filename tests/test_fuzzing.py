@@ -24,6 +24,12 @@ class TestConfig:
             FuzzConfig(d_max=2, n_max=5, bound=2, trials=1, seed=0,
                        checks=("nope",))
 
+    def test_rejects_a_repeated_check(self):
+        # run_fuzz runs each listed name, so a repeat would count twice.
+        with pytest.raises(ValueError, match="repeated"):
+            FuzzConfig(d_max=2, n_max=5, bound=2, trials=3, seed=0,
+                       checks=("lineality", "lineality"))
+
     def test_defaults_cover_everything(self):
         cfg = FuzzConfig(d_max=2, n_max=4, bound=2, trials=0, seed=0)
         assert cfg.checks == ALL_CHECKS
