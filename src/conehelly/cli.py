@@ -106,15 +106,24 @@ def frac_from_json(v) -> Fraction:
         raise InputError(f"bad coordinate {v!r}: {exc}") from exc
 
 
+def coord_from_json(v):
+    """A coordinate as VectorSet takes it: a JSON int as it is, anything
+    else through frac_from_json."""
+    return v if type(v) is int else frac_from_json(v)
+
+
 def vector_to_json(v) -> list:
     return [frac_to_json(c) for c in v]
 
 
 def instance_to_json(vs: VectorSet, role: str) -> dict:
+    """The instance echo, written from the integer rows: a row of scale 1
+    is its own JSON, and only other rows build Fractions."""
     return {
         "d": vs.ambient_dim,
         "role": role,
-        "vectors": [vector_to_json(v) for v in vs],
+        "vectors": [list(r) if c == 1 else [frac_to_json(Fraction(a, c)) for a in r]
+                    for c, r in zip(vs.int_scales, vs.int_rows)],
     }
 
 
@@ -139,9 +148,9 @@ def instance_from_json(obj) -> tuple[VectorSet, str]:
             raise InputError(f"vector {row!r} is not a JSON list")
         if len(row) != d:
             raise InputError(f"vector {row!r} does not have length {d}")
-        vectors.append(tuple(frac_from_json(c) for c in row))
-    vs = VectorSet(d, tuple(vectors))
-    if role == "normals" and any(all(c == 0 for c in v) for v in vs):
+        vectors.append(tuple(map(coord_from_json, row)))
+    vs = VectorSet(d, vectors)
+    if role == "normals" and not all(map(any, vs.int_rows)):
         raise InputError("zero vector not allowed among outer normals")
     return vs, role
 
@@ -416,8 +425,8 @@ def _check_reay(vs: VectorSet, inputs: dict, res: dict) -> bool:
 def _check_generators(h: HalfspaceSystem, inputs: dict, res: dict) -> bool:
     if not res["feasible"]:
         return True
-    gens = VectorSet(h.ambient_dim, tuple(tuple(frac_from_json(c) for c in r)
-                                          for r in res["generators"]))
+    gens = VectorSet(h.ambient_dim, [tuple(map(coord_from_json, r))
+                                     for r in res["generators"]])
     return verify_cone_generators(h, gens, inputs["k"])
 
 

@@ -109,8 +109,8 @@ class HalfspaceSystem:
     normals: VectorSet
 
     def __post_init__(self):
-        for i, a in enumerate(self.normals):
-            if is_zero(a):
+        for i, r in enumerate(self.normals.int_rows):
+            if not any(r):
                 raise ValueError(f"zero outer normal at index {i}")
 
     @property

@@ -43,10 +43,22 @@ __all__ = [
 
 def _minimally_spans(rows: list, d: int, dim: int) -> bool:
     """pos(rows) is a linear subspace of dimension dim, and no set with
-    one element removed has both properties; rows are integer rows."""
+    one element removed has both properties; rows are integer rows.
+
+    For dim > 0, dim vectors never positively span a dim-dimensional
+    space: if they span it they are a basis, and each coordinate in that
+    basis is >= 0 on their positive hull.  So a set of at most dim
+    vectors fails, and one of dim + 1 that spans loses the property with
+    any element removed, with no further rank or LP.  In dim 0 the empty
+    set is the positive basis, and {0} spans but not minimally."""
+    n = len(rows)
+    if dim > 0 and n <= dim:
+        return False
     if rank_of_rows(rows, d) != dim or not is_linear(rows):
         return False
-    for i in range(len(rows)):
+    if dim > 0 and n == dim + 1:
+        return True
+    for i in range(n):
         rest = rows[:i] + rows[i + 1:]
         if rank_of_rows(rest, d) == dim and is_linear(rest):
             return False
@@ -102,6 +114,8 @@ def extract_positive_basis_indices(a: VectorSet) -> tuple[int, ...]:
     target_dim = lineality_dim(a)
     keep = list(members)
     for idx in members:
+        if target_dim > 0 and len(keep) == target_dim + 1:
+            break  # no smaller set spans: see _minimally_spans
         trial = [i for i in keep if i != idx]
         sub = [rows[i] for i in trial]
         if rank_of_rows(sub, a.ambient_dim) == target_dim and is_linear(sub):

@@ -14,9 +14,11 @@ small frozen dataclasses so they can be hashed and memoized.
 
 :func:`int_row`, a vector times the lcm of its denominators, is the one
 Fraction-to-integer converter.  A positive scale changes no rank, rref or
-positive hull, so vector sets and subspace bases convert their vectors
-once and the cone, positive-basis and Helly code computes on those
-integer rows.
+positive hull, so the cone, positive-basis and Helly code computes on
+integer rows.  A :class:`VectorSet` stores them: its data are the integer
+rows and their scales, read by equality and hashing, and its Fractions
+are a view built only on request, for output.  Subspace bases convert
+their Fraction vectors once.
 
 Integer rows are the one format that reaches elimination, and one
 pivot step, :func:`_pivot`, does every integer-preserving row update,
@@ -73,34 +75,50 @@ def is_index_set(ids, n: int) -> bool:
             and list(ids) == sorted(set(ids)) and all(0 <= i < n for i in ids))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VectorSet:
     """Finite ordered list of vectors in a common ambient dimension.
 
     Used both for cone generators and for the outer normals of a
     homogeneous halfspace system.  Duplicates are permitted; zero vectors
     are permitted here but rejected by
-    :class:`conehelly.cone.HalfspaceSystem`.  The integer form and the
-    hash are caches outside the dataclass fields, so equality, hashing and
-    memo keys see the vectors only, and a memo lookup does not rehash
-    every coordinate.
+    :class:`conehelly.cone.HalfspaceSystem`.
+
+    A vector set stores its integer form: per vector, its :func:`int_row`
+    (c, c v).  Equality, hashing and memo keys read that form, which
+    determines the vectors.  :attr:`vectors`, iteration and indexing are a
+    Fraction view, built on first request; :meth:`subset` slices the
+    integer form and builds no Fraction.  The hash is a cache outside the
+    dataclass fields, so a memo lookup does not rehash every coordinate.
     """
 
     ambient_dim: int
-    vectors: tuple[Vec, ...]
+    int_scales: tuple[int, ...]  # per vector, the lcm of its denominators
+    int_rows: tuple[tuple[int, ...], ...]  # each vector times its scale
 
-    def __post_init__(self):
-        for v in self.vectors:
-            if len(v) != self.ambient_dim:
+    def __init__(self, ambient_dim: int, vectors: Iterable[Sequence]):
+        """vectors are sequences of ints and Fractions, each of length
+        ambient_dim."""
+        pairs = []
+        for v in vectors:
+            if len(v) != ambient_dim:
                 raise ValueError(
-                    f"vector of length {len(v)} in ambient dimension {self.ambient_dim}")
+                    f"vector of length {len(v)} in ambient dimension {ambient_dim}")
+            pairs.append(int_row(v))
+        self._set(ambient_dim, tuple(c for c, _ in pairs), tuple(r for _, r in pairs))
+
+    def _set(self, ambient_dim: int, scales: tuple[int, ...],
+             rows: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "int_scales", scales)
+        object.__setattr__(self, "int_rows", rows)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable], ambient_dim: int) -> "VectorSet":
         return cls(ambient_dim, tuple(vec(r) for r in rows))
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return len(self.int_rows)
 
     def __iter__(self):
         return iter(self.vectors)
@@ -109,38 +127,33 @@ class VectorSet:
         return self.vectors[i]
 
     def subset(self, indices: Iterable[int]) -> "VectorSet":
-        return VectorSet(self.ambient_dim, tuple(self.vectors[i] for i in indices))
+        indices = tuple(indices)
+        sub = object.__new__(VectorSet)
+        sub._set(self.ambient_dim, tuple(self.int_scales[i] for i in indices),
+                 tuple(self.int_rows[i] for i in indices))
+        return sub
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.ambient_dim, self.vectors))
+        return hash((self.ambient_dim, self.int_scales, self.int_rows))
 
     @cached_property
-    def _int_form(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-        pairs = [int_row(v) for v in self.vectors]
-        return tuple(c for c, _ in pairs), tuple(r for _, r in pairs)
-
-    @property
-    def int_scales(self) -> tuple[int, ...]:
-        """Per vector, the lcm of its denominators."""
-        return self._int_form[0]
-
-    @property
-    def int_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each vector times its integer scale, converted once per instance:
-        the same ranks and positive hulls, in integers."""
-        return self._int_form[1]
+    def vectors(self) -> tuple[Vec, ...]:
+        """The vectors as Fraction tuples, each integer row over its scale."""
+        return tuple(tuple(map(Fraction, r)) if c == 1
+                     else tuple(Fraction(a, c) for a in r)
+                     for c, r in zip(self.int_scales, self.int_rows))
 
 
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Linear subspace given by a basis; the empty basis is the zero
     subspace, a first-class value here rather than an error.  The integer
-    form is a cache outside the dataclass fields, as in
-    :class:`VectorSet`."""
+    form is a cache outside the dataclass fields, so equality and hashing
+    see the basis only."""
 
     ambient_dim: int
     basis: tuple[Vec, ...]

@@ -60,3 +60,22 @@ def rational_matrices(draw, max_rows=4, max_cols=4):
         for _ in range(nrows)
     )
     return rows, ncols
+
+
+def fractions_built(fn, *args) -> int:
+    """The number of Fractions constructed while fn(*args) runs, counted
+    by a wrapper around Fraction.__new__ (arithmetic results included)."""
+    built = 0
+    new = Fraction.__dict__["__new__"]
+
+    def counting(cls, *a, **kw):
+        nonlocal built
+        built += 1
+        return new.__func__(cls, *a, **kw)
+
+    Fraction.__new__ = staticmethod(counting)
+    try:
+        fn(*args)
+    finally:
+        Fraction.__new__ = new
+    return built

@@ -22,6 +22,8 @@ from conehelly.errors import TheoremContradiction
 from conehelly.gens import gen_random
 from fractions import Fraction
 
+from conftest import fractions_built
+
 
 def invoke(capsys, monkeypatch, argv, stdin=None):
     if stdin is not None:
@@ -61,6 +63,60 @@ class TestSerialization:
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
             instance_from_json({"d": 2, "role": "normals", "vectors": [[0, 0]]})
+
+    # (command, role, vectors, exit code, the echoed vectors on stdout or
+    # the message on stderr), each recorded from the Fraction parser.
+    PARSE_CASES = {
+        "decimal string": ("lineality", "generators", [["1.5", 0], [-3, 0]], EXIT_OK,
+                           '[["3/2", 0], [-3, 0]]'),
+        "padded string": ("lineality", "generators", [[" 3", 1]], EXIT_OK, "[[3, 1]]"),
+        "negative zero": ("maxcone", "normals", [["-0/1", 1]], EXIT_OK, "[[0, 1]]"),
+        "unreduced strings": ("lineality", "generators", [["2/4", 1], [-1, "-2"]],
+                              EXIT_OK, '[["1/2", 1], [-1, -2]]'),
+        "integer string over a denominator": ("lineality", "generators",
+                                              [["4/2", "1/3"]], EXIT_OK, '[[2, "1/3"]]'),
+        "int above 2^64": ("lineality", "generators",
+                           [[2**64 + 1, 1], [-(2**64 + 1), -1]], EXIT_OK,
+                           "[[18446744073709551617, 1], [-18446744073709551617, -1]]"),
+        "zero normal": ("maxcone", "normals", [[1, 0], ["0/5", 0]], EXIT_INPUT,
+                        "error: zero vector not allowed among outer normals\n"),
+        "zero generator as a normal": ("maxcone", "generators", [[1, 0], ["0/5", 0]],
+                                       EXIT_INPUT, "error: zero outer normal at index 1\n"),
+        "bool coordinate": ("lineality", "generators", [[True, 0]], EXIT_INPUT,
+                            "error: coordinate True is not an integer or 'p/q' string\n"),
+        "float coordinate": ("lineality", "generators", [[0.5, 0]], EXIT_INPUT,
+                             "error: coordinate 0.5 is not an integer or 'p/q' string\n"),
+    }
+
+    @pytest.mark.parametrize("command, role, vectors, code, text",
+                             PARSE_CASES.values(), ids=PARSE_CASES)
+    def test_parse_case(self, capsys, monkeypatch, command, role, vectors, code, text):
+        inst = json.dumps({"d": len(vectors[0]), "role": role, "vectors": vectors})
+        got, out, err = invoke(capsys, monkeypatch, [command], stdin=inst)
+        assert got == code
+        if code == EXIT_OK:
+            assert err == "" and f'"vectors": {text}}}' in out
+        else:
+            assert out == "" and err == text
+
+
+class TestFractionFree:
+    # An all-integer instance reaches the integer kernels and its echo
+    # with no Fraction built.  Seed 2 has max cone dimension 0, so both
+    # witness searches run; seed 11 has 4.
+    @pytest.mark.parametrize("seed", [2, 11])
+    @pytest.mark.parametrize("argv", [["maxcone"], ["solution-rank"],
+                                      ["helly-cone", "--k", "2"],
+                                      ["corollary", "--k", "3"]], ids=" ".join)
+    def test_integer_normals_build_no_fraction(self, capsys, monkeypatch, seed, argv):
+        inst = instance_to_json(gen_random(4, 6, 3, seed), "normals")
+        assert all(type(c) is int for row in inst["vectors"] for c in row)
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(inst)))
+        codes = []
+        assert fractions_built(lambda: codes.append(run(argv))) == 0
+        assert codes == [EXIT_OK]
+        rep = json.loads(capsys.readouterr().out)
+        assert {k: rep["inputs"][k] for k in inst} == inst
 
 
 class TestPipelines:

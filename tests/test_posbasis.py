@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conehelly import cone, posbasis
 from conehelly.cone import is_linear, lineality_space, reversible_indices
 from conehelly.gens import gen_axis_pairs, gen_simplex_like
 from conehelly.posbasis import (
@@ -15,7 +16,7 @@ from conehelly.posbasis import (
     reay_parts,
     verify_reay,
 )
-from conehelly.ratlin import SubspaceBasis, VectorSet, span_basis, vec
+from conehelly.ratlin import SubspaceBasis, VectorSet, rank_of_rows, span_basis, vec
 
 from conftest import int_vector_sets
 from oracles import oracle_is_positive_basis, oracle_reversible
@@ -112,6 +113,59 @@ class TestExtract:
             assert len(pb) == 0
         else:
             assert m + 1 <= len(pb) <= 2 * m
+
+
+class TestSizeRule:
+    """For dim > 0, dim vectors never positively span a dim-dimensional
+    space, so certification and extraction ask no rank or LP of them."""
+
+    @pytest.fixture
+    def separators(self, monkeypatch):
+        calls = []
+        separator = cone._separator
+        monkeypatch.setattr(cone, "_separator",
+                            lambda rows: calls.append(rows) or separator(rows))
+        return calls
+
+    def test_simplex_certified_by_one_linearity(self, separators):
+        a = gen_simplex_like(5)
+        assert is_positive_basis(a, span_basis(a.int_rows, 5))
+        assert len(separators) == 1  # 7 without the rule
+
+    def test_simplex_extracted_and_certified_by_two(self, separators):
+        pb = extract_positive_basis(gen_simplex_like(5))
+        assert len(pb) == 6
+        assert len(separators) == 2  # 14 without the rule
+
+    def test_dim_vectors_ask_nothing(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("asked a rank or an LP")
+
+        monkeypatch.setattr(posbasis, "rank_of_rows", refuse)
+        monkeypatch.setattr(cone, "_separator", refuse)
+        for d in (1, 2, 3):
+            for n in range(d + 1):
+                rows = list(gen_simplex_like(d).int_rows[:n])
+                assert not posbasis._minimally_spans(rows, d, d)
+
+    def test_dim_zero_keeps_the_empty_basis(self):
+        zero = SubspaceBasis(2, ())
+        assert is_positive_basis(VectorSet(2, ()), zero)
+        assert not is_positive_basis(vs([[0, 0]], 2), zero)
+        assert extract_positive_basis_indices(vs([[0, 0], [1, 0], [0, 0]], 2)) == ()
+
+    @settings(max_examples=80, deadline=None)
+    @given(int_vector_sets(max_d=3, max_n=7, bound=2))
+    def test_extraction_matches_the_full_greedy(self, a):
+        # The greedy deletion of the docstring, run to the end.
+        rows, d = a.int_rows, a.ambient_dim
+        target = rank_of_rows([rows[i] for i in reversible_indices(a)], d)
+        keep = list(reversible_indices(a))
+        for idx in reversible_indices(a):
+            trial = [rows[i] for i in keep if i != idx]
+            if rank_of_rows(trial, d) == target and is_linear(trial):
+                keep.remove(idx)
+        assert extract_positive_basis_indices(a) == tuple(keep)
 
 
 def reay_checked(pb):

@@ -20,7 +20,7 @@ from conehelly.ratlin import (
     vec,
 )
 
-from conftest import rational_matrices, small_fraction
+from conftest import fractions_built, rational_matrices, small_fraction
 from oracles import ref_kernel_basis, ref_rref_rows
 
 F = Fraction
@@ -278,22 +278,79 @@ class TestIntegerForm:
         assert a.int_scales == (6, 1, 4)
         assert a.int_rows == ((3, -2), (2, 0), (0, 3))
 
-    def test_cache_is_not_a_field(self):
+    def test_integer_form_is_the_data(self):
+        # The integer rows and scales are the fields; the Fraction view is
+        # built on first request and is not one.
         a = VectorSet.from_rows([[F(1, 2), 1], [0, 3]], 2)
-        b = VectorSet.from_rows([[F(1, 2), 1], [0, 3]], 2)
-        assert a.int_rows is a.int_rows  # converted once
-        assert a == b and hash(a) == hash(b)
-        assert "_int_form" in vars(a) and "_int_form" not in vars(b)
-        assert repr(a) == repr(b)
-        assert {a: 1}[b] == 1
+        assert [f.name for f in fields(VectorSet)] == ["ambient_dim", "int_scales",
+                                                      "int_rows"]
+        assert "vectors" not in vars(a)
+        assert a.vectors is a.vectors  # built once
+        assert repr(a) == repr(VectorSet(2, a.vectors))
 
-    def test_hash_is_cached_not_a_field(self):
+    def test_hash_reads_the_integer_form(self):
         a = VectorSet.from_rows([[F(1, 2), 1], [0, 3]], 2)
         b = VectorSet.from_rows([[F(1, 2), 1], [0, 3]], 2)
-        assert [f.name for f in fields(VectorSet)] == ["ambient_dim", "vectors"]
-        assert a is not b and hash(a) == hash(b)
-        assert hash(a) == hash((a.ambient_dim, a.vectors))
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert hash(a) == hash((a.ambient_dim, a.int_scales, a.int_rows))
         assert "_hash" in vars(a)  # computed once, then read back
+        assert {a: 1}[b] == 1
+        # [1/2] and [1] share an integer row, not a scale.
+        assert VectorSet(1, [(F(1, 2),)]) != VectorSet(1, [(1,)])
+
+    def test_equal_from_every_source(self):
+        sets = [
+            VectorSet(2, [(F(3, 2), F(0)), (F(-1), F(1, 3))]),
+            VectorSet(2, [(F(3, 2), 0), (-1, F(1, 3))]),
+            VectorSet.from_rows([["3/2", "0"], ["-1", "1/3"]], 2),
+            VectorSet.from_rows([["1.5", 0], [-1, "2/6"]], 2),
+            VectorSet.from_rows([[0, 0], [F(3, 2), 0], [7, 7], [-1, F(1, 3)]], 2)
+            .subset([1, 3]),
+        ]
+        for b in sets:
+            assert b == sets[0] and hash(b) == hash(sets[0])
+            assert b.int_scales == (2, 3) and b.int_rows == ((3, 0), (-3, 1))
+        ints = [VectorSet(2, [(3, 0), (-1, 2)]),
+                VectorSet.from_rows([["3", 0], ["-2/2", "2"]], 2)]
+        assert ints[0] == ints[1] and hash(ints[0]) == hash(ints[1])
+
+    def test_vectors_are_the_vec_tuples(self):
+        rows = [[F(1, 2), 3, "-2/4"], [0, 0, 0], ["0.25", -7, 2]]
+        a = VectorSet.from_rows(rows, 3)
+        expected = tuple(vec(r) for r in rows)
+        assert a.vectors == expected and tuple(a) == expected
+        assert [a[i] for i in range(len(a))] == list(expected)
+        assert all(type(x) is Fraction for v in a.vectors for x in v)
+        b = VectorSet(3, [(1, 2, 3)])
+        assert b.vectors == (vec([1, 2, 3]),)
+        assert all(type(x) is Fraction for x in b[0])
+
+    def test_subset_builds_no_fraction(self):
+        a = VectorSet.from_rows([[F(1, 2), 1], [0, 3], [-1, F(2, 3)]], 2)
+        assert fractions_built(lambda: a.subset([2, 0]).int_rows) == 0
+        assert a.subset([2, 0]) == VectorSet(2, (a[2], a[0]))
+        assert a.subset([]) == VectorSet(2, ())
+
+    @given(st.data())
+    def test_matches_the_vec_form(self, data):
+        # Raw ints and Fractions, and the same numbers as "p/q" strings.
+        d = data.draw(st.integers(1, 4))
+        coord = st.one_of(st.integers(-5, 5), small_fraction())
+        rows = data.draw(st.lists(st.lists(coord, min_size=d, max_size=d), max_size=5))
+        ref = VectorSet(d, tuple(vec(r) for r in rows))
+        a = VectorSet(d, rows)
+        strings = VectorSet.from_rows([[str(F(c)) for c in r] for r in rows], d)
+        for b in (a, strings):
+            assert b == ref and hash(b) == hash(ref)
+            assert b.vectors == ref.vectors == tuple(vec(r) for r in rows)
+        pairs = [int_row(vec(r)) for r in rows]
+        assert a.int_scales == tuple(c for c, _ in pairs)
+        assert a.int_rows == tuple(r for _, r in pairs)
+        ids = data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=6)
+                        if rows else st.just([]))
+        sub = a.subset(ids)
+        assert sub == VectorSet(d, tuple(ref.vectors[i] for i in ids))
+        assert hash(sub) == hash(VectorSet(d, tuple(ref.vectors[i] for i in ids)))
 
     def test_subspace_cache_is_not_a_field(self):
         s = SubspaceBasis(2, (vec([F(1, 2), 1]), vec([0, F(1, 3)])))
