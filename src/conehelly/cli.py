@@ -116,15 +116,16 @@ def vector_to_json(v) -> list:
     return [frac_to_json(c) for c in v]
 
 
+def rows_to_json(vs: VectorSet) -> list:
+    """The vectors of a vector set or subspace basis, written from its
+    integer rows: a row of scale 1 is its own JSON, and only other rows
+    build Fractions."""
+    return [list(r) if c == 1 else [frac_to_json(Fraction(a, c)) for a in r]
+            for c, r in zip(vs.int_scales, vs.int_rows)]
+
+
 def instance_to_json(vs: VectorSet, role: str) -> dict:
-    """The instance echo, written from the integer rows: a row of scale 1
-    is its own JSON, and only other rows build Fractions."""
-    return {
-        "d": vs.ambient_dim,
-        "role": role,
-        "vectors": [list(r) if c == 1 else [frac_to_json(Fraction(a, c)) for a in r]
-                    for c, r in zip(vs.int_scales, vs.int_rows)],
-    }
+    return {"d": vs.ambient_dim, "role": role, "vectors": rows_to_json(vs)}
 
 
 def instance_from_json(obj) -> tuple[VectorSet, str]:
@@ -156,7 +157,7 @@ def instance_from_json(obj) -> tuple[VectorSet, str]:
 
 
 def subspace_to_json(s: SubspaceBasis) -> dict:
-    return {"dim": s.dim, "basis": [vector_to_json(v) for v in s.basis]}
+    return {"dim": s.dim, "basis": rows_to_json(s)}
 
 
 def bounds_to_json(b) -> dict:
@@ -309,8 +310,7 @@ def _extract_cone(h: HalfspaceSystem, p: dict, certs) -> dict:
     k = p["k"]
     mcd = max_cone_dim(h)
     if k <= mcd:
-        gens = _cert(certs, "generators",
-                     lambda: [vector_to_json(v) for v in extract_cone(h, k)])
+        gens = _cert(certs, "generators", lambda: rows_to_json(extract_cone(h, k)))
         return {"feasible": True, "generators": gens}
     return {
         "feasible": False,

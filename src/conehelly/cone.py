@@ -19,11 +19,11 @@ Membership turns its certificate back into Fractions.
 
 Nearly every Helly question needs only the dimension of the lineality
 space, and :func:`lineality_dim` answers it by one integer rank of the
-reversible generators.  A Fraction basis, :func:`lineality_space`, is
-built only where the subspace itself is used: the lineality report and
-the target of a positive basis.  The complement that
-:func:`extract_cone` works in is the kernel of the reversible normals'
-integer rows.
+reversible generators.  A basis, :func:`lineality_space`, is built only
+where the subspace itself is used: the lineality report and the target
+of a positive basis.  The complement that :func:`extract_cone` works in
+is the kernel of the reversible normals' integer rows, and the cone's
+generators are built straight into a vector set's integer form.
 
 The deflation that finds the reversible set keeps the separator of each
 round, in one memo, and :func:`complementary_point` folds those
@@ -35,7 +35,12 @@ The deflation, positive-basis extraction and re-certification, the Reay
 search and the witness searches put the same row sets to the LP many
 times over, so :func:`_lp_separator` is memoized by
 :func:`ratlin.rows_memo`, storing only answers that passed
-:func:`_checked`.
+:func:`_checked`.  The fuzz checks and the CLI ask the same instance for
+its reversible set, lineality basis and certificate point several times,
+so :func:`_deflation`, :func:`lineality_space` and
+:func:`complementary_point` keep one answer per vector set.  Each is a
+fact of the instance alone, and only an answer that returned is stored,
+so one whose check raised never is.
 
 All cones have apex at the origin.
 """
@@ -55,7 +60,7 @@ from .ratlin import (
     Vec,
     VectorSet,
     int_row,
-    is_zero,
+    int_row_over,
     kernel_basis,
     rank_of_rows,
     rows_memo,
@@ -266,10 +271,12 @@ def reversible_indices(gens: VectorSet) -> tuple[int, ...]:
     return _deflation(gens)[0]
 
 
+@lru_cache(maxsize=4096)
 def lineality_space(gens: VectorSet) -> SubspaceBasis:
     """Largest linear subspace contained in pos(gens), as its canonical
-    Fraction basis; callers that need only its dimension ask
-    :func:`lineality_dim` instead.
+    basis; callers that need only its dimension ask
+    :func:`lineality_dim` instead.  Memoized per instance; the basis is
+    stored only after its independence check.
 
     Computed as the span of the reversible generators; the invariant test
     suite certifies each output against the defining intersection
@@ -294,6 +301,7 @@ def max_cone_dim(h: HalfspaceSystem) -> int:
     return h.ambient_dim - lineality_dim(h.normals)
 
 
+@lru_cache(maxsize=4096)
 def complementary_point(vs: VectorSet) -> tuple[int, ...]:
     """The certificate of the reversible set R = :func:`reversible_indices`
     of a generator or normal set: an integer point x0 with r.x0 = 0 on R
@@ -316,7 +324,8 @@ def complementary_point(vs: VectorSet) -> tuple[int, ...]:
     property for the vectors it leaves live and makes r.x < 0 on those it
     drops, and M keeps the second; x0 is the last x.  The arithmetic is on
     the integer rows, and after the deflation the linearity check is a
-    memo hit.
+    memo hit.  Memoized per instance: a point is stored only after both
+    checks have passed.
     """
     rows = vs.int_rows
     live, ys = _deflation(vs)
@@ -374,7 +383,9 @@ def extract_cone(h: HalfspaceSystem, k: int) -> VectorSet | InfeasibleCone:
     Construction: take the relative interior point x0, extend it (or start
     fresh when x0 = 0) to a basis u_1..u_k of the complement of the
     lineality space, and fatten x0 by a small rational step eps along each
-    u_i chosen so every inequality still holds.
+    u_i chosen so every inequality still holds.  The generators are built
+    as integer rows over a common denominator and stored as such; no
+    Fraction is built.
     """
     d = h.ambient_dim
     if not 0 <= k <= d:
@@ -386,37 +397,36 @@ def extract_cone(h: HalfspaceSystem, k: int) -> VectorSet | InfeasibleCone:
         return VectorSet(d, ())
     rows = h.normals.int_rows
     implicit = reversible_indices(h.normals)
-    complement = kernel_basis([rows[i] for i in implicit], d).basis
+    complement = kernel_basis([rows[i] for i in implicit], d)
     x = complementary_point(h.normals)
     if not any(x):
-        return VectorSet(d, complement[:k])
+        return complement.subset(range(k))
     # Basis of the complement that starts with the integer point x0,
     # extended greedily in the canonical complement order, as pairs (c, u)
     # of a vector's integer scale and its integer row u = c v.
-    x0 = tuple(map(Fraction, x))
     u = [(1, x)]
-    for v in complement:
+    for c, row in zip(complement.int_scales, complement.int_rows):
         if len(u) == k:
             break
-        c, row = int_row(v)
         if rank_of_rows([r for _, r in u] + [row], d) > len(u):
             u.append((c, row))
     # On an integer normal row a with a.v > 0, a.(x0 + t v) <= 0 holds for
-    # t up to -a.x0 / a.v = -a.x0 c / a.u.
-    bound: Fraction | None = None
+    # t up to -a.x0 / a.v = -a.x0 c / a.u.  The least such bound is kept
+    # as a pair (num, den) with den > 0, and eps = p / q is half of it.
+    bound: tuple[int, int] | None = None
     for i, a in enumerate(rows):
         if i in implicit:
             continue
         ax0 = sum(map(mul, a, x))
         for c, row in u:
             au = sum(map(mul, a, row))
-            if au > 0:
-                cand = Fraction(-ax0 * c, au)
-                if bound is None or cand < bound:
-                    bound = cand
-    eps = bound / 2 if bound is not None else Fraction(1)
-    gens = [x0] + [tuple(xi + eps / c * r for xi, r in zip(x0, row)) for c, row in u]
-    return VectorSet(d, tuple(g for g in gens if not is_zero(g)))
+            if au > 0 and (bound is None or -ax0 * c * bound[1] < bound[0] * au):
+                bound = (-ax0 * c, au)
+    p, q = (1, 1) if bound is None else (bound[0], 2 * bound[1])
+    # x0 + eps u / c = (q c x0 + p u) / (q c).
+    gens = [(1, x)] + [int_row_over([q * c * xi + p * r for xi, r in zip(x, row)], q * c)
+                       for c, row in u]
+    return VectorSet.from_int_form(d, (g for g in gens if any(g[1])))
 
 
 def verify_cone_generators(h: HalfspaceSystem, gens: VectorSet, k: int) -> bool:

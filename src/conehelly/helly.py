@@ -48,6 +48,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from math import gcd
 from operator import mul
 
 from .errors import CapacityError, TheoremContradiction
@@ -223,14 +224,24 @@ def _minimal_lineality_witness(a: VectorSet,
     Otherwise the scan resumes right after W, from the largest answered
     threshold below, and a cold search scans from size threshold + 2.
 
+    The scan runs over one generator per positive-parallel class, the
+    first index of each (:func:`_class_representatives`).  W never holds
+    two generators that are positive multiples of each other, as dropping
+    one keeps pos W and gives a smaller witness; nor a zero generator,
+    for the same reason; nor j when an earlier i outside W is a positive
+    multiple of s_j, as swapping i in keeps pos W and |W| and is
+    lex-earlier.  So W is among the representatives, and the first
+    qualifying subset of them is W.  The capacity gate still counts the
+    reversible generators.
+
     Linearity goes through a pool of cuts, each an integer functional y
-    held as two bitmasks over the reversible generators: pos where
+    held as two bitmasks over the representatives: pos where
     y.s > 0 and neg where y.s < 0.  A candidate meets exactly one of
     them iff y or -y is <= 0 on all of it and < 0 somewhere on it, and
     then, whatever y is, its positive hull is not linear.  The pool
     starts from the functionals of the sign pretest in
     cone._sign_separator (the coordinates, and x -> v.x for each
-    reversible v), so it settles all that the pretest would, and a
+    representative v), so it settles all that the pretest would, and a
     candidate no cut settles goes straight to the checked LP of
     cone._lp_separator; a separator it returns joins the pool at the
     front, and a cut that fires moves to the front.  Every rejection
@@ -245,14 +256,26 @@ def _minimal_lineality_witness(a: VectorSet,
     return answers[threshold]
 
 
+def _class_representatives(rows, members) -> list[int]:
+    """The first index among members of each positive-parallel class of
+    nonzero rows, in order.  A class is keyed by its primitive row, the
+    row divided by the gcd of its entries, which is positive and so keeps
+    the sign."""
+    firsts: dict[tuple[int, ...], int] = {}
+    for i in members:
+        g = gcd(*rows[i])
+        if g:
+            firsts.setdefault(tuple(x // g for x in rows[i]), i)
+    return list(firsts.values())
+
+
 def _scan_for_witness(a: VectorSet, threshold: int,
                       answers: dict) -> tuple[int, ...] | None:
     """The search of _minimal_lineality_witness, resumed after the stored
     answer of the largest threshold below, if there is one."""
     rows, d = a.int_rows, a.ambient_dim
     members = reversible_indices(a)
-    points = [rows[i] for i in members]
-    if rank_of_rows(points, d) <= threshold:
+    if rank_of_rows([rows[i] for i in members], d) <= threshold:
         return None  # dim lpos(a) itself is within the threshold
     # A None below would put dim lpos(a) within the threshold, so any
     # answer below is a witness.
@@ -264,12 +287,14 @@ def _scan_for_witness(a: VectorSet, threshold: int,
         raise CapacityError(
             f"{len(members)} reversible generators exceed the enumeration "
             f"cutoff of {ENUMERATION_CUTOFF}")
+    reps = _class_representatives(rows, members)
+    points = [rows[i] for i in reps]
     axes = [[int(i == j) for i in range(d)] for j in range(d)]
     cuts = [_cut(y, points) for y in axes + points]
-    bits = [1 << b for b in range(len(members))]
-    top = min(_h(threshold, d), len(members))
+    bits = [1 << b for b in range(len(reps))]
+    top = min(_h(threshold, d), len(reps))
     for size in range(max(threshold + 2, len(after)), top + 1):
-        candidates = zip(itertools.combinations(members, size),
+        candidates = zip(itertools.combinations(reps, size),
                          map(sum, itertools.combinations(bits, size)))
         if size == len(after):
             candidates = itertools.dropwhile(lambda c: c[0] <= after, candidates)

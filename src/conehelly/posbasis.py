@@ -18,12 +18,16 @@ A Reay partition is certified as index sets into its basis:
 :func:`verify_reay` checks that the parts partition the basis, their
 sizes and every prefix.  :class:`ReayPartition` holds the same parts as
 vector sets, a view for reading only.
+
+The search itself, :func:`reay_parts`, keeps no memo, so a caller that
+times it times the search.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import TheoremContradiction
 from .cone import is_linear, lineality_dim, lineality_space, reversible_indices
@@ -105,10 +109,15 @@ class ReayPartition:
                 raise ValueError("part in wrong ambient dimension")
 
 
+@lru_cache(maxsize=4096)
 def extract_positive_basis_indices(a: VectorSet) -> tuple[int, ...]:
     """Original indices of a minimal positive basis of the lineality space
     of pos(a), obtained by restricting to the reversible generators and
-    then greedily deleting in input order while positive spanning holds."""
+    then greedily deleting in input order while positive spanning holds.
+
+    Memoized per instance, as the positive-basis check and the Reay
+    witness both extract from the same set; a :class:`PositiveBasis`
+    built on the indices re-certifies them every time."""
     rows = a.int_rows
     members = list(reversible_indices(a))
     target_dim = lineality_dim(a)

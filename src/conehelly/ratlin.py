@@ -2,31 +2,35 @@
 
 Everything in this package reduces to rank and kernel questions over the
 rationals, so this module is deliberately boring: dense Gauss-Jordan
-elimination.  Vectors and results are tuples of ``fractions.Fraction``;
-inside, each row is scaled to integers and eliminated fraction-free in
-the manner of Bareiss (Math. Comp. 22, 1968), so the arithmetic is on
-Python ints and every division is exact.  No floating point appears
-anywhere; rank and dimension decisions are therefore exact, which is
-what makes the Helly checkers in the rest of the package trustworthy.
+elimination.  Vectors at the interface are tuples of
+``fractions.Fraction``; inside, each row is scaled to integers and
+eliminated fraction-free in the manner of Bareiss (Math. Comp. 22,
+1968), so the arithmetic is on Python ints and every division is exact.
+No floating point appears anywhere; rank and dimension decisions are
+therefore exact, which is what makes the Helly checkers in the rest of
+the package trustworthy.
 
 Vectors are plain tuples of Fractions.  Vector sets and subspaces get
 small frozen dataclasses so they can be hashed and memoized.
 
 :func:`int_row`, a vector times the lcm of its denominators, is the one
-Fraction-to-integer converter.  A positive scale changes no rank, rref or
-positive hull, so the cone, positive-basis and Helly code computes on
-integer rows.  A :class:`VectorSet` stores them: its data are the integer
-rows and their scales, read by equality and hashing, and its Fractions
-are a view built only on request, for output.  Subspace bases convert
-their Fraction vectors once.
+Fraction-to-integer converter, and :func:`int_row_over` gives the same
+pair for integer numerators over a common denominator, with no Fraction.
+A positive scale changes no rank, rref or positive hull, so the cone,
+positive-basis and Helly code computes on integer rows.  A
+:class:`VectorSet` stores them: its data are the integer rows and their
+scales, read by equality and hashing, and its Fractions are a view built
+only on request, for output.  A :class:`SubspaceBasis` is a vector set
+of independent vectors, so subspace bases store integer rows too, and
+their Fraction basis is the same view.
 
 Integer rows are the one format that reaches elimination, and one
 pivot step, :func:`_pivot`, does every integer-preserving row update,
 here and in the simplex of :mod:`conehelly.lp`.  :func:`rank_of_rows`,
 for callers that need only the dimension of a span, builds no Fraction.
 Callers that need the subspace itself go through :func:`span_basis` and
-:func:`kernel_basis`, which read a Fraction basis off one Gauss-Jordan
-pass.
+:func:`kernel_basis`, which read each basis vector of one Gauss-Jordan
+pass straight into its integer row, and build no Fraction either.
 
 The Helly searches ask the rank of the same rows many times over, so
 :func:`rank_of_rows` is memoized by :func:`rows_memo`, whose docstring
@@ -39,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, wraps
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -117,6 +121,15 @@ class VectorSet:
     def from_rows(cls, rows: Iterable[Iterable], ambient_dim: int) -> "VectorSet":
         return cls(ambient_dim, tuple(vec(r) for r in rows))
 
+    @classmethod
+    def from_int_form(cls, ambient_dim: int, pairs: Iterable[tuple[int, tuple[int, ...]]]):
+        """The vectors row / c for pairs (c, row), each as :func:`int_row`
+        or :func:`int_row_over` gives it; builds no Fraction."""
+        pairs = tuple(pairs)
+        obj = object.__new__(cls)
+        obj._set(ambient_dim, tuple(c for c, _ in pairs), tuple(r for _, r in pairs))
+        return obj
+
     def __len__(self) -> int:
         return len(self.int_rows)
 
@@ -148,31 +161,27 @@ class VectorSet:
                      for c, r in zip(self.int_scales, self.int_rows))
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
-    """Linear subspace given by a basis; the empty basis is the zero
-    subspace, a first-class value here rather than an error.  The integer
-    form is a cache outside the dataclass fields, so equality and hashing
-    see the basis only."""
+class SubspaceBasis(VectorSet):
+    """Linear subspace given by a basis: a vector set of linearly
+    independent vectors, stored as its integer form like any vector set.
+    :attr:`basis` is the Fraction view, for output.  The empty basis is the
+    zero subspace, a first-class value here rather than an error.  Every
+    construction, from Fraction vectors or from integer pairs, checks
+    independence by the rank of the integer rows."""
 
-    ambient_dim: int
-    basis: tuple[Vec, ...]
-
-    def __post_init__(self):
-        for v in self.basis:
-            if len(v) != self.ambient_dim:
-                raise ValueError("basis vector of wrong length")
-        if rank_of_rows(self.int_rows, self.ambient_dim) != len(self.basis):
+    def _set(self, ambient_dim: int, scales: tuple[int, ...],
+             rows: tuple[tuple[int, ...], ...]) -> None:
+        super()._set(ambient_dim, scales, rows)
+        if rank_of_rows(rows, ambient_dim) != len(rows):
             raise ValueError("basis vectors are linearly dependent")
 
     @property
-    def dim(self) -> int:
-        return len(self.basis)
+    def basis(self) -> tuple[Vec, ...]:
+        return self.vectors
 
-    @cached_property
-    def int_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each basis vector as its :func:`int_row`, converted once."""
-        return tuple(int_row(v)[1] for v in self.basis)
+    @property
+    def dim(self) -> int:
+        return len(self.int_rows)
 
     def contains(self, v: Vec) -> bool:
         """Exact membership of a vector in the spanned subspace."""
@@ -190,6 +199,16 @@ def int_row(v: Sequence) -> tuple[int, tuple[int, ...]]:
     if c == 1:
         return 1, tuple(x.numerator for x in v)
     return c, tuple(x.numerator * (c // x.denominator) for x in v)
+
+
+def int_row_over(nums: Sequence[int], den: int) -> tuple[int, tuple[int, ...]]:
+    """:func:`int_row` of the vector nums / den, for integer numerators and
+    a nonzero integer den, with no Fraction: c = |den| / g and
+    c v = nums / g, signed as den, for g the gcd of den and the nums."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    return den // g, tuple(a // g for a in nums)
 
 
 def _pivot(m: list[Sequence[int]], r: int, c: int, prev: int) -> int:
@@ -302,23 +321,26 @@ def rank_of_rows(rows: Sequence[Sequence[int]], ncols: int) -> int:
 
 def span_basis(rows: Sequence[Sequence[int]], ncols: int) -> SubspaceBasis:
     """Canonical basis of the linear span of integer rows: the nonzero
-    rows of their reduced row echelon form."""
+    rows of their reduced row echelon form, each read off as its integer
+    row over the last pivot."""
     m, pivots, prev = _gauss_jordan(list(rows), ncols)
-    basis = tuple(tuple(Fraction(a, prev) for a in m[i]) for i in range(len(pivots)))
-    return SubspaceBasis(ncols, basis)
+    return SubspaceBasis.from_int_form(
+        ncols, (int_row_over(m[i], prev) for i in range(len(pivots))))
 
 
 def kernel_basis(rows: Sequence[Sequence[int]], ncols: int) -> SubspaceBasis:
     """Canonical basis of ``{x : r.x = 0 for every integer row r}``, one
     vector per free column of the rref; dimension is ncols - rank.  The
     rref depends only on the row space, so any rows spanning it give the
-    same basis."""
+    same basis.  The vector of free column f is e_f minus the rref's
+    column f on the pivots, whose numerators over the last pivot are
+    read off the rows directly."""
     m, pivots, prev = _gauss_jordan(list(rows), ncols)
-    basis = []
+    pairs = []
     for f in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        nums = [0] * ncols
+        nums[f] = prev
         for i, p in enumerate(pivots):
-            v[p] = Fraction(-m[i][f], prev)
-        basis.append(tuple(v))
-    return SubspaceBasis(ncols, tuple(basis))
+            nums[p] = -m[i][f]
+        pairs.append(int_row_over(nums, prev))
+    return SubspaceBasis.from_int_form(ncols, pairs)

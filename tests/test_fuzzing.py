@@ -1,10 +1,12 @@
 import json
 import os
+import sys
+from collections import Counter
 
 import pytest
 
 import conehelly.fuzzing as fuzzing
-from conehelly import cone, lp
+from conehelly import cone, helly, lp, posbasis, ratlin
 from conehelly.cli import EXIT_INTERNAL, instance_from_json, run
 from conehelly.errors import TheoremContradiction
 from conehelly.fuzzing import ALL_CHECKS, FuzzConfig, run_fuzz, trial_instance
@@ -137,6 +139,41 @@ class TestConeHelly:
         monkeypatch.setattr(cone, "_deflation", lambda vs: (listed, separators))
         with pytest.raises(TheoremContradiction, match=message):
             fuzzing.check_cone_helly(vs)
+
+
+class TestOneAnswerPerInstance:
+    """The checks of one trial share each exact fact of the instance: its
+    lineality basis, certificate point and extracted positive basis are
+    computed once.  The Reay search is not memoized, so its time is that
+    of the search."""
+
+    def test_each_fact_is_computed_once(self, monkeypatch):
+        vs = next(vs for vs in (trial_instance(CONE_FUZZ, i)[1] for i in range(100))
+                  if cone.lineality_dim(vs) >= 2)
+        calls = Counter()  # (function, its caller) -> calls
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name, sys._getframe(1).f_code.co_name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(ratlin, "_gauss_jordan")
+        counted(cone, "_deflation")
+        # Within posbasis, only the extraction's greedy loop reads the
+        # reversible generators.
+        counted(posbasis, "reversible_indices")
+        counted(fuzzing, "reay_parts")
+        counted(helly, "reay_parts")
+        fuzzing.run_trial_checks(vs)
+        assert calls["_gauss_jordan", "span_basis"] == 1
+        assert calls["reversible_indices", "extract_positive_basis_indices"] == 1
+        assert calls["_deflation", "complementary_point"] == 1
+        assert sum(n for (name, _), n in calls.items() if name == "reay_parts") == 2
+        assert not hasattr(posbasis.reay_parts, "cache_clear")
 
 
 class TestFailureRecording:

@@ -31,7 +31,7 @@ from conehelly import cli, cone, helly, posbasis, ratlin
 from conehelly.cli import run
 from conehelly.fuzzing import run_trial_checks, trial_instance
 
-from conftest import CONE_FUZZ
+from conftest import CACHES, CONE_FUZZ
 
 with open(os.path.join(os.path.dirname(__file__), "fixtures", "golden_cli.json"),
           encoding="utf-8") as _fh:
@@ -55,7 +55,10 @@ def test_corpus_covers_the_cli():
 
 
 def _replay(commands, capsys, monkeypatch, tmp_path):
-    """Replay every entry of the commands; returns the mismatches."""
+    """Replay every entry of the commands; returns the mismatches.  Every
+    memo is emptied before each entry, so each one runs cold, as in a
+    fresh process, and shares no answer with an entry on the same
+    instance."""
     report = tmp_path / "report.json"
     mismatches = []
     for i in (i for command in commands for i in BY_COMMAND[command]):
@@ -65,6 +68,8 @@ def _replay(commands, capsys, monkeypatch, tmp_path):
             report.write_text(ENTRIES[entry["report_of"]]["stdout"], encoding="utf-8")
             argv = [str(report) if a == "{report}" else a for a in argv]
         monkeypatch.setattr("sys.stdin", io.StringIO(entry["stdin"] or ""))
+        for cache in CACHES:
+            cache.cache_clear()
         code = run(argv)
         out = capsys.readouterr().out
         if code != entry["exit"] or out != entry["stdout"]:
@@ -102,9 +107,6 @@ def test_elimination_takes_integer_rows(capsys, monkeypatch, tmp_path):
         for module in (conehelly, ratlin, cone, posbasis, helly, cli):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, checked)
-    # Memos that earlier tests filled would skip the ranks behind them.
-    helly._witness_answers.cache_clear()
-    helly._reay_input_parts.cache_clear()
     assert not _replay(["lineality", "polar-lineality", "flat-helly", "posbasis",
                         "reay", "extract-cone"], capsys, monkeypatch, tmp_path)
     for i in range(20):

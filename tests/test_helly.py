@@ -333,6 +333,63 @@ class TestSharedAnswers:
         assert lps == []
 
 
+@st.composite
+def _sets_with_parallels(draw):
+    """A set with positive multiples of some of its vectors and zero
+    vectors added, all shuffled, so a multiple may come before the vector
+    it repeats."""
+    a = draw(int_vector_sets(max_d=4, max_n=5, bound=2, min_n=1))
+    rows = list(a.int_rows)
+    for i in draw(st.lists(st.integers(0, len(rows) - 1), max_size=3)):
+        rows.append(tuple(draw(st.integers(2, 3)) * x for x in rows[i]))
+    rows += [(0,) * a.ambient_dim] * draw(st.integers(0, 2))
+    order = draw(st.permutations(range(len(rows))))
+    return VectorSet(a.ambient_dim, [rows[i] for i in order])
+
+
+# +-e_1..+-e_9 and +-2e_1..+-2e_3 in R^10: 24 reversible generators in
+# 18 positive-parallel classes.
+AXIS_MULTIPLES = ([tuple(s * int(i == j) for i in range(10)) for j in range(9)
+                   for s in (1, -1)]
+                  + [tuple(s * 2 * int(i == j) for i in range(10)) for j in range(3)
+                     for s in (1, -1)])
+
+
+class TestParallelClasses:
+    """The scan runs over the first generator of each positive-parallel
+    class and finds what the plain scan over all of them finds."""
+
+    def test_key_keeps_the_sign(self):
+        a = vs([[1], [-1], [2], [-2]], 1)
+        assert helly._class_representatives(a.int_rows, range(4)) == [0, 1]
+        assert helly._minimal_lineality_witness(a, 0) == (0, 1)
+
+    def test_zero_rows_and_later_multiples_are_dropped(self):
+        a = vs([[0, 0], [2, 4], [-1, 0], [1, 2], [0, 0], [-3, 0], [0, -1]], 2)
+        assert helly._class_representatives(a.int_rows, range(7)) == [1, 2, 6]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_sets_with_parallels())
+    def test_same_witness_as_the_plain_scan(self, a):
+        for t in range(a.ambient_dim + 1):
+            assert helly._minimal_lineality_witness(a, t) == plain_minimal_witness(a, t)[0], t
+
+    def test_no_lp_on_two_positive_multiples(self, monkeypatch):
+        a = VectorSet(10, AXIS_MULTIPLES)
+        assert len(reversible_indices(a)) == 24  # within the capacity gate
+        separator = helly._lp_separator
+
+        def one_per_class(rows):
+            # Each row is a multiple of an axis vector, so dividing it by
+            # its largest absolute entry gives its class.
+            primitive = {tuple(x // max(map(abs, r)) for x in r) for r in rows}
+            assert len(primitive) == len(rows), rows
+            return separator(rows)
+
+        monkeypatch.setattr(helly, "_lp_separator", one_per_class)
+        assert witness_lineality_enum(a, 8).subset_indices == tuple(range(18))
+
+
 class TestConeHelly:
     def test_example1_whole_family_witness(self):
         for d in (2, 3, 4):

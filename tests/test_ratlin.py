@@ -261,6 +261,73 @@ class TestOrthComplement:
                 assert dot(u, w) == 0
 
 
+class TestSubspaceIntegerForm:
+    """A subspace basis stores its integer form, like a vector set; its
+    Fraction basis is a view built on request, for output."""
+
+    def test_fields_are_the_integer_form(self):
+        s = SubspaceBasis(2, (vec([F(1, 2), 1]), vec([0, F(1, 3)])))
+        assert [f.name for f in fields(SubspaceBasis)] == ["ambient_dim", "int_scales",
+                                                          "int_rows"]
+        assert s.int_scales == (2, 3) and s.int_rows == ((1, 2), (0, 1))
+        assert "vectors" not in vars(s)
+        assert s.basis == (vec([F(1, 2), 1]), vec([0, F(1, 3)]))
+        assert s.basis is s.basis  # built once
+        fresh = SubspaceBasis(2, s.basis)
+        assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
+        # A basis is never equal to the vector set of the same vectors.
+        assert s != VectorSet(2, s.basis)
+
+    @given(rational_matrices())
+    def test_basis_is_the_reference_rref(self, data):
+        rows, ncols = data
+        span = span_basis(ints(rows), ncols)
+        kernel = kernel_basis(ints(rows), ncols)
+        assert span.basis == tuple(map(tuple, ref_rref(rows, ncols)[0]))
+        assert kernel.basis == ref_kernel_basis(rows, ncols)
+        for s in (span, kernel):
+            assert list(zip(s.int_scales, s.int_rows)) == [int_row(v) for v in s.basis]
+
+    @given(rational_matrices())
+    def test_built_from_fractions_equals_built_from_rows(self, data):
+        rows, ncols = data
+        for s in (span_basis(ints(rows), ncols), kernel_basis(ints(rows), ncols)):
+            fresh = SubspaceBasis(ncols, tuple(vec(v) for v in s.basis))
+            assert fresh == s and hash(fresh) == hash(s)
+
+    def test_dependent_rows_raise_on_every_construction(self):
+        with pytest.raises(ValueError, match="dependent"):
+            SubspaceBasis(2, (vec([1, 0]), vec([F(-1, 2), 0])))
+        with pytest.raises(ValueError, match="dependent"):
+            SubspaceBasis(2, (vec([0, 0]),))
+        with pytest.raises(ValueError, match="dependent"):
+            SubspaceBasis.from_int_form(2, [(1, (1, 2)), (3, (2, 4))])
+        with pytest.raises(ValueError):
+            SubspaceBasis(2, (vec([1, 0, 0]),))
+
+    def test_int_row_over_is_int_row(self):
+        for nums, den in [((2, -4, 6), 4), ((2, -4, 6), -4), ((0, 0), -7),
+                          ((3, 5), 1), ((-6, 9), -3)]:
+            want = int_row(tuple(F(a, den) for a in nums))
+            assert ratlin.int_row_over(nums, den) == want
+
+    def test_integer_input_builds_no_fraction(self):
+        # Only output builds Fractions: the basis and generator views.
+        from conehelly.cone import HalfspaceSystem, extract_cone
+
+        rows = [(2, 4, 1), (0, 3, 5)]
+        spans, kernels = [], []
+        assert fractions_built(lambda: spans.append(span_basis(rows, 3))) == 0
+        assert fractions_built(lambda: kernels.append(kernel_basis(rows, 3))) == 0
+        assert spans[0].int_scales == (6, 3) and kernels[0].int_scales == (6,)
+        h = HalfspaceSystem(VectorSet(3, [(2, 1, 0), (1, -3, 1), (0, 1, -2)]))
+        gens = []
+        assert fractions_built(lambda: gens.append(extract_cone(h, 3))) == 0
+        assert max(gens[0].int_scales) > 1
+        for out in (spans[0], kernels[0], gens[0]):
+            assert fractions_built(lambda: out.vectors) > 0
+
+
 class TestSubspaceBasis:
     def test_rejects_dependent_basis(self):
         with pytest.raises(ValueError):
@@ -351,14 +418,6 @@ class TestIntegerForm:
         sub = a.subset(ids)
         assert sub == VectorSet(d, tuple(ref.vectors[i] for i in ids))
         assert hash(sub) == hash(VectorSet(d, tuple(ref.vectors[i] for i in ids)))
-
-    def test_subspace_cache_is_not_a_field(self):
-        s = SubspaceBasis(2, (vec([F(1, 2), 1]), vec([0, F(1, 3)])))
-        assert s.int_rows == ((1, 2), (0, 1))
-        assert s.int_rows is s.int_rows  # converted once
-        assert [f.name for f in fields(SubspaceBasis)] == ["ambient_dim", "basis"]
-        fresh = SubspaceBasis(2, s.basis)
-        assert s == fresh and hash(s) == hash(fresh) and repr(s) == repr(fresh)
 
     def test_one_converter(self):
         # The cone, positive-basis and Helly layers compute on the integer
