@@ -7,15 +7,18 @@ questions answered about it:
 * membership: is b in pos A?
 * linearity: is pos A a linear subspace?  It is iff -sum A is in pos A,
   so this is membership again, behind a sign pretest.  The lineality
-  space, positive bases and Reay prefixes all rest on it.
+  space, positive bases and Reay prefixes all rest on it.  Once a set is
+  known to be linear, a smaller question settles whether one element can
+  go: pos(A - a) = pos A iff a is in pos(A - a), a membership LP.
 * polar quantities of a homogeneous halfspace system {x : a.x <= 0}: the
   largest dimension of a cone inside the intersection, a relative
   interior point, and an explicit k-dimensional cone when one exists.
 
 The first two are asked of a VectorSet's integer rows, which have the
-same positive hull, and one phase-1 LP answers both; :func:`_checked`
-verifies its integer answer by substitution before it is used.
-Membership turns its certificate back into Fractions.
+same positive hull, and one phase-1 LP answers both: every such LP is
+solved in :func:`_checked_membership`, which verifies its integer answer
+by substitution (:func:`_checked`) before it is used.  Membership turns
+its certificate back into Fractions.
 
 Nearly every Helly question needs only the dimension of the lineality
 space, and :func:`lineality_dim` answers it by one integer rank of the
@@ -152,11 +155,22 @@ def _checked(rows: Sequence[Sequence[int]], t: Sequence[int],
     return res
 
 
+def _checked_membership(rows: Sequence[Sequence[int]],
+                        t: Sequence[int]) -> lp.LPResult:
+    """The phase-1 LP's answer to "t in pos(rows)?", checked by
+    :func:`_checked`: the one call behind :func:`membership`, the
+    linearity certificate of :func:`_lp_separator` and the drop-one test
+    of :mod:`posbasis`.  Empty rows and a zero target are answered like
+    any other."""
+    return _checked(rows, t, lp.nonneg_combination(rows, t))
+
+
 def membership(b: Vec, gens: VectorSet) -> FarkasCertificate:
     """Decide b in pos(gens) and return a certificate either way.
 
     The LP runs on the generators' integer rows and the point times its
-    integer scale c_b, and its answer is checked by :func:`_checked`.
+    integer scale c_b, and its answer is checked by
+    :func:`_checked_membership`.
     Coefficient i is then x_i c_i / (den c_b), with c_i the scale of
     generator i, and the separator is y / den.
     """
@@ -164,7 +178,7 @@ def membership(b: Vec, gens: VectorSet) -> FarkasCertificate:
         raise ValueError("query point has wrong dimension")
     rows = gens.int_rows
     cb, t = int_row(b)
-    res = _checked(rows, t, lp.nonneg_combination(rows, t))
+    res = _checked_membership(rows, t)
     if res.status == lp.OPTIMAL:
         scale = res.den * cb
         return FarkasCertificate(combination=tuple(
@@ -231,7 +245,7 @@ def _lp_separator(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
     rows are the LP's columns and the Bland pivots follow their order.
     A failed check raises and leaves no entry."""
     t = [-sum(col) for col in zip(*rows)]
-    y = _checked(rows, t, lp.nonneg_combination(rows, t)).farkas
+    y = _checked_membership(rows, t).farkas
     return None if y is None else tuple(y)
 
 
@@ -308,10 +322,13 @@ def complementary_point(vs: VectorSet) -> tuple[int, ...]:
     and r.x0 < 0 off R, after checking that pos R is linear.
 
     The two sides are a strictly complementary pair (Goldman and Tucker,
-    in Linear Inequalities and Related Systems, 1956).  :func:`is_linear`
-    on R's integer rows holds only on a checked positive zero-combination
-    of R, so every vector of R is reversible and span R lies in the
-    lineality space.  x0 is <= 0 on pos(vs) and < 0 on each vector off R,
+    in Linear Inequalities and Related Systems, 1956).  The empty R is
+    linear, and on a nonempty R :func:`_lp_separator` answers None only
+    on a checked positive zero-combination of R, so every vector of R is
+    reversible and span R lies in the lineality space.  (The sign pretest
+    of :func:`_separator` is skipped: it never fires on a linear set, as
+    a zero-combination with every coefficient positive rules out both of
+    its tests.)  x0 is <= 0 on pos(vs) and < 0 on each vector off R,
     so none of those is reversible, and the lineality space is span R.  A
     zero generator lies in R and meets x0 at 0, and the zero point answers
     a set whose vectors are all reversible.  A failed check can only come
@@ -329,7 +346,7 @@ def complementary_point(vs: VectorSet) -> tuple[int, ...]:
     """
     rows = vs.int_rows
     live, ys = _deflation(vs)
-    if not is_linear([rows[i] for i in live]):
+    if live and _lp_separator([rows[i] for i in live]) is not None:
         raise TheoremContradiction("reversible set has no positive zero-combination")
     x = [0] * vs.ambient_dim
     for y in ys:

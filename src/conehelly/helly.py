@@ -41,6 +41,13 @@ lineality dimension at most t' < t, so the witness at t is W itself
 when rank W > t, and otherwise comes after W.  A check that asks
 k = 1, 2, ... in turn thus scans each subset at most once, and reuses
 only answers the theorem already fixes: no cut crosses scans.
+
+Threshold 0, which the cone check asks at k = d, is not scanned at all.
+Its witness is an antipodal pair of class representatives when there is
+one, found by a key lookup.  Otherwise it is the witness at threshold 1:
+a linear set of representatives of rank 1 lies on a line, so it is an
+antipodal pair, and every other linear candidate has rank >= 2 and
+qualifies at 0 exactly when it qualifies at 1.
 """
 
 from __future__ import annotations
@@ -234,6 +241,12 @@ def _minimal_lineality_witness(a: VectorSet,
     qualifying subset of them is W.  The capacity gate still counts the
     reversible generators.
 
+    Threshold 0 scans nothing once the gate has passed: its witness is
+    the lex-first antipodal pair of representatives
+    (:func:`_antipodal_pair`) or, when there is none, the answer at
+    threshold 1, asked through the memo (module docstring).  That answer
+    must lie within h(0, d), or the theorem check raises.
+
     Linearity goes through a pool of cuts, each an integer functional y
     held as two bitmasks over the representatives: pos where
     y.s > 0 and neg where y.s < 0.  A candidate meets exactly one of
@@ -256,17 +269,37 @@ def _minimal_lineality_witness(a: VectorSet,
     return answers[threshold]
 
 
+def _class_key(row) -> tuple[int, ...] | None:
+    """The key of the positive-parallel class of a nonzero row: its
+    primitive row, the row divided by the gcd of its entries, which is
+    positive and so keeps the sign.  None for a zero row."""
+    g = gcd(*row)
+    return tuple(x // g for x in row) if g else None
+
+
 def _class_representatives(rows, members) -> list[int]:
     """The first index among members of each positive-parallel class of
-    nonzero rows, in order.  A class is keyed by its primitive row, the
-    row divided by the gcd of its entries, which is positive and so keeps
-    the sign."""
+    nonzero rows (:func:`_class_key`), in order."""
     firsts: dict[tuple[int, ...], int] = {}
     for i in members:
-        g = gcd(*rows[i])
-        if g:
-            firsts.setdefault(tuple(x // g for x in rows[i]), i)
+        key = _class_key(rows[i])
+        if key is not None:
+            firsts.setdefault(key, i)
     return list(firsts.values())
+
+
+def _antipodal_pair(rows, reps) -> tuple[int, int] | None:
+    """The lex-first pair of representatives i < j with s_j a negative
+    multiple of s_i, found by looking up the negated class key, or None.
+    Each class has one representative, so the first i in order with a
+    partner gives the pair; its partner j comes after it, or j would
+    have been found first."""
+    index = {_class_key(rows[i]): i for i in reps}
+    for key, i in index.items():
+        j = index.get(tuple(-x for x in key))
+        if j is not None:
+            return i, j
+    return None
 
 
 def _scan_for_witness(a: VectorSet, threshold: int,
@@ -288,6 +321,12 @@ def _scan_for_witness(a: VectorSet, threshold: int,
             f"{len(members)} reversible generators exceed the enumeration "
             f"cutoff of {ENUMERATION_CUTOFF}")
     reps = _class_representatives(rows, members)
+    if threshold == 0:
+        combo = _antipodal_pair(rows, reps) or _minimal_lineality_witness(a, 1)
+        if combo is None or len(combo) > _h(0, d):
+            raise TheoremContradiction(
+                "lineality exceeds 0 but no witness within h exists")
+        return combo
     points = [rows[i] for i in reps]
     axes = [[int(i == j) for i in range(d)] for j in range(d)]
     cuts = [_cut(y, points) for y in axes + points]

@@ -9,10 +9,15 @@ span has dimension |B_j| - j.
 pos X = L exactly when X lies in L, has rank dim L and is linear (pos X
 is a subspace).  Linearity has one mechanism, :func:`cone.is_linear`:
 one phase-1 LP whose answer, a zero combination with positive
-coefficients or a separating functional, is checked by substitution.  So
-a positive basis is certified by |X| + 1 linearity certificates, and a
-Reay prefix B_j by the same test with dim L = |B_j| - j.  Ranks and
-linearity are read off the integer rows of the vector sets.
+coefficients or a separating functional, is checked by substitution.
+Once X is linear, x can be dropped exactly when x lies in pos(X - x):
+-x lies in pos(X - x) already, so pos(X - x) then holds X and equals
+pos X, and otherwise it misses x.  That is one checked membership LP,
+with no rank and no pretest.  So a positive basis is certified by one
+linearity certificate and one membership certificate per element, a
+Reay prefix B_j by the same test with dim L = |B_j| - j, and the
+extraction below deletes by the same membership test.  Ranks and LPs
+are read off the integer rows of the vector sets.
 
 A Reay partition is certified as index sets into its basis:
 :func:`verify_reay` checks that the parts partition the basis, their
@@ -29,8 +34,15 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
+from . import lp
 from .errors import TheoremContradiction
-from .cone import is_linear, lineality_dim, lineality_space, reversible_indices
+from .cone import (
+    _checked_membership,
+    is_linear,
+    lineality_dim,
+    lineality_space,
+    reversible_indices,
+)
 from .ratlin import SubspaceBasis, VectorSet, is_index_set, rank_of_rows
 
 __all__ = [
@@ -45,9 +57,20 @@ __all__ = [
 ]
 
 
+def _in_pos_of_rest(rows: list, i: int) -> bool:
+    """Whether rows[i] lies in the positive hull of the other rows, by one
+    checked membership LP.  On a linear set this is exactly whether
+    rows[i] can be dropped with the positive hull kept (module
+    docstring)."""
+    return _checked_membership(rows[:i] + rows[i + 1:], rows[i]).status == lp.OPTIMAL
+
+
 def _minimally_spans(rows: list, d: int, dim: int) -> bool:
     """pos(rows) is a linear subspace of dimension dim, and no set with
     one element removed has both properties; rows are integer rows.
+    Once rows is certified linear of that dimension, a smaller set has
+    both properties exactly when its positive hull is pos(rows), which
+    :func:`_in_pos_of_rest` decides.
 
     For dim > 0, dim vectors never positively span a dim-dimensional
     space: if they span it they are a basis, and each coordinate in that
@@ -62,11 +85,7 @@ def _minimally_spans(rows: list, d: int, dim: int) -> bool:
         return False
     if dim > 0 and n == dim + 1:
         return True
-    for i in range(n):
-        rest = rows[:i] + rows[i + 1:]
-        if rank_of_rows(rest, d) == dim and is_linear(rest):
-            return False
-    return True
+    return not any(_in_pos_of_rest(rows, i) for i in range(n))
 
 
 def is_positive_basis(x: VectorSet, target: SubspaceBasis) -> bool:
@@ -114,21 +133,22 @@ def extract_positive_basis_indices(a: VectorSet) -> tuple[int, ...]:
     """Original indices of a minimal positive basis of the lineality space
     of pos(a), obtained by restricting to the reversible generators and
     then greedily deleting in input order while positive spanning holds.
+    The reversible generators are linear, by the deflation's last
+    certificate, and each deletion keeps the positive hull, so one
+    membership LP decides each deletion (:func:`_in_pos_of_rest`).
 
     Memoized per instance, as the positive-basis check and the Reay
     witness both extract from the same set; a :class:`PositiveBasis`
     built on the indices re-certifies them every time."""
     rows = a.int_rows
-    members = list(reversible_indices(a))
+    members = reversible_indices(a)
     target_dim = lineality_dim(a)
     keep = list(members)
     for idx in members:
         if target_dim > 0 and len(keep) == target_dim + 1:
             break  # no smaller set spans: see _minimally_spans
-        trial = [i for i in keep if i != idx]
-        sub = [rows[i] for i in trial]
-        if rank_of_rows(sub, a.ambient_dim) == target_dim and is_linear(sub):
-            keep = trial
+        if _in_pos_of_rest([rows[i] for i in keep], keep.index(idx)):
+            keep.remove(idx)
     return tuple(keep)
 
 

@@ -1,11 +1,13 @@
 import importlib
 import pkgutil
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
 import conehelly
+from conehelly import lp
 from conehelly.fuzzing import FuzzConfig
 from conehelly.ratlin import VectorSet
 
@@ -49,6 +51,29 @@ def int_vector_sets(draw, max_d=4, max_n=6, bound=3, min_n=0, nonzero=False):
             v = v[:-1] + (Fraction(1),)
         vectors.append(v)
     return VectorSet(d, tuple(vectors))
+
+
+@st.composite
+def with_negated_copies(draw, sets, max_copies=None):
+    """A set drawn from sets followed by the negations of up to max_copies
+    of its vectors, so that antipodal pairs and lineality are common."""
+    a = draw(sets)
+    picks = draw(st.lists(st.integers(0, len(a) - 1), unique=True,
+                          max_size=max_copies)) if len(a) else []
+    return VectorSet(a.ambient_dim, a.vectors + tuple(
+        tuple(-c for c in a[i]) for i in picks))
+
+
+@contextmanager
+def counting_lps():
+    """A list that gains one entry per lp.nonneg_combination call inside
+    the block."""
+    calls = []
+    real = lp.nonneg_combination
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "nonneg_combination",
+                   lambda *args: calls.append(1) or real(*args))
+        yield calls
 
 
 @st.composite

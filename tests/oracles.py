@@ -282,6 +282,21 @@ def plain_minimal_witness(vs: VectorSet, threshold: int):
     return None, scanned
 
 
+def ref_extract_positive_basis_indices(vs: VectorSet) -> tuple[int, ...]:
+    """The greedy deletion of the extraction's docstring, run to the end
+    with the oracles' own rank and linearity: starting from the
+    reversible generators, delete each in input order when the rest keeps
+    the target's rank and is linear."""
+    rows, d = vs.int_rows, vs.ambient_dim
+    keep = list(reversible_indices(vs))
+    target = _rank([rows[i] for i in keep], d)
+    for idx in tuple(keep):
+        rest = [rows[i] for i in keep if i != idx]
+        if _rank(rest, d) == target and _is_linear(rest):
+            keep.remove(idx)
+    return tuple(keep)
+
+
 def oracle_first_independent(vs: VectorSet, size: int):
     """Lexicographically-first linearly independent subset of the given
     size, by scanning every subset in order; None if there is none."""

@@ -134,6 +134,62 @@ class TestMembership:
             membership(vec([-1, 0]), vs(self.QUADRANT, 2))
 
 
+@st.composite
+def _membership_queries(draw):
+    """Integer rows, possibly none, and a target that is zero, a
+    nonnegative combination of the rows or any small integer vector, so
+    that both answers are common."""
+    a = draw(int_vector_sets(max_d=3, max_n=5, bound=2))
+    rows, d = a.int_rows, a.ambient_dim
+    kind = draw(st.sampled_from(["zero", "combination", "any"]))
+    if kind == "zero":
+        t = (0,) * d
+    elif kind == "combination":
+        x = draw(st.lists(st.integers(0, 2), min_size=len(rows), max_size=len(rows)))
+        t = tuple(sum(xi * r[j] for xi, r in zip(x, rows)) for j in range(d))
+    else:
+        t = tuple(draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d)))
+    return a, t
+
+
+class TestCheckedMembership:
+    """_checked_membership, the one call of the membership LP behind
+    membership, the linearity certificate and the drop-one test of
+    posbasis, answers as the brute-force oracle does."""
+
+    @staticmethod
+    def _holds(rows, t, res):
+        # The certificate, substituted once more here.
+        if res.status == lp.OPTIMAL:
+            assert res.den > 0 and min(res.x, default=0) >= 0
+            assert [sum(x * r[j] for x, r in zip(res.x, rows)) for j in range(len(t))] \
+                == [res.den * c for c in t]
+        else:
+            assert all(dot(res.farkas, r) <= 0 for r in rows)
+            assert dot(res.farkas, t) > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(_membership_queries())
+    def test_matches_the_oracle(self, query):
+        a, t = query
+        res = cone._checked_membership(a.int_rows, t)
+        self._holds(a.int_rows, t, res)
+        assert (res.status == lp.OPTIMAL) == oracle_in_pos(t, a)
+
+    @pytest.mark.parametrize("rows, t, member", [
+        ([], (0, 0), True),
+        ([], (0, 1), False),
+        ([(1, 0)], (0, 0), True),
+        ([(0, 0)], (0, 0), True),
+        ([(1, 0), (-1, 0)], (-3, 0), True),
+        ([(1, 0), (0, 1)], (1, -1), False),
+    ])
+    def test_empty_rows_and_zero_targets(self, rows, t, member):
+        res = cone._checked_membership(rows, t)
+        self._holds(rows, t, res)
+        assert (res.status == lp.OPTIMAL) == member == oracle_in_pos(t, VectorSet(2, rows))
+
+
 class TestLineality:
     def test_reversible_axis(self):
         ls = lineality_space(vs([[1, 0], [-1, 0], [0, 1]], 2))
@@ -364,12 +420,13 @@ class TestRelativeInteriorPoint:
         a = vs(self.CHAIN, 4)
         assert lineality_dim(a) == 1
         assert calls == [5, 4, 3, 2]  # three separators, then the linear pair
-        misses = cone._lp_separator.cache_info().misses
+        before = cone._lp_separator.cache_info()
         relative_interior_point(HalfspaceSystem(a))
-        # No second deflation: only the certificate's linearity check on
-        # the reversible pair, which the LP memo answers.
-        assert calls == [5, 4, 3, 2, 2]
-        assert cone._lp_separator.cache_info().misses == misses
+        # No second deflation and no sign pretest: only the certificate's
+        # linearity check on the reversible pair, which the LP memo answers.
+        assert calls == [5, 4, 3, 2]
+        after = cone._lp_separator.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
     @settings(max_examples=150, deadline=None)
     @given(int_vector_sets(max_d=4, max_n=7, bound=2, min_n=1, nonzero=True))
@@ -543,15 +600,16 @@ class TestLinearityMemo:
         assert cone._lp_separator.cache_info().currsize == 1
 
     def test_no_linearity_lp_solved_twice_in_a_trial(self, monkeypatch):
-        # Every linearity LP is solved inside the uncached _lp_separator;
-        # within one trial, as the benchmark runs it with every memo
-        # emptied first, none is solved twice on the same rows.
+        # Every linearity LP is solved by the uncached _lp_separator,
+        # through _checked_membership; within one trial, as the benchmark
+        # runs it with every memo emptied first, none is solved twice on
+        # the same rows.
         inner = cone._lp_separator.__wrapped__.__code__
         solve = lp.nonneg_combination
         solved = []
 
         def counting(cols, target):
-            if sys._getframe(1).f_code is inner:
+            if sys._getframe(2).f_code is inner:
                 solved.append(tuple(map(tuple, cols)))
             return solve(cols, target)
 

@@ -1,11 +1,10 @@
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conehelly import cone, helly, lp
+from conehelly import cone, helly
 from conehelly.errors import CapacityError
 from conehelly.cone import (
     HalfspaceSystem,
@@ -30,7 +29,13 @@ from conehelly.helly import (
 )
 from conehelly.ratlin import VectorSet, rank_of_rows, vec
 
-from conftest import CACHES, POS_FUZZ, int_vector_sets
+from conftest import (
+    CACHES,
+    POS_FUZZ,
+    counting_lps,
+    int_vector_sets,
+    with_negated_copies,
+)
 from oracles import (
     oracle_check_hypothesis,
     oracle_first_independent,
@@ -208,29 +213,17 @@ class TestWitnessExtractors:
             assert w.subset_indices == expect
 
 
-@contextmanager
-def _counting_lps():
-    """A list that gains one entry per lp.nonneg_combination call inside
-    the block."""
-    calls = []
-    real = lp.nonneg_combination
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lp, "nonneg_combination",
-                   lambda *args: calls.append(1) or real(*args))
-        yield calls
-
-
 def _pool_and_plain(a, threshold):
     """(the pooled search's witness and LP calls, the plain scan's witness,
     candidates scanned and LP calls), both run cold on a."""
     reversible_indices(a)  # its deflation LPs belong to neither search
-    with _counting_lps() as plain_lps:
+    with counting_lps() as plain_lps:
         want, scanned = plain_minimal_witness(a, threshold)
     # Neither the deflation nor the plain scan may leave the pooled search
     # a stored answer: each of its LPs is then counted.
     for memo in (helly._witness_answers, cone._lp_separator, rank_of_rows):
         memo.cache_clear()
-    with _counting_lps() as pool_lps:
+    with counting_lps() as pool_lps:
         got = helly._minimal_lineality_witness(a, threshold)
     return got, len(pool_lps), want, scanned, len(plain_lps)
 
@@ -291,7 +284,7 @@ class TestSharedAnswers:
         assert helly._witness_answers in CACHES
 
     @settings(max_examples=60, deadline=None)
-    @given(_closed_sets(), st.data())
+    @given(with_negated_copies(_closed_sets(), max_copies=2), st.data())
     def test_any_order_of_thresholds(self, a, data):
         thresholds = range(a.ambient_dim + 1)
         cold = {}
@@ -318,14 +311,41 @@ class TestSharedAnswers:
         _, a = trial_instance(POS_FUZZ, trial)
         w = helly._minimal_lineality_witness(a, 1)
         cone._lp_separator.cache_clear()
-        with _counting_lps() as lps:
+        with counting_lps() as lps:
             assert [helly._minimal_lineality_witness(a, t) for t in (2, 3, 4)] == [w] * 3
         assert lps == []
+
+    @pytest.mark.parametrize("trial", [13, 16, 25, 48])
+    def test_threshold_zero_is_the_witness_at_one(self, trial):
+        # No two representatives are antipodal, so threshold 0 reads the
+        # answer at 1 off the memo.
+        _, a = trial_instance(POS_FUZZ, trial)
+        members = reversible_indices(a)
+        reps = helly._class_representatives(a.int_rows, members)
+        assert helly._antipodal_pair(a.int_rows, reps) is None
+        w = helly._minimal_lineality_witness(a, 1)
+        cone._lp_separator.cache_clear()
+        with counting_lps() as lps:
+            assert helly._minimal_lineality_witness(a, 0) == w
+        assert lps == []
+        assert w == plain_minimal_witness(a, 0)[0]
+
+    def test_threshold_zero_takes_the_first_antipodal_pair(self):
+        a = gen_axis_pairs(3, 3)
+        reversible_indices(a)  # its deflation LPs come before the search
+        with counting_lps() as lps:
+            assert helly._minimal_lineality_witness(a, 0) == (0, 1)
+        assert lps == []
+        # The pair is the lex-first one, also when its vectors are not
+        # adjacent and an earlier vector has no partner.
+        b = vs([[1, 1], [0, 1], [2, 0], [-1, 0], [0, -3]], 2)
+        assert helly._minimal_lineality_witness(b, 0) == (1, 4) \
+            == plain_minimal_witness(b, 0)[0]
 
     def test_gate_fires_at_every_threshold_before_any_lp(self):
         a = vs(AXIS_PAIRS_25, 2)
         reversible_indices(a)  # its deflation LPs come before the search
-        with _counting_lps() as lps:
+        with counting_lps() as lps:
             for t in (0, 1):
                 with pytest.raises(CapacityError, match="cutoff"):
                     helly._minimal_lineality_witness(a, t)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conehelly import cone, posbasis
 from conehelly.cone import is_linear, lineality_space, reversible_indices
+from conehelly.fuzzing import trial_instance
 from conehelly.gens import gen_axis_pairs, gen_simplex_like
 from conehelly.posbasis import (
     PositiveBasis,
@@ -16,10 +17,14 @@ from conehelly.posbasis import (
     reay_parts,
     verify_reay,
 )
-from conehelly.ratlin import SubspaceBasis, VectorSet, rank_of_rows, span_basis, vec
+from conehelly.ratlin import SubspaceBasis, VectorSet, span_basis, vec
 
-from conftest import int_vector_sets
-from oracles import oracle_is_positive_basis, oracle_reversible
+from conftest import POS_FUZZ, counting_lps, int_vector_sets, with_negated_copies
+from oracles import (
+    oracle_is_positive_basis,
+    oracle_reversible,
+    ref_extract_positive_basis_indices,
+)
 
 F = Fraction
 
@@ -102,6 +107,40 @@ class TestExtract:
         assert kept == (1, 2)
 
     @settings(max_examples=80, deadline=None)
+    @given(with_negated_copies(int_vector_sets(max_d=3, max_n=5, bound=2)))
+    def test_matches_the_reference_greedy(self, a):
+        # Negated copies give most drawn sets a lineality space, so most
+        # deletions are decided by the membership LP.
+        assert extract_positive_basis_indices(a) == ref_extract_positive_basis_indices(a)
+
+    @pytest.mark.parametrize("trial", [13, 16, 25, 48])
+    def test_fuzz_trials_match_the_reference_greedy(self, trial):
+        _, a = trial_instance(POS_FUZZ, trial)
+        assert extract_positive_basis_indices(a) == ref_extract_positive_basis_indices(a)
+
+    def test_one_membership_lp_per_member_examined(self, monkeypatch):
+        # The deletion test asks no rank and no pretest, only one LP; the
+        # one rank left is that of the target, the lineality dimension.
+        _, a = trial_instance(POS_FUZZ, 16)
+        members = reversible_indices(a)  # its deflation LPs come first
+        ranks = []
+        rank = cone.rank_of_rows
+        monkeypatch.setattr(cone, "rank_of_rows",
+                            lambda rows, d: ranks.append(rows) or rank(rows, d))
+        monkeypatch.setattr(posbasis, "rank_of_rows", lambda *args: pytest.fail(
+            "rank in a drop-one test"))
+        monkeypatch.setattr(cone, "_sign_separator", lambda rows: pytest.fail(
+            "sign pretest in a drop-one test"))
+        with counting_lps() as lps:
+            kept = extract_positive_basis_indices(a)
+        assert ranks == [[a.int_rows[i] for i in members]]
+        # Members are examined in order, and the size rule stops the loop
+        # once the last deletion leaves dim + 1 of them.
+        assert len(kept) == a.ambient_dim + 1  # the lineality space is R^5
+        dropped = [i for i in members if i not in kept]
+        assert 0 < len(lps) <= members.index(dropped[-1]) + 1
+
+    @settings(max_examples=80, deadline=None)
     @given(int_vector_sets(max_d=3, max_n=6, bound=2))
     def test_output_is_positive_basis_of_the_lineality(self, a):
         pb = extract_positive_basis(a)  # construction re-certifies
@@ -158,14 +197,7 @@ class TestSizeRule:
     @given(int_vector_sets(max_d=3, max_n=7, bound=2))
     def test_extraction_matches_the_full_greedy(self, a):
         # The greedy deletion of the docstring, run to the end.
-        rows, d = a.int_rows, a.ambient_dim
-        target = rank_of_rows([rows[i] for i in reversible_indices(a)], d)
-        keep = list(reversible_indices(a))
-        for idx in reversible_indices(a):
-            trial = [rows[i] for i in keep if i != idx]
-            if rank_of_rows(trial, d) == target and is_linear(trial):
-                keep.remove(idx)
-        assert extract_positive_basis_indices(a) == tuple(keep)
+        assert extract_positive_basis_indices(a) == ref_extract_positive_basis_indices(a)
 
 
 def reay_checked(pb):
