@@ -100,10 +100,25 @@ def frac_to_json(x: Fraction):
 def frac_from_json(v) -> Fraction:
     if isinstance(v, bool) or isinstance(v, float):
         raise InputError(f"coordinate {v!r} is not an integer or 'p/q' string")
+    if isinstance(v, str) and _huge_exponent(v):
+        # Fraction would build 10**exponent first, unbounded work for a
+        # few bytes, and the echo could not print the result anyway.
+        raise InputError(f"bad coordinate {v!r}: exponent too large")
     try:
         return Fraction(v)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise InputError(f"bad coordinate {v!r}: {exc}") from exc
+
+
+def _huge_exponent(v: str) -> bool:
+    """The exponent of a decimal string such as "1e3000000" exceeds, in
+    magnitude, the digits an int may have as a string (no limit when 0)."""
+    limit = sys.get_int_max_str_digits()
+    _, e, exp = v.lower().partition("e")
+    try:
+        return bool(e and limit) and abs(int(exp)) > limit
+    except ValueError:  # not an exponent; Fraction judges the form
+        return False
 
 
 def coord_from_json(v):
@@ -143,14 +158,20 @@ def instance_from_json(obj) -> tuple[VectorSet, str]:
         raise InputError(f"unknown role {role!r}")
     if not isinstance(rows, list):
         raise InputError("vectors must be a JSON list")
-    vectors = []
+    vectors, ints = [], True
     for row in rows:
         if not isinstance(row, list):
             raise InputError(f"vector {row!r} is not a JSON list")
         if len(row) != d:
             raise InputError(f"vector {row!r} does not have length {d}")
-        vectors.append(tuple(map(coord_from_json, row)))
-    vs = VectorSet(d, vectors)
+        if ints and all(type(c) is int for c in row):
+            vectors.append(tuple(row))
+        else:
+            ints = False
+            vectors.append(tuple(map(coord_from_json, row)))
+    # All JSON ints (bools are not): each row is its own integer form.
+    vs = (VectorSet.from_int_form(d, [(1, r) for r in vectors]) if ints
+          else VectorSet(d, vectors))
     if role == "normals" and not all(map(any, vs.int_rows)):
         raise InputError("zero vector not allowed among outer normals")
     return vs, role
@@ -206,7 +227,7 @@ def load_instance(args) -> tuple[VectorSet, str]:
                 obj = json.load(fh)
         else:
             obj = json.load(sys.stdin)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read instance: {exc}") from exc
     return instance_from_json(obj)
 
@@ -215,7 +236,7 @@ def load_report(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             rep = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read report: {exc}") from exc
     if not isinstance(rep, dict) or not isinstance(rep.get("result"), dict):
         raise InputError("a report must be a JSON object with a result object")
@@ -610,6 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="conehelly",
         description="Exact polyhedral-cone computations and Helly checks.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.subcommands = sub.choices  # name -> its parser, for run
 
     for name in COMMANDS:
         p = sub.add_parser(name)
@@ -658,12 +680,27 @@ def build_parser() -> argparse.ArgumentParser:
 _parser: argparse.ArgumentParser | None = None  # built on first use
 
 
-def run(argv: list[str]) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as build_parser()'s parser parses it.  A call that
+    names a subcommand goes straight to that subcommand's parser, which
+    the full parser would hand the rest of argv to; the full parser runs
+    only when argv[0] names no subcommand or arguments are left over, so
+    help, usage and every error text are its own."""
     global _parser
     if _parser is None:
         _parser = build_parser()
+    sub = _parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _parser.parse_args(argv)
+
+
+def run(argv: list[str]) -> int:
     try:
-        args = _parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:

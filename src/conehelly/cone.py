@@ -9,7 +9,8 @@ questions answered about it:
   so this is membership again, behind a sign pretest.  The lineality
   space, positive bases and Reay prefixes all rest on it.  Once a set is
   known to be linear, a smaller question settles whether one element can
-  go: pos(A - a) = pos A iff a is in pos(A - a), a membership LP.
+  go: pos(A - a) = pos A iff a is in pos(A - a), a membership question
+  that :mod:`posbasis` answers by signs where it can, else by the LP.
 * polar quantities of a homogeneous halfspace system {x : a.x <= 0}: the
   largest dimension of a cone inside the intersection, a relative
   interior point, and an explicit k-dimensional cone when one exists.

@@ -12,12 +12,16 @@ one phase-1 LP whose answer, a zero combination with positive
 coefficients or a separating functional, is checked by substitution.
 Once X is linear, x can be dropped exactly when x lies in pos(X - x):
 -x lies in pos(X - x) already, so pos(X - x) then holds X and equals
-pos X, and otherwise it misses x.  That is one checked membership LP,
-with no rank and no pretest.  So a positive basis is certified by one
-linearity certificate and one membership certificate per element, a
-Reay prefix B_j by the same test with dim L = |B_j| - j, and the
-extraction below deletes by the same membership test.  Ranks and LPs
-are read off the integer rows of the vector sets.
+pos X, and otherwise it misses x.  That is one membership question,
+with no rank: a no is first read off signs, a coordinate where x is
+nonzero and no other element shares its sign (Farkas; Schrijver,
+Theory of Linear and Integer Programming, 1986), and only where signs
+settle nothing is it one membership LP; either certificate is checked
+by substitution.  So a positive basis is certified by one linearity
+certificate and one membership certificate per element, a Reay prefix
+B_j by the same test with dim L = |B_j| - j, and the extraction below
+deletes by the same membership test.  Ranks and LPs are read off the
+integer rows of the vector sets.
 
 A Reay partition is certified as index sets into its basis:
 :func:`verify_reay` checks that the parts partition the basis, their
@@ -37,6 +41,7 @@ from functools import lru_cache
 from . import lp
 from .errors import TheoremContradiction
 from .cone import (
+    _checked,
     _checked_membership,
     is_linear,
     lineality_dim,
@@ -57,12 +62,35 @@ __all__ = [
 ]
 
 
+def _sign_farkas(rest: list, x) -> list[int] | None:
+    """y = +-e_j for the first coordinate j with x_j != 0 on which no row
+    of rest has the sign of x_j, or None: then y.x = |x_j| > 0 and
+    y.r <= 0 on every row of rest, a Farkas certificate that x is not in
+    pos(rest) read off signs."""
+    for j, xj in enumerate(x):
+        if xj and all(r[j] * xj <= 0 for r in rest):
+            y = [0] * len(x)
+            y[j] = 1 if xj > 0 else -1
+            return y
+    return None
+
+
 def _in_pos_of_rest(rows: list, i: int) -> bool:
-    """Whether rows[i] lies in the positive hull of the other rows, by one
-    checked membership LP.  On a linear set this is exactly whether
-    rows[i] can be dropped with the positive hull kept (module
-    docstring)."""
-    return _checked_membership(rows[:i] + rows[i + 1:], rows[i]).status == lp.OPTIMAL
+    """Whether rows[i] lies in the positive hull of the other rows.  On a
+    linear set this is exactly whether rows[i] can be dropped with the
+    positive hull kept (module docstring).
+
+    A no is first sought in signs (:func:`_sign_farkas`) and checked by
+    substitution through :func:`cone._checked`, as the sign pretest of
+    :func:`cone._separator` is; only where the signs settle nothing is
+    the question one checked membership LP.  A zero row has no nonzero
+    coordinate, so it always goes to the LP, which puts it in pos(rest)."""
+    rest, x = rows[:i] + rows[i + 1:], rows[i]
+    y = _sign_farkas(rest, x)
+    if y is None:
+        return _checked_membership(rest, x).status == lp.OPTIMAL
+    _checked(rest, x, lp.LPResult(lp.INFEASIBLE, farkas=y))
+    return False
 
 
 def _minimally_spans(rows: list, d: int, dim: int) -> bool:

@@ -2,9 +2,12 @@ import copy
 import io
 import json
 import os
+import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import conehelly.cli as cli
 from conehelly.cli import (
@@ -20,6 +23,7 @@ from conehelly.cli import (
 )
 from conehelly.errors import TheoremContradiction
 from conehelly.gens import gen_random
+from conehelly.ratlin import VectorSet
 from fractions import Fraction
 
 from conftest import fractions_built
@@ -31,6 +35,11 @@ def invoke(capsys, monkeypatch, argv, stdin=None):
     code = run(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+SIMPLEX2 = json.dumps({"d": 2, "role": "generators",
+                       "vectors": [[1, 0], [0, 1], [-1, -1]]})
+DEEP = "[" * 100_000 + "]" * 100_000  # past the JSON decoder's recursion limit
 
 
 def gen_out(capsys, monkeypatch, argv):
@@ -63,6 +72,19 @@ class TestSerialization:
     def test_zero_normal_rejected(self):
         with pytest.raises(ValueError):
             instance_from_json({"d": 2, "role": "normals", "vectors": [[0, 0]]})
+
+    def test_exponent_bound(self, monkeypatch):
+        # An exponent may have as many digits as an int string may; past
+        # that, Fraction would build 10**exponent before any check.
+        limit = sys.get_int_max_str_digits()
+        assert frac_from_json(f"1e{limit}") == 10**limit
+        assert frac_from_json(f"1e-{limit}") == Fraction(1, 10**limit)
+        for v in (f"1e{limit + 1}", f"1E-{limit + 1}", "0e99999999", " 2.5e+9_999_999 "):
+            with pytest.raises(cli.InputError, match="exponent too large"):
+                frac_from_json(v)
+        # With no limit set there is none to enforce.
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+        assert frac_from_json(f"1e{limit + 1}") == 10**(limit + 1)
 
     # (command, role, vectors, exit code, the echoed vectors on stdout or
     # the message on stderr), each recorded from the Fraction parser.
@@ -98,6 +120,38 @@ class TestSerialization:
             assert err == "" and f'"vectors": {text}}}' in out
         else:
             assert out == "" and err == text
+
+
+@st.composite
+def json_instances(draw):
+    """An instance whose coordinates are JSON ints or "p/q" strings."""
+    d = draw(st.integers(1, 4))
+    coord = st.one_of(st.integers(-5, 5), st.builds(
+        lambda p, q: f"{p}/{q}", st.integers(-5, 5), st.integers(1, 4)))
+    rows = draw(st.lists(st.lists(coord, min_size=d, max_size=d), max_size=6))
+    return {"d": d, "role": "generators", "vectors": rows}
+
+
+class TestIntegerDecoding:
+    """An all-int instance becomes its own integer form; any other goes
+    through Fractions.  Both give the same vector set."""
+
+    def test_all_int_instance_builds_no_fraction(self):
+        inst = instance_to_json(gen_random(5, 8, 3, 1), "generators")
+        assert fractions_built(instance_from_json, inst) == 0
+        vs, _ = instance_from_json(inst)
+        via_fractions = VectorSet(5, [tuple(map(Fraction, r)) for r in inst["vectors"]])
+        assert vs == via_fractions and hash(vs) == hash(via_fractions)
+
+    @settings(max_examples=100, deadline=None)
+    @given(json_instances())
+    def test_equals_the_fraction_path(self, inst):
+        vs, _ = instance_from_json(inst)
+        via_fractions = VectorSet(inst["d"], [tuple(map(Fraction, r))
+                                              for r in inst["vectors"]])
+        assert vs == via_fractions and hash(vs) == hash(via_fractions)
+        assert instance_to_json(vs, "generators")["vectors"] == [
+            [cli.frac_to_json(Fraction(c)) for c in r] for r in inst["vectors"]]
 
 
 class TestFractionFree:
@@ -207,6 +261,53 @@ class TestPipelines:
                               stdin=inst)
         assert code == EXIT_OK
         assert "lineality" in out and "{" not in out.splitlines()[0]
+
+
+def reference_parse(argv):
+    """Every call through the full parser, as run parsed before it
+    dispatched to the subcommand's parser."""
+    return cli.build_parser().parse_args(argv)
+
+
+DISPATCH_CASES = {
+    **{name: ([name] + (["--k", "1"] if cmd.k_min is not None else [])
+              + (["--point", "1,1"] if cmd.point else []), SIMPLEX2)
+       for name, cmd in cli.COMMANDS.items()},
+    "gen": (["gen", "--example", "axis-pairs", "--k", "1", "--d", "2"], None),
+    "verify-tightness": (["verify-tightness", "--example", "1", "--d", "2"], None),
+    "fuzz": (["fuzz", "--trials", "2", "--d-max", "2", "--n-max", "3"], None),
+    "--pretty and --k=1": (["helly-pos", "--pretty", "--k=1"], SIMPLEX2),
+    "no arguments": ([], None),
+    "unknown command": (["bogus"], None),
+    "-h": (["-h"], None),
+    "helly-pos -h": (["helly-pos", "-h"], None),
+    "--k x": (["helly-pos", "--k", "x"], SIMPLEX2),
+    "unrecognized flag": (["lineality", "--bogus"], SIMPLEX2),
+    "extra positional": (["lineality", "extra"], SIMPLEX2),
+    "gen without --example": (["gen", "--d", "2"], None),
+}
+
+
+class TestArgvDispatch:
+    @pytest.mark.parametrize("argv, stdin", DISPATCH_CASES.values(), ids=DISPATCH_CASES)
+    def test_same_as_the_full_parser(self, capsys, monkeypatch, tmp_path, argv, stdin):
+        monkeypatch.chdir(tmp_path)  # where a failing fuzz trial would dump
+        got = invoke(capsys, monkeypatch, argv, stdin=stdin)
+        monkeypatch.setattr(cli, "_parse_args", reference_parse)
+        assert got == invoke(capsys, monkeypatch, argv, stdin=stdin)
+
+    def test_instance_call_skips_the_top_level_parser(self, capsys, monkeypatch):
+        parser = cli.build_parser()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser ran")
+
+        monkeypatch.setattr(parser, "parse_known_args", refuse)
+        monkeypatch.setattr(cli, "_parser", parser)
+        code, out, err = invoke(capsys, monkeypatch, ["helly-pos", "--k", "1"],
+                                stdin=SIMPLEX2)
+        assert code == EXIT_OK and err == ""
+        assert json.loads(out)["result"]["lineality_dim"] == 2
 
 
 class TestExitCodes:
@@ -326,11 +427,8 @@ class TestExitCodes:
         assert code == EXIT_INPUT
 
 
-SIMPLEX2 = json.dumps({"d": 2, "role": "generators",
-                       "vectors": [[1, 0], [0, 1], [-1, -1]]})
-
 # (argv, stdin) of malformed inputs; "{tmp}" is a fresh directory, so
-# "{tmp}/missing.json" names no file.
+# "{tmp}/missing.json" names no file, and "{tmp}/deep.json" holds DEEP.
 INPUT_ERRORS = {
     "bad coordinate": (["lineality"], json.dumps(
         {"d": 1, "role": "generators", "vectors": [["1/x"]]})),
@@ -356,6 +454,13 @@ INPUT_ERRORS = {
     "fuzz unknown check": (["fuzz", "--trials", "1", "--checks", "bogus"], None),
     "fuzz repeated check": (["fuzz", "--trials", "3", "--checks",
                              "lineality,lineality"], None),
+    "deep instance on stdin": (["lineality"], DEEP),
+    "deep instance file": (["lineality", "--input", "{tmp}/deep.json"], None),
+    "deep report": (["reay", "--verify", "{tmp}/deep.json"], None),
+    "coordinate with a huge exponent": (["lineality"], json.dumps(
+        {"d": 1, "role": "generators", "vectors": [["1e3000000"]]})),
+    "point with a huge exponent": (["membership", "--point", "0e99999999,1"],
+                                   SIMPLEX2),
 }
 
 
@@ -363,6 +468,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("argv, stdin", INPUT_ERRORS.values(), ids=INPUT_ERRORS)
     def test_exits_input_with_empty_stdout(self, capsys, monkeypatch, tmp_path,
                                            argv, stdin):
+        (tmp_path / "deep.json").write_text(DEEP, encoding="utf-8")
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         code, out, err = invoke(capsys, monkeypatch, argv, stdin=stdin)
         assert code == EXIT_INPUT and out == "" and err

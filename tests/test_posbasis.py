@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 
 from conehelly import cone, posbasis
 from conehelly.cone import is_linear, lineality_space, reversible_indices
+from conehelly.errors import TheoremContradiction
 from conehelly.fuzzing import trial_instance
 from conehelly.gens import gen_axis_pairs, gen_simplex_like
+from conehelly.helly import witness_lineality_reay
 from conehelly.posbasis import (
     PositiveBasis,
     extract_positive_basis,
@@ -21,6 +23,7 @@ from conehelly.ratlin import SubspaceBasis, VectorSet, span_basis, vec
 
 from conftest import POS_FUZZ, counting_lps, int_vector_sets, with_negated_copies
 from oracles import (
+    oracle_in_pos,
     oracle_is_positive_basis,
     oracle_reversible,
     ref_extract_positive_basis_indices,
@@ -198,6 +201,53 @@ class TestSizeRule:
     def test_extraction_matches_the_full_greedy(self, a):
         # The greedy deletion of the docstring, run to the end.
         assert extract_positive_basis_indices(a) == ref_extract_positive_basis_indices(a)
+
+
+class TestDropOneCertificate:
+    """A drop-one test that signs settle asks no LP: a coordinate where
+    the element is nonzero and no other row shares its sign gives a
+    Farkas certificate, checked by substitution like the LP's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(with_negated_copies(int_vector_sets(max_d=3, max_n=5, bound=2, min_n=1)))
+    def test_matches_the_oracle(self, a):
+        rows = list(a.int_rows)
+        for i in range(len(rows)):
+            assert posbasis._in_pos_of_rest(rows, i) == oracle_in_pos(
+                a[i], a.subset(j for j in range(len(rows)) if j != i))
+
+    def test_zero_row_is_still_dropped(self):
+        rows = [(1, 0), (0, 0), (-1, 0)]
+        with counting_lps() as lps:
+            assert posbasis._in_pos_of_rest(rows, 1)
+        assert len(lps) == 1  # no sign certificate exists for the zero row
+        assert extract_positive_basis_indices(vs(rows, 2)) == (0, 2)
+        assert not is_positive_basis(vs(rows, 2), line(2))
+
+    def test_wrong_sign_certificate_raises(self, monkeypatch):
+        pb = extract_positive_basis(gen_axis_pairs(2, 2))
+        real = posbasis._sign_farkas
+        monkeypatch.setattr(posbasis, "_sign_farkas", lambda rest, x: (
+            (y := real(rest, x)) and [-c for c in y]))
+        with pytest.raises(TheoremContradiction):
+            reay_parts(pb)
+
+    @pytest.mark.parametrize("k, d", [(1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5)])
+    def test_axis_pairs_match_the_reference_greedy(self, k, d):
+        a = gen_axis_pairs(k, d)
+        assert extract_positive_basis_indices(a) == ref_extract_positive_basis_indices(a)
+
+    def test_axis_pair_lp_counts(self):
+        # Every drop-one test of a Reay prefix of axis pairs is settled by
+        # signs; the LPs left are the linearity certificates (12 and 25
+        # LPs when each drop-one test was an LP).
+        pb = extract_positive_basis(gen_axis_pairs(3, 3))
+        with counting_lps() as lps:
+            assert reay_parts(pb) == ((0, 1), (2, 3), (4, 5))
+        assert len(lps) == 2
+        with counting_lps() as lps:
+            witness_lineality_reay(gen_axis_pairs(3, 4), 2)
+        assert len(lps) == 3
 
 
 def reay_checked(pb):
