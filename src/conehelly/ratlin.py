@@ -211,15 +211,21 @@ def int_row_over(nums: Sequence[int], den: int) -> tuple[int, tuple[int, ...]]:
     return den // g, tuple(a // g for a in nums)
 
 
-def _pivot(m: list[Sequence[int]], r: int, c: int, prev: int) -> int:
+def _pivot(m: list[Sequence[int]], r: int, c: int, prev: int,
+           exchange: bool = False) -> int:
     """One integer-preserving pivot step (Edmonds, J. Res. NBS 71B, 1967)
     on (r, c) of the rows m, which hold a rational matrix times prev;
     returns the new common factor, the pivot entry p.
 
     The pivot row keeps its integers; every other row becomes
-    (p * row - f * pivot row) / prev.  Every entry then stays a minor of
-    the matrix, so the division is exact.  Gauss-Jordan and the simplex
-    both pivot through this step.
+    (p * row - f * pivot row) / prev, f its entry in column c.  Every
+    entry then stays a minor of the matrix, so the division is exact.
+    Column c becomes p e_r, as Gauss-Jordan needs.  With exchange it
+    becomes what the step makes of the unit column prev e_r instead:
+    prev in row r and -f elsewhere.  That is the Jordan exchange of the
+    condensed simplex tableau of :mod:`conehelly.lp` (Tucker, Proc. Symp.
+    Appl. Math. 10, 1960), where the leaving variable takes over the
+    entering one's column; row r must then be a list.
     """
     prow = m[r]
     p = prow[c]
@@ -227,9 +233,14 @@ def _pivot(m: list[Sequence[int]], r: int, c: int, prev: int) -> int:
         if i != r:
             f = row[c]
             if f:
-                m[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+                new = [(p * a - f * b) // prev for a, b in zip(row, prow)]
+                if exchange:
+                    new[c] = -f
+                m[i] = new
             elif p != prev:
                 m[i] = [p * a // prev for a in row]
+    if exchange:
+        prow[c] = prev
     return p
 
 

@@ -76,6 +76,23 @@ def counting_lps():
         yield calls
 
 
+@contextmanager
+def counting_pivots():
+    """A list that gains the position (r, c) of each pivot that
+    lp.nonneg_combination takes inside the block: r its row and c its
+    column slot."""
+    calls = []
+    real = lp._pivot
+
+    def pivot(m, r, c, prev, exchange=False):
+        calls.append((r, c))
+        return real(m, r, c, prev, exchange)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_pivot", pivot)
+        yield calls
+
+
 @st.composite
 def rational_matrices(draw, max_rows=4, max_cols=4):
     nrows = draw(st.integers(0, max_rows))

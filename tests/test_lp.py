@@ -1,16 +1,25 @@
 """The integer phase-1 simplex against the Fraction reference in
-``oracles``: same status, same x, same Farkas vector.  Equal outputs on
-degenerate and redundant systems mean equal pivot sequences."""
+``oracles``, a full-tableau Bland solver: same status, same rational x,
+and on an infeasible system the same Farkas vector.  The pivots are
+compared too.  Read as (row, entering variable), the condensed solver's
+pivots are the reference's up to the point where phase 1 is feasible,
+where the condensed solver stops, and all of them on an infeasible
+system, so equal outputs there mean equal pivot sequences."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
+from conehelly import cone
+from conehelly.gens import gen_simplex_like
 from conehelly.lp import INFEASIBLE, OPTIMAL, nonneg_combination
 
-from conftest import small_fraction
+from conftest import counting_lps, counting_pivots, small_fraction
 from oracles import ref_solve_standard_form
 
 F = Fraction
@@ -20,27 +29,97 @@ def fr(rows):
     return [[F(v) for v in row] for row in rows]
 
 
+@contextmanager
+def reference_pivots():
+    """A list that gains (r, c) for each pivot of the Fraction reference
+    inside the block: r its row and c the entering variable."""
+    calls = []
+    real = oracles._ref_pivot
+
+    def pivot(tab, basis, r, c):
+        calls.append((r, c))
+        real(tab, basis, r, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_ref_pivot", pivot)
+        yield calls
+
+
+def replay(pivots, n, m):
+    """The (row, entering variable) of each condensed pivot (r, slot),
+    and the final basis: artificials n..n+m-1 start basic, slot s starts
+    with variable s, and each exchange swaps the leaving variable into
+    the entering one's slot."""
+    basis, slots = list(range(n, n + m)), list(range(n))
+    entered = []
+    for r, c in pivots:
+        entered.append((r, slots[c]))
+        basis[r], slots[c] = slots[c], basis[r]
+    return entered, basis
+
+
+def det(rows):
+    """Determinant of a square matrix, by Fraction elimination."""
+    rows = [[F(v) for v in row] for row in rows]
+    out = F(1)
+    for c in range(len(rows)):
+        r = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if r is None:
+            return F(0)
+        if r != c:
+            rows[c], rows[r] = rows[r], rows[c]
+            out = -out
+        out *= rows[c][c]
+        for i in range(c + 1, len(rows)):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return out
+
+
+def solve_checked(columns, target, a, b):
+    """nonneg_combination(columns, target) and the reference on a x = b,
+    the same system up to positive column scales and one rhs scale, which
+    change no pivot.  Checks the status and the pivots; that den is the
+    determinant of the final basis in the row-flipped system [A | I],
+    since each pivot entry is that determinant's ratio to the last one
+    (Cramer's rule); and on an infeasible system the Farkas vector."""
+    n, m = len(columns), len(target)
+    with counting_pivots() as pivots, reference_pivots() as ref_pivots:
+        res = nonneg_combination(columns, target)
+        ref = ref_solve_standard_form(a, b, [F(0)] * n)
+    entered, basis = replay(pivots, n, m)
+    assert res.status == ref.status and entered == ref_pivots[:len(entered)]
+    sign = [-1 if t < 0 else 1 for t in target]
+    assert res.den == det([[s * columns[j][i] if j < n else int(j - n == i) for j in basis]
+                           for i, s in enumerate(sign)]) > 0
+    if res.status == INFEASIBLE:
+        assert entered == ref_pivots
+        assert [F(y, res.den) for y in res.farkas] == ref.farkas
+    return res, ref
+
+
 def solve_both(a, b):
     """Phase 1 on the rational system a x = b, x >= 0, scaled to integers
-    by one common factor, which changes no pivot; checked against the
-    reference at zero cost and returned as (status, x, farkas) in
+    by one common factor, checked by :func:`solve_checked` and for the
+    same rational x as the reference; returned as (status, x, farkas) in
     Fractions."""
     n = len(a[0])
     scale = lcm(*(v.denominator for row in a for v in row), *(v.denominator for v in b))
-    res = nonneg_combination([[int(row[j] * scale) for row in a] for j in range(n)],
-                             [int(v * scale) for v in b])
+    res, ref = solve_checked([[int(row[j] * scale) for row in a] for j in range(n)],
+                             [int(v * scale) for v in b], a, b)
     got = (res.status, res.x and [F(v, res.den) for v in res.x],
            res.farkas and [F(v, res.den) for v in res.farkas])
-    ref = ref_solve_standard_form(a, b, [F(0)] * n)
-    assert res.den > 0 and got == (ref.status, ref.x, ref.farkas)
+    assert got == (ref.status, ref.x, ref.farkas)
     return got
 
 
 @st.composite
-def standard_form_systems(draw, max_rows=4, max_cols=5):
+def standard_form_systems(draw, max_rows=5, max_cols=8):
     """Rational systems a x = b with denominators up to 7: feasible ones
-    (b = a x for a drawn x >= 0), arbitrary ones, and ones with a
-    redundant row."""
+    (b = a x for a drawn x >= 0), zero targets and arbitrary ones, some
+    with a redundant row and some with a column repeating or negating
+    another, so that exchanges, re-entries and degenerate tails are
+    common."""
     m = draw(st.integers(1, max_rows))
     n = draw(st.integers(1, max_cols))
     entry = small_fraction(max_num=4, max_den=7)
@@ -49,9 +128,17 @@ def standard_form_systems(draw, max_rows=4, max_cols=5):
         i, j = draw(st.permutations(range(m)))[:2]
         q = draw(small_fraction(max_num=3, max_den=3))
         a[j] = [q * v for v in a[i]]
-    if draw(st.booleans()):
+    if n >= 2 and draw(st.booleans()):
+        j, k = draw(st.permutations(range(n)))[:2]
+        q = draw(st.sampled_from([-1, 1]))
+        for row in a:
+            row[k] = q * row[j]
+    kind = draw(st.sampled_from(["combination", "zero", "arbitrary"]))
+    if kind == "combination":
         x = [draw(small_fraction(max_num=3, max_den=3).map(abs)) for _ in range(n)]
         b = [sum((row[j] * x[j] for j in range(n)), F(0)) for row in a]
+    elif kind == "zero":
+        b = [F(0)] * m
     else:
         b = [draw(entry) for _ in range(m)]
     return a, b
@@ -60,7 +147,6 @@ def standard_form_systems(draw, max_rows=4, max_cols=5):
 class TestAgainstReference:
     @given(standard_form_systems())
     def test_feasibility_matches_reference(self, system):
-        # x is wherever phase 1 stops, so it pins the phase-1 pivots
         a, b = system
         status, x, y = solve_both(a, b)
         if status == OPTIMAL:
@@ -74,19 +160,24 @@ class TestAgainstReference:
 
 
 @st.composite
-def scaled_integer_systems(draw, max_d=4, max_n=5):
-    """Integer columns and a target (half of them nonnegative
-    combinations of the columns), with a positive scale per column and
-    one for the target."""
+def scaled_integer_systems(draw, max_d=5, max_n=8):
+    """Integer columns and a target (nonnegative combinations of the
+    columns, zero or arbitrary), some with a column repeating or negating
+    another, with a positive scale per column and one for the target."""
     d = draw(st.integers(0, max_d))
     n = draw(st.integers(0, max_n))
     entry = st.integers(-3, 3)
     cols = [[draw(entry) for _ in range(d)] for _ in range(n)]
     if n >= 2 and draw(st.booleans()):
-        cols[1] = [-v for v in cols[0]]
-    if draw(st.booleans()):
+        j, k = draw(st.permutations(range(n)))[:2]
+        q = draw(st.sampled_from([-1, 1]))
+        cols[k] = [q * v for v in cols[j]]
+    kind = draw(st.sampled_from(["combination", "zero", "arbitrary"]))
+    if kind == "combination":
         x = [draw(st.integers(0, 2)) for _ in range(n)]
         target = [sum(xj * col[i] for xj, col in zip(x, cols)) for i in range(d)]
+    elif kind == "zero":
+        target = [0] * d
     else:
         target = [draw(entry) for _ in range(d)]
     scales = [draw(st.integers(1, 6)) for _ in range(n)]
@@ -100,15 +191,49 @@ class TestIntegerCombination:
         # back with the scales undone, and the Farkas vector is the same.
         cols, target, scales, cb = data
         d, n = len(target), len(cols)
-        got = nonneg_combination([[c * v for v in col] for c, col in zip(scales, cols)],
-                                 [cb * v for v in target])
-        ref = ref_solve_standard_form([[F(col[i]) for col in cols] for i in range(d)],
-                                      [F(v) for v in target], [F(0)] * n)
-        assert got.status == ref.status and got.den > 0
+        got, ref = solve_checked([[c * v for v in col] for c, col in zip(scales, cols)],
+                                 [cb * v for v in target],
+                                 [[F(col[i]) for col in cols] for i in range(d)],
+                                 [F(v) for v in target])
         if got.status == OPTIMAL:
             assert [F(x * c, got.den * cb) for x, c in zip(got.x, scales)] == ref.x
-        else:
-            assert [F(y, got.den) for y in got.farkas] == ref.farkas
+
+
+class TestPivots:
+    @given(scaled_integer_systems())
+    def test_zero_target_takes_no_pivot(self, data):
+        cols, target = data[:2]
+        with counting_pivots() as pivots:
+            res = nonneg_combination(cols, [0] * len(target))
+        assert (res.status, res.x, pivots) == (OPTIMAL, [0] * len(cols), [])
+
+    def test_simplex_linearity_lp_takes_no_pivot(self):
+        # -sum S = 0 for the simplex family: its one linearity LP is
+        # feasible from the start.
+        for d in range(2, 6):
+            with counting_lps() as lps, counting_pivots() as pivots:
+                assert cone.is_linear(gen_simplex_like(d).int_rows)
+            assert (len(lps), pivots) == (1, [])
+
+    @pytest.mark.parametrize("a, b", [
+        (fr([[-2, -3, 1, 2, -1, -1], [-2, 2, 1, 3, 2, -1], [-3, 3, -2, -1, -2, 0]]),
+         [F(0), F(3), F(3)]),
+        (fr([[1, 1]]), [F(-1)]),
+        # Beale's system of test_beale_degenerate at the level -3/2, each
+        # row times 4 or 1
+        (fr([[4, 0, 0, 1, -32, -4, 36], [0, 4, 0, 2, -48, -2, 12],
+             [0, 0, 1, 0, 0, 1, 0], [0, 0, 0, -3, 80, -2, 24]]),
+         [F(0), F(0), F(1), F(-6)]),
+    ])
+    def test_infeasible_takes_every_phase1_pivot(self, a, b):
+        n = len(a[0])
+        with counting_pivots() as pivots, reference_pivots() as ref_pivots:
+            res = nonneg_combination([[int(row[j]) for row in a] for j in range(n)],
+                                     [int(v) for v in b])
+            ref = ref_solve_standard_form(a, b, [F(0)] * n)
+        assert res.status == ref.status == INFEASIBLE
+        assert len(pivots) == len(ref_pivots)
+        assert [F(y, res.den) for y in res.farkas] == ref.farkas
 
 
 class TestCases:
@@ -152,6 +277,16 @@ class TestCases:
         status, x, _ = solve_both(a, [F(0), F(0), F(1), F(-5, 4)])
         assert status == OPTIMAL and x == [F(3, 4), F(0), F(0), F(1), F(0), F(1), F(0)]
         assert solve_both(a, [F(0), F(0), F(1), F(-3, 2)])[0] == INFEASIBLE
+
+    def test_artificial_reenters(self):
+        # An artificial leaves the basis and enters again: it keeps the
+        # column slot it took over, like any other nonbasic variable.
+        columns = [[-2, -2, -3], [-3, 2, 3], [1, 1, -2], [2, 3, -1], [-1, 2, -2], [-1, -1, 0]]
+        a = [[F(col[i]) for col in columns] for i in range(3)]
+        with counting_pivots() as pivots:
+            assert solve_both(a, [F(0), F(3), F(3)])[0] == INFEASIBLE
+        entered, _ = replay(pivots, 6, 3)
+        assert any(j >= 6 for _, j in entered)
 
     def test_nonneg_combination(self):
         res = nonneg_combination([[2, 0], [0, 2]], [1, 6])

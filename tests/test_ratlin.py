@@ -150,6 +150,46 @@ class TestAgainstReference:
         assert time.perf_counter() - start < 1
 
 
+@st.composite
+def pivot_sequences(draw, max_rows=4, max_cols=5):
+    """An integer matrix and up to four pivot positions, each on a
+    nonzero entry of the matrix the earlier exchanges leave."""
+    nrows, ncols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    entry = st.integers(-4, 4)
+    m = [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    return m, draw(st.lists(st.tuples(st.integers(0, nrows - 1),
+                                      st.integers(0, ncols - 1)), max_size=4))
+
+
+class TestPivotExchange:
+    """_pivot with exchange is the full step on the matrix with the unit
+    column prev e_r appended, that column's result then put in place of
+    column c: the Jordan exchange of a condensed simplex tableau.  A
+    chain of exchanges from prev = 1 is a valid integer tableau, so every
+    division is exact."""
+
+    @given(pivot_sequences())
+    def test_equals_full_pivot_with_the_unit_column(self, data):
+        m, positions = data
+        prev = 1
+        for r, c in positions:
+            if not m[r][c]:
+                continue
+            full = [row + [prev if i == r else 0] for i, row in enumerate(m)]
+            p_full = ratlin._pivot(full, r, c, prev)
+            expected = [row[:c] + [row[-1]] + row[c + 1:-1] for row in full]
+            p = ratlin._pivot(m, r, c, prev, exchange=True)
+            assert (p, m) == (p_full, expected)
+            prev = p
+
+    def test_exchange_column(self):
+        # Pivot on the 2: the other row becomes (2 (3, 4) - 3 (2, 1)) / 1
+        # with -3 in column 0, and the pivot row keeps 1 there.
+        m = [[2, 1], [3, 4]]
+        assert ratlin._pivot(m, 0, 0, 1, exchange=True) == 2
+        assert m == [[1, 1], [-3, 5]]
+
+
 class TestRank:
     def test_identity(self):
         for d in (1, 2, 4):
