@@ -11,7 +11,6 @@ from .ratlin import (
     SubspaceBasis,
     Vec,
     VectorSet,
-    dot,
     kernel_basis,
     span_basis,
     vec,

@@ -31,11 +31,14 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import lcm
 from typing import Callable, NamedTuple
 
+from . import lp
 from .errors import CapacityError, TheoremContradiction
 from .cone import (
     HalfspaceSystem,
+    _certifies,
     extract_cone,
     lineality_dim,
     lineality_of_polar,
@@ -70,14 +73,7 @@ from .posbasis import (
     reay_parts,
     verify_reay,
 )
-from .ratlin import (
-    SubspaceBasis,
-    VectorSet,
-    dot,
-    is_index_set,
-    rank_of_rows,
-    vec,
-)
+from .ratlin import SubspaceBasis, VectorSet, int_row, is_index_set, rank_of_rows
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -93,12 +89,17 @@ class InputError(ValueError):
 # JSON (de)serialization
 
 
-def frac_to_json(x: Fraction):
+def frac_to_json(x: Fraction | int):
     return int(x) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def frac_from_json(v) -> Fraction:
-    if isinstance(v, bool) or isinstance(v, float):
+def coord_from_json(v):
+    """A JSON number as the library takes it: an int as it is, a string
+    ("p/q", an integer, a decimal) as a Fraction; a float or bool is
+    refused."""
+    if type(v) is int:
+        return v
+    if isinstance(v, (bool, float)):
         raise InputError(f"coordinate {v!r} is not an integer or 'p/q' string")
     if isinstance(v, str) and _huge_exponent(v):
         # Fraction would build 10**exponent first, unbounded work for a
@@ -121,12 +122,6 @@ def _huge_exponent(v: str) -> bool:
         return False
 
 
-def coord_from_json(v):
-    """A coordinate as VectorSet takes it: a JSON int as it is, anything
-    else through frac_from_json."""
-    return v if type(v) is int else frac_from_json(v)
-
-
 def vector_to_json(v) -> list:
     return [frac_to_json(c) for c in v]
 
@@ -143,6 +138,28 @@ def instance_to_json(vs: VectorSet, role: str) -> dict:
     return {"d": vs.ambient_dim, "role": role, "vectors": rows_to_json(vs)}
 
 
+def row_from_json(row, d: int | None = None) -> tuple:
+    """A vector: a JSON list of coordinates, each read by coord_from_json,
+    of length d if d is given.  Anything else, a string included, is
+    refused."""
+    if not isinstance(row, list):
+        raise InputError(f"vector {row!r} is not a JSON list")
+    if d is not None and len(row) != d:
+        raise InputError(f"vector {row!r} does not have length {d}")
+    return tuple(map(coord_from_json, row))
+
+
+def vectors_from_json(rows, d: int) -> VectorSet:
+    """A JSON list of vectors of length d, each read by row_from_json.  An
+    all-int list (bools are not ints here) is its own integer form."""
+    if not isinstance(rows, list):
+        raise InputError("vectors must be a JSON list")
+    vectors = [row_from_json(row, d) for row in rows]
+    if all(type(c) is int for v in vectors for c in v):
+        return VectorSet.from_int_form(d, [(1, v) for v in vectors])
+    return VectorSet(d, vectors)
+
+
 def instance_from_json(obj) -> tuple[VectorSet, str]:
     if not isinstance(obj, dict):
         raise InputError("instance must be a JSON object")
@@ -156,22 +173,7 @@ def instance_from_json(obj) -> tuple[VectorSet, str]:
         raise InputError("d must be a positive integer")
     if role not in ("generators", "normals"):
         raise InputError(f"unknown role {role!r}")
-    if not isinstance(rows, list):
-        raise InputError("vectors must be a JSON list")
-    vectors, ints = [], True
-    for row in rows:
-        if not isinstance(row, list):
-            raise InputError(f"vector {row!r} is not a JSON list")
-        if len(row) != d:
-            raise InputError(f"vector {row!r} does not have length {d}")
-        if ints and all(type(c) is int for c in row):
-            vectors.append(tuple(row))
-        else:
-            ints = False
-            vectors.append(tuple(map(coord_from_json, row)))
-    # All JSON ints (bools are not): each row is its own integer form.
-    vs = (VectorSet.from_int_form(d, [(1, r) for r in vectors]) if ints
-          else VectorSet(d, vectors))
+    vs = vectors_from_json(rows, d)
     if role == "normals" and not all(map(any, vs.int_rows)):
         raise InputError("zero vector not allowed among outer normals")
     return vs, role
@@ -280,7 +282,7 @@ def _lineality(vs: VectorSet, p: dict, certs) -> dict:
 
 def _membership(vs: VectorSet, p: dict, certs) -> dict:
     if certs is None:
-        cert = membership(vec(p["point"]), vs)
+        cert = membership(tuple(map(coord_from_json, p["point"])), vs)
         if cert.is_member:
             certs = {"combination": [[i, frac_to_json(c)] for i, c in cert.combination]}
         else:
@@ -416,21 +418,23 @@ def _flat_helly(h: HalfspaceSystem, p: dict, certs) -> dict:
 
 
 def _check_membership(vs: VectorSet, inputs: dict, res: dict) -> bool:
-    point = vec(inputs["point"])
+    """The certificate in the integer form of the LP's answer on the rows
+    r_i = c_i g_i and t = c_b b, put to the library's one substitution
+    check: a separator y as int_row(y), a combination a as x / den with
+    x_i / den = a_i c_b / c_i, so sum_i x_i r_i = den t iff sum_i a_i g_i = b."""
+    cb, t = int_row(tuple(map(coord_from_json, inputs["point"])))
     if not res["member"]:
-        y = tuple(frac_from_json(c) for c in res["separator"])
-        return (len(y) == vs.ambient_dim and all(dot(y, a) <= 0 for a in vs)
-                and dot(y, point) > 0)
+        y = int_row(row_from_json(res["separator"]))[1]
+        return _certifies(vs.int_rows, t, lp.LPResult(lp.INFEASIBLE, farkas=y))
     pairs = res["combination"]
     if not is_index_set([pair[0] for pair in pairs], len(vs)):
         return False
-    total = [Fraction(0)] * vs.ambient_dim
-    for i, c in pairs:
-        coeff = frac_from_json(c)
-        if coeff < 0:
-            return False
-        total = [t + coeff * g for t, g in zip(total, vs[i])]
-    return tuple(total) == point
+    coeffs = [(i, coord_from_json(a), vs.int_scales[i]) for i, a in pairs]
+    den = lcm(*(a.denominator * c for _, a, c in coeffs))
+    x = [0] * len(vs)
+    for i, a, c in coeffs:
+        x[i] = a.numerator * cb * (den // (a.denominator * c))
+    return _certifies(vs.int_rows, t, lp.LPResult(lp.OPTIMAL, x=x, den=den))
 
 
 def _check_posbasis(vs: VectorSet, inputs: dict, res: dict) -> bool:
@@ -444,11 +448,8 @@ def _check_reay(vs: VectorSet, inputs: dict, res: dict) -> bool:
 
 
 def _check_generators(h: HalfspaceSystem, inputs: dict, res: dict) -> bool:
-    if not res["feasible"]:
-        return True
-    gens = VectorSet(h.ambient_dim, [tuple(map(coord_from_json, r))
-                                     for r in res["generators"]])
-    return verify_cone_generators(h, gens, inputs["k"])
+    return not res["feasible"] or verify_cone_generators(
+        h, vectors_from_json(res["generators"], h.ambient_dim), inputs["k"])
 
 
 # ---------------------------------------------------------------------------
@@ -496,12 +497,7 @@ def _params(cmd: Command, d: int, raw: dict) -> dict:
     if cmd.point:
         if raw.get("point") is None:
             raise InputError("membership requires --point")
-        if not isinstance(raw["point"], list):
-            raise InputError("point must be a JSON list")
-        point = tuple(frac_from_json(c) for c in raw["point"])
-        if len(point) != d:
-            raise InputError("point has wrong dimension")
-        return {"point": vector_to_json(point)}
+        return {"point": vector_to_json(row_from_json(raw["point"], d))}
     return {}
 
 

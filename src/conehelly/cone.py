@@ -18,8 +18,10 @@ questions answered about it:
 The first two are asked of a VectorSet's integer rows, which have the
 same positive hull, and one phase-1 LP answers both: every such LP is
 solved in :func:`_checked_membership`, which verifies its integer answer
-by substitution (:func:`_checked`) before it is used.  Membership turns
-its certificate back into Fractions.
+by substitution (:func:`_checked`) before it is used.  That substitution,
+:func:`_certifies`, is the one check of a pos certificate: ``--verify``
+puts a report's membership certificate to it too.  Membership turns its
+certificate back into Fractions.
 
 Nearly every Helly question needs only the dimension of the lineality
 space, and :func:`lineality_dim` answers it by one integer rank of the
@@ -96,6 +98,7 @@ class FarkasCertificate:
     Either ``combination`` holds pairs (generator index, coefficient >= 0)
     with sum(coeff * generator) == b exactly, or ``separator`` holds a
     functional y with y.a <= 0 for every generator and y.b > 0.
+    Both hold Fractions, which the benchmark reads (:func:`membership`).
     """
 
     combination: tuple[tuple[int, Fraction], ...] | None = None
@@ -133,27 +136,47 @@ class HalfspaceSystem:
         return HalfspaceSystem(self.normals.subset(indices))
 
 
-def _checked(rows: Sequence[Sequence[int]], t: Sequence[int],
-             res: lp.LPResult) -> lp.LPResult:
-    """Return an integer answer to "t in pos(rows)?" after checking it by
-    substitution: a yes is x >= 0 with sum_i x_i r_i = den t, a no is y
-    with y.r <= 0 on every row and y.t > 0.  A failed check can only come
-    from a solver bug and raises TheoremContradiction."""
+def _certifies(rows: Sequence[Sequence[int]], t: Sequence[int],
+               res: lp.LPResult) -> bool:
+    """Whether res answers "t in pos(rows)?" for integer rows and t, by
+    substitution: a yes is x >= 0 over den > 0 with
+    sum_i x_i r_i = den t, a no is y with y.r <= 0 on every row and
+    y.t > 0.  The one check of a pos certificate, for the LP's answers
+    (:func:`_checked`) and for a report's under ``--verify``."""
     if res.status == lp.OPTIMAL:
         x = res.x
         residual = [res.den * tj for tj in t]
         for xi, r in zip(x, rows):
             if xi:
                 residual = [a - xi * b for a, b in zip(residual, r)]
-        ok = (len(x) == len(rows) and res.den > 0 and min(x, default=0) >= 0
-              and not any(residual))
-    else:
-        y = res.farkas
-        ok = (len(y) == len(t) and all(sum(map(mul, y, r)) <= 0 for r in rows)
-              and sum(map(mul, y, t)) > 0)
-    if not ok:
+        return (len(x) == len(rows) and res.den > 0 and min(x, default=0) >= 0
+                and not any(residual))
+    y = res.farkas
+    return (len(y) == len(t) and all(sum(map(mul, y, r)) <= 0 for r in rows)
+            and sum(map(mul, y, t)) > 0)
+
+
+def _checked(rows: Sequence[Sequence[int]], t: Sequence[int],
+             res: lp.LPResult) -> lp.LPResult:
+    """res, once :func:`_certifies` has passed it.  A failed check can only
+    come from a solver bug and raises TheoremContradiction."""
+    if not _certifies(rows, t, res):
         raise TheoremContradiction("pos certificate failed substitution")
     return res
+
+
+def _sign_farkas(rest: Sequence[Sequence[int]], x: Sequence[int]) -> list[int] | None:
+    """y = +-e_j for the first coordinate j with x_j != 0 on which no row
+    of rest has the sign of x_j, or None: then y.x = |x_j| > 0 and
+    y.r <= 0 on every row of rest, a Farkas certificate that x is not in
+    pos(rest) read off signs.  The one sign test, of :func:`_sign_separator`
+    and of the drop-one test of :mod:`posbasis`."""
+    for j, xj in enumerate(x):
+        if xj and all(r[j] * xj <= 0 for r in rest):
+            y = [0] * len(x)
+            y[j] = 1 if xj > 0 else -1
+            return y
+    return None
 
 
 def _checked_membership(rows: Sequence[Sequence[int]],
@@ -173,7 +196,8 @@ def membership(b: Vec, gens: VectorSet) -> FarkasCertificate:
     integer scale c_b, and its answer is checked by
     :func:`_checked_membership`.
     Coefficient i is then x_i c_i / (den c_b), with c_i the scale of
-    generator i, and the separator is y / den.
+    generator i, and the separator is y / den.  These stay Fractions, not
+    integers over den, because the benchmark does arithmetic on them.
     """
     if len(b) != gens.ambient_dim:
         raise ValueError("query point has wrong dimension")
@@ -188,26 +212,25 @@ def membership(b: Vec, gens: VectorSet) -> FarkasCertificate:
     return FarkasCertificate(separator=tuple(Fraction(v, res.den) for v in res.farkas))
 
 
-def _sign_separator(rows: list[list[int]]) -> list[int] | None:
-    """A separator of pos(rows) read off signs, or None.
+def _sign_separator(rows: list[list[int]],
+                    t: Sequence[int] | None = None) -> list[int] | None:
+    """A separator of pos(rows) read off signs, or None; t is -sum(rows),
+    computed here when not given.
 
     On a linear set a functional negative somewhere is positive
-    somewhere.  Trying -e_j or +e_j for a one-signed coordinate j, and
+    somewhere.  Trying the sign certificate +-e_j of t (:func:`_sign_farkas`:
+    a coordinate where the rows are one-signed and not all 0), and
     x -> -v.x for a nonzero v that no row meets at an obtuse angle,
     spares the LP in the deflation of :func:`_deflation`, in
     positive-basis extraction and in the Reay search.  The minimal-witness
     search of :mod:`helly` seeds its cut pool with these same functionals,
     so it skips this test and calls :func:`_lp_separator` directly.
     """
-    for j, col in enumerate(zip(*rows)):
-        if (min(col) < 0) != (max(col) > 0):
-            y = [0] * len(rows[0])
-            y[j] = -1 if max(col) > 0 else 1
-            return y
-    for v in rows:
-        if any(v) and all(sum(map(mul, v, w)) >= 0 for w in rows):
-            return [-c for c in v]
-    return None
+    if t is None:
+        t = [-sum(col) for col in zip(*rows)]
+    return _sign_farkas(rows, t) or next(
+        ([-c for c in v] for v in rows
+         if any(v) and all(sum(map(mul, v, w)) >= 0 for w in rows)), None)
 
 
 def _separator(rows: Sequence[Sequence[int]]) -> Sequence[int] | None:
@@ -228,10 +251,10 @@ def _separator(rows: Sequence[Sequence[int]]) -> Sequence[int] | None:
     """
     if not rows:
         return None
-    y = _sign_separator(rows)
+    t = [-sum(col) for col in zip(*rows)]
+    y = _sign_separator(rows, t)
     if y is None:
         return _lp_separator(rows)
-    t = [-sum(col) for col in zip(*rows)]
     return _checked(rows, t, lp.LPResult(lp.INFEASIBLE, farkas=y)).farkas
 
 
@@ -379,6 +402,8 @@ def relative_interior_point(h: HalfspaceSystem) -> Vec:
     are exactly the reversible normals: a and -a both lie in that
     subspace, and a reversible a has a and -a in pos(normals).  So x0 is
     the checked :func:`complementary_point` of the normals, as Fractions.
+    Kept for the benchmark, which reads it; the library reads
+    :func:`complementary_point`.
     """
     return tuple(map(Fraction, complementary_point(h.normals)))
 

@@ -20,14 +20,15 @@ mean the same thing on any platform or implementation:
 
 Coordinates are output mod (2*bound+1) minus bound; a vector drawn as all
 zeros is discarded and redrawn.
+
+Every generator writes integer rows straight into a vector set's integer
+form, with scale 1, and builds no Fraction.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .cone import HalfspaceSystem, max_cone_dim
-from .ratlin import VectorSet, unit_vec, vneg
+from .ratlin import VectorSet
 
 __all__ = [
     "SplitMix64",
@@ -68,13 +69,17 @@ class SplitMix64:
         return lo + self.next_u64() % (hi - lo + 1)
 
 
+def _int_set(d: int, rows) -> VectorSet:
+    """The vector set of integer rows, each its own integer form."""
+    return VectorSet.from_int_form(d, ((1, r) for r in rows))
+
+
 def gen_simplex_like(d: int) -> VectorSet:
     """e_1, ..., e_d followed by -(e_1 + ... + e_d)."""
     if d < 1:
         raise ValueError("d must be positive")
-    vectors = [unit_vec(i, d) for i in range(d)]
-    vectors.append(tuple(Fraction(-1) for _ in range(d)))
-    return VectorSet(d, tuple(vectors))
+    rows = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    return _int_set(d, rows + [(-1,) * d])
 
 
 def gen_axis_pairs(k: int, d: int) -> VectorSet:
@@ -82,12 +87,8 @@ def gen_axis_pairs(k: int, d: int) -> VectorSet:
     +e_1, -e_1, +e_2, -e_2, ..."""
     if not 1 <= k <= d:
         raise ValueError(f"k must lie in [1, {d}], got {k}")
-    vectors = []
-    for i in range(k):
-        e = unit_vec(i, d)
-        vectors.append(e)
-        vectors.append(vneg(e))
-    return VectorSet(d, tuple(vectors))
+    return _int_set(d, [tuple(sign * (i == j) for j in range(d))
+                        for i in range(k) for sign in (1, -1)])
 
 
 def gen_example2(d: int, k: int) -> HalfspaceSystem:
@@ -105,12 +106,12 @@ def gen_random(d: int, n: int, bound: int, seed: int) -> VectorSet:
     if d < 1 or n < 1 or bound < 1:
         raise ValueError("d, n, bound must all be positive")
     rng = SplitMix64(seed)
-    vectors = []
-    while len(vectors) < n:
-        v = tuple(Fraction(rng.next_in_range(-bound, bound)) for _ in range(d))
-        if any(c != 0 for c in v):
-            vectors.append(v)
-    return VectorSet(d, tuple(vectors))
+    rows = []
+    while len(rows) < n:
+        v = tuple(rng.next_in_range(-bound, bound) for _ in range(d))
+        if any(v):
+            rows.append(v)
+    return _int_set(d, rows)
 
 
 def verify_tightness_example1(d: int) -> bool:

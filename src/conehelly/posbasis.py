@@ -43,6 +43,7 @@ from .errors import TheoremContradiction
 from .cone import (
     _checked,
     _checked_membership,
+    _sign_farkas,
     is_linear,
     lineality_dim,
     lineality_space,
@@ -62,25 +63,12 @@ __all__ = [
 ]
 
 
-def _sign_farkas(rest: list, x) -> list[int] | None:
-    """y = +-e_j for the first coordinate j with x_j != 0 on which no row
-    of rest has the sign of x_j, or None: then y.x = |x_j| > 0 and
-    y.r <= 0 on every row of rest, a Farkas certificate that x is not in
-    pos(rest) read off signs."""
-    for j, xj in enumerate(x):
-        if xj and all(r[j] * xj <= 0 for r in rest):
-            y = [0] * len(x)
-            y[j] = 1 if xj > 0 else -1
-            return y
-    return None
-
-
 def _in_pos_of_rest(rows: list, i: int) -> bool:
     """Whether rows[i] lies in the positive hull of the other rows.  On a
     linear set this is exactly whether rows[i] can be dropped with the
     positive hull kept (module docstring).
 
-    A no is first sought in signs (:func:`_sign_farkas`) and checked by
+    A no is first sought in signs (:func:`cone._sign_farkas`) and checked by
     substitution through :func:`cone._checked`, as the sign pretest of
     :func:`cone._separator` is; only where the signs settle nothing is
     the question one checked membership LP.  A zero row has no nonzero
@@ -145,7 +133,7 @@ class ReayPartition:
     """The parts of a Reay partition as vector sets: a view for reading
     only.  A partition is checked as index sets into its basis, by
     :func:`verify_reay`, since vectors alone cannot tell whether the parts
-    cover the basis."""
+    cover the basis.  Kept for the benchmark, which reads it."""
 
     ambient_dim: int
     parts: tuple[VectorSet, ...]
@@ -242,7 +230,8 @@ def reay_parts(x: PositiveBasis) -> tuple[tuple[int, ...], ...]:
 
 def reay_partition(x: PositiveBasis) -> ReayPartition:
     """The partition of :func:`reay_parts` as vector sets, for reading;
-    :func:`verify_reay` checks the index sets."""
+    :func:`verify_reay` checks the index sets.  Kept for the benchmark,
+    which reads it."""
     return ReayPartition(x.elements.ambient_dim,
                          tuple(x.elements.subset(p) for p in reay_parts(x)))
 

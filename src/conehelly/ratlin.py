@@ -2,27 +2,26 @@
 
 Everything in this package reduces to rank and kernel questions over the
 rationals, so this module is deliberately boring: dense Gauss-Jordan
-elimination.  Vectors at the interface are tuples of
-``fractions.Fraction``; inside, each row is scaled to integers and
-eliminated fraction-free in the manner of Bareiss (Math. Comp. 22,
-1968), so the arithmetic is on Python ints and every division is exact.
-No floating point appears anywhere; rank and dimension decisions are
-therefore exact, which is what makes the Helly checkers in the rest of
-the package trustworthy.
-
-Vectors are plain tuples of Fractions.  Vector sets and subspaces get
-small frozen dataclasses so they can be hashed and memoized.
-
-:func:`int_row`, a vector times the lcm of its denominators, is the one
+elimination.  Vectors at the interface are integer rows: a
+:class:`VectorSet` holds each vector v as its scale c, the lcm of its
+denominators, and the integer row c v.  :func:`int_row` is the one
 Fraction-to-integer converter, and :func:`int_row_over` gives the same
 pair for integer numerators over a common denominator, with no Fraction.
 A positive scale changes no rank, rref or positive hull, so the cone,
-positive-basis and Helly code computes on integer rows.  A
-:class:`VectorSet` stores them: its data are the integer rows and their
-scales, read by equality and hashing, and its Fractions are a view built
-only on request, for output.  A :class:`SubspaceBasis` is a vector set
-of independent vectors, so subspace bases store integer rows too, and
-their Fraction basis is the same view.
+positive-basis and Helly code computes on integer rows.  Elimination is
+fraction-free in the manner of Bareiss (Math. Comp. 22, 1968), so the
+arithmetic is on Python ints and every division is exact.  No floating
+point appears anywhere; rank and dimension decisions are therefore
+exact, which is what makes the Helly checkers in the rest of the package
+trustworthy.
+
+Vector sets are small frozen dataclasses, so they can be hashed and
+memoized; equality and hashing read the integer rows and their scales.
+A vector may be given as ints and Fractions (:func:`vec` reads 'p/q'
+strings too), and a vector set's Fractions are a view built only on
+request, for output.  A :class:`SubspaceBasis` is a vector set of
+independent vectors, so subspace bases store integer rows too, and their
+Fraction basis is the same view.
 
 Integer rows are the one format that reaches elimination, and one
 pivot step, :func:`_pivot`, does every integer-preserving row update,
@@ -52,24 +51,6 @@ Vec = tuple[Fraction, ...]
 def vec(coords: Iterable) -> Vec:
     """Coerce an iterable of ints / Fractions / 'p/q' strings to a vector."""
     return tuple(Fraction(c) for c in coords)
-
-
-def unit_vec(i: int, d: int) -> Vec:
-    return tuple(Fraction(1 if j == i else 0) for j in range(d))
-
-
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def vneg(u: Vec) -> Vec:
-    return tuple(-a for a in u)
-
-
-def is_zero(u: Vec) -> bool:
-    return all(a == 0 for a in u)
 
 
 def is_index_set(ids, n: int) -> bool:
@@ -134,6 +115,7 @@ class VectorSet:
         return len(self.int_rows)
 
     def __iter__(self):
+        """The Fraction view, in order; kept for the benchmark, which reads it."""
         return iter(self.vectors)
 
     def __getitem__(self, i: int) -> Vec:
@@ -177,19 +159,12 @@ class SubspaceBasis(VectorSet):
 
     @property
     def basis(self) -> tuple[Vec, ...]:
+        """The Fraction view; kept for the benchmark, which reads it."""
         return self.vectors
 
     @property
     def dim(self) -> int:
         return len(self.int_rows)
-
-    def contains(self, v: Vec) -> bool:
-        """Exact membership of a vector in the spanned subspace."""
-        if len(v) != self.ambient_dim:
-            raise ValueError("dimension mismatch")
-        if is_zero(v):
-            return True
-        return rank_of_rows([*self.int_rows, int_row(v)[1]], self.ambient_dim) == self.dim
 
 
 def int_row(v: Sequence) -> tuple[int, tuple[int, ...]]:

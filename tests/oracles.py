@@ -35,6 +35,18 @@ def _rank(vectors, d):
     return len(ref_rref_rows(vectors, d)[1])
 
 
+def dot(u, v) -> Fraction:
+    """Exact dot product of two vectors of ints or Fractions."""
+    if len(u) != len(v):
+        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def in_span(s, v) -> bool:
+    """v lies in the span of the subspace basis s: adding it keeps the rank."""
+    return _rank([*s.basis, v], s.ambient_dim) == s.dim
+
+
 # ---------------------------------------------------------------------------
 # Reference kernels: plain Gauss-Jordan and the two-phase Bland simplex on
 # Fractions, the arithmetic the library used before it moved to integers.

@@ -15,18 +15,20 @@ from conehelly.cli import (
     EXIT_INPUT,
     EXIT_INTERNAL,
     EXIT_OK,
-    frac_from_json,
+    coord_from_json,
     frac_to_json,
     instance_from_json,
     instance_to_json,
     run,
 )
 from conehelly.errors import TheoremContradiction
-from conehelly.gens import gen_random
+from conehelly.fuzzing import trial_instance
+from conehelly.gens import gen_axis_pairs, gen_random, gen_simplex_like
 from conehelly.ratlin import VectorSet
 from fractions import Fraction
+from math import lcm
 
-from conftest import fractions_built
+from conftest import POS_FUZZ, fractions_built
 
 
 def invoke(capsys, monkeypatch, argv, stdin=None):
@@ -51,15 +53,15 @@ def gen_out(capsys, monkeypatch, argv):
 class TestSerialization:
     def test_frac_round_trip(self):
         for f in (Fraction(3), Fraction(-2, 7), Fraction(0)):
-            assert frac_from_json(frac_to_json(f)) == f
+            assert coord_from_json(frac_to_json(f)) == f
 
     def test_string_integers_accepted(self):
-        assert frac_from_json("4") == 4
-        assert frac_from_json("-3/4") == Fraction(-3, 4)
+        assert coord_from_json("4") == 4
+        assert coord_from_json("-3/4") == Fraction(-3, 4)
 
     def test_floats_rejected(self):
         with pytest.raises(ValueError):
-            frac_from_json(0.5)
+            coord_from_json(0.5)
 
     def test_instance_round_trip(self):
         vs = gen_random(3, 6, 3, 5)
@@ -77,14 +79,14 @@ class TestSerialization:
         # An exponent may have as many digits as an int string may; past
         # that, Fraction would build 10**exponent before any check.
         limit = sys.get_int_max_str_digits()
-        assert frac_from_json(f"1e{limit}") == 10**limit
-        assert frac_from_json(f"1e-{limit}") == Fraction(1, 10**limit)
+        assert coord_from_json(f"1e{limit}") == 10**limit
+        assert coord_from_json(f"1e-{limit}") == Fraction(1, 10**limit)
         for v in (f"1e{limit + 1}", f"1E-{limit + 1}", "0e99999999", " 2.5e+9_999_999 "):
             with pytest.raises(cli.InputError, match="exponent too large"):
-                frac_from_json(v)
+                coord_from_json(v)
         # With no limit set there is none to enforce.
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
-        assert frac_from_json(f"1e{limit + 1}") == 10**(limit + 1)
+        assert coord_from_json(f"1e{limit + 1}") == 10**(limit + 1)
 
     # (command, role, vectors, exit code, the echoed vectors on stdout or
     # the message on stderr), each recorded from the Fraction parser.
@@ -171,6 +173,46 @@ class TestFractionFree:
         assert codes == [EXIT_OK]
         rep = json.loads(capsys.readouterr().out)
         assert {k: rep["inputs"][k] for k in inst} == inst
+
+    # The generators write integer rows straight into a vector set.
+    @pytest.mark.parametrize("argv", [
+        ["--example", "simplex", "--d", "5"],
+        ["--example", "axis-pairs", "--k", "3", "--d", "5"],
+        ["--example", "example2", "--d", "5", "--k", "2"],
+        ["--example", "random", "--d", "6", "--n", "20", "--seed", "1"]], ids=" ".join)
+    def test_gen_builds_no_fraction(self, capsys, argv):
+        codes = []
+        assert fractions_built(lambda: codes.append(run(["gen"] + argv))) == 0
+        assert codes == [EXIT_OK]
+        assert json.loads(capsys.readouterr().out)["vectors"]
+
+    def test_fuzz_instances_build_no_fraction(self):
+        for index in range(20):
+            assert fractions_built(trial_instance, POS_FUZZ, index) == 0
+
+    # An all-integer report, its instance, point and certificate all JSON
+    # ints, is checked by integer substitution from end to end.
+    @pytest.mark.parametrize("instance, point, field", [
+        (gen_axis_pairs(2, 3), "1,2,3", "separator"),
+        (gen_simplex_like(3), "1,2,3", "combination"),
+    ], ids=["separator", "combination"])
+    def test_integer_membership_verifies_with_no_fraction(self, capsys, monkeypatch,
+                                                          tmp_path, instance, point,
+                                                          field):
+        monkeypatch.setattr("sys.stdin", io.StringIO(
+            json.dumps(instance_to_json(instance, "generators"))))
+        assert run(["membership", "--point", point]) == EXIT_OK
+        out = capsys.readouterr().out
+        cert = json.loads(out)["result"][field]
+        assert all(type(c) is int for c in (cert if field == "separator"
+                                            else [c for _, c in cert]))
+        path = tmp_path / "report.json"
+        path.write_text(out)
+        codes = []
+        assert fractions_built(
+            lambda: codes.append(run(["membership", "--verify", str(path)]))) == 0
+        assert codes == [EXIT_OK]
+        assert json.loads(capsys.readouterr().out)["result"]["verified"] is True
 
 
 class TestPipelines:
@@ -587,6 +629,25 @@ class TestVerifyMode:
             "generators", lambda gens: [[float(Fraction(c)) for c in g] for g in gens])
         assert code == EXIT_INPUT and out == ""
 
+    def test_string_separator_rejected(self, capsys, monkeypatch, tmp_path):
+        # "10" read digit by digit would be the separator (1, 0) of (1, 1)
+        # from pos{-e1, -e2}; a vector is a JSON list, as in an instance.
+        cone = json.dumps({"d": 2, "role": "generators", "vectors": [[-1, 0], [0, -1]]})
+        code, out, _ = self._verify_altered(
+            capsys, monkeypatch, tmp_path, ["membership", "--point", "1,1"], cone,
+            "separator", lambda _: "10")
+        assert code == EXIT_INPUT and out == ""
+
+    def test_string_generators_rejected(self, capsys, monkeypatch, tmp_path):
+        # Read digit by digit, "10" and "01" would be e1 and e2, which do
+        # span a 2-dimensional cone inside -x - y <= 0; the rows are
+        # malformed all the same.
+        halfplane = json.dumps({"d": 2, "role": "normals", "vectors": [[-1, -1]]})
+        code, out, _ = self._verify_altered(
+            capsys, monkeypatch, tmp_path, ["extract-cone", "--k", "2"], halfplane,
+            "generators", lambda _: ["10", "01"])
+        assert code == EXIT_INPUT and out == ""
+
     @pytest.mark.parametrize("parts", [[[False, 1, 2]], [[1, 0, 2]]],
                              ids=["boolean index", "unsorted part"])
     def test_reay_part_indices_checked(self, capsys, monkeypatch, tmp_path, parts):
@@ -740,6 +801,76 @@ class TestTamper:
         report["result"]["element_indices"] = [0, 1]
         assert self._verdict(capsys, monkeypatch, tmp_path, report) \
             == (EXIT_INTERNAL, False)
+
+
+# Non-integer instances of the golden corpus.  In both, the generator
+# scales c_i (the lcm of each vector's denominators) are 2, 3, 4, 5, 1, 1
+# and 4, so --verify must convert a certificate by them before its
+# integer substitution.
+FRACTIONAL3 = json.dumps({"d": 3, "role": "generators", "vectors": [
+    [0, 1, "-1/2"], ["-2/3", 0, -2], ["-3/2", "-3/2", "9/4"], ["3/5", "1/5", "1/5"],
+    [2, 2, 3], [-2, 2, -1], ["1/4", "3/4", "1/4"]]})
+FRACTIONAL4 = json.dumps({"d": 4, "role": "generators", "vectors": [
+    ["-1/2", "-1/2", "3/2", "-3/2"], ["4/3", "-4/3", 2, 0], ["-3/2", "9/4", "-3/2", "-9/4"],
+    ["-1/5", 0, "-3/5", "2/5"], [-3, 1, 0, 0], [-2, 1, -1, 0], ["-1/4", "3/4", "1/2", "-3/4"]]})
+
+
+class TestFractionalTamper:
+    """Altered membership certificates on non-integer instances exit 4;
+    the golden corpus replays only true reports on them."""
+
+    def _verdict(self, capsys, monkeypatch, tmp_path, argv, stdin, alter):
+        code, out, err = invoke(capsys, monkeypatch, argv, stdin=stdin)
+        assert code == EXIT_OK, err
+        report = json.loads(out)
+        alter(report["result"], report["inputs"]["vectors"])
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        code, out, err = invoke(capsys, monkeypatch, ["membership", "--verify", str(path)])
+        assert out, err
+        return code, json.loads(out)["result"]["verified"]
+
+    @pytest.mark.parametrize("entry", range(3))
+    def test_coefficient_times_its_scale_fails(self, capsys, monkeypatch, tmp_path, entry):
+        # (1/4, 7/4, -1/4) = 17/9 g_0 + 2/9 g_2 + 35/36 g_3, scales 2, 4, 5.
+        def alter(res, vectors):
+            i, c = res["combination"][entry]
+            res["combination"][entry][1] = frac_to_json(
+                Fraction(c) * lcm(*(Fraction(x).denominator for x in vectors[i])))
+
+        assert self._verdict(capsys, monkeypatch, tmp_path,
+                             ["membership", "--point=1/4,7/4,-1/4"], FRACTIONAL3,
+                             lambda res, vectors: None) == (EXIT_OK, True)
+        assert self._verdict(capsys, monkeypatch, tmp_path,
+                             ["membership", "--point=1/4,7/4,-1/4"], FRACTIONAL3,
+                             alter) == (EXIT_INTERNAL, False)
+
+    @pytest.mark.parametrize("sign, want", [(1, (EXIT_OK, True)),
+                                            (-1, (EXIT_INTERNAL, False))],
+                             ids=["positive", "negative"])
+    def test_negative_coefficient_fails(self, capsys, monkeypatch, tmp_path, sign, want):
+        # The combination 1 g_1 + sign g_4 sums to the point exactly, so
+        # only the sign of its second coefficient decides.
+        g1, g4 = (-Fraction(2, 3), 0, -2), (2, 2, 3)
+        point = ",".join(str(a + sign * b) for a, b in zip(g1, g4))
+
+        def alter(res, vectors):
+            res["combination"] = [[1, 1], [4, sign]]
+
+        assert self._verdict(capsys, monkeypatch, tmp_path,
+                             ["membership", f"--point={point}"], FRACTIONAL3,
+                             alter) == want
+
+    @pytest.mark.parametrize("j", range(4))
+    def test_separator_with_a_coordinate_negated_fails(self, capsys, monkeypatch,
+                                                       tmp_path, j):
+        # The separator of (1/2, 1/2, -3/2, 3/2) is (1, 5/8, -1/4, 1/8).
+        def alter(res, vectors):
+            res["separator"][j] = frac_to_json(-Fraction(res["separator"][j]))
+
+        assert self._verdict(capsys, monkeypatch, tmp_path,
+                             ["membership", "--point=1/2,1/2,-3/2,3/2"], FRACTIONAL4,
+                             alter) == (EXIT_INTERNAL, False)
 
 
 class TestFuzzCommand:

@@ -1,10 +1,15 @@
 """Every name a module exports resolves, so deleting a function cannot
-leave a stale entry in its module's ``__all__``; and every memo is a
-module attribute that can be emptied."""
+leave a stale entry in its module's ``__all__``; every memo is a module
+attribute that can be emptied; and one pass of each benchmark workload
+still runs clean, as the benchmark reads library names the tests do
+not."""
 
 import importlib
+import json
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,3 +37,17 @@ def test_every_memo_can_be_emptied():
         len(re.findall(r"^\s*@(?:lru_cache|rows_memo)\b", path.read_text(), re.M))
         for path in Path(conehelly.__file__).parent.glob("*.py"))
     assert decorators == len(CACHES)
+
+
+@pytest.mark.parametrize("workload", ["pos_helly", "cone_helly", "cli"])
+def test_benchmark_pass_is_correct(workload):
+    # perfbench imports library functions and reads report fields by
+    # name, so a rename can break it while every other test passes.  One
+    # pass writes only under the git-ignored perfbench-out/.
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", "1", "--seconds", "0"],
+                          cwd=root, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert (result["correct"], result["failed"]) == (True, 0), proc.stdout + proc.stderr
