@@ -39,6 +39,7 @@ from .errors import CapacityError, TheoremContradiction
 from .cone import (
     HalfspaceSystem,
     _certifies,
+    _check_k,
     extract_cone,
     lineality_dim,
     lineality_of_polar,
@@ -138,13 +139,12 @@ def instance_to_json(vs: VectorSet, role: str) -> dict:
     return {"d": vs.ambient_dim, "role": role, "vectors": rows_to_json(vs)}
 
 
-def row_from_json(row, d: int | None = None) -> tuple:
-    """A vector: a JSON list of coordinates, each read by coord_from_json,
-    of length d if d is given.  Anything else, a string included, is
-    refused."""
+def row_from_json(row, d: int) -> tuple:
+    """A vector: a JSON list of d coordinates, each read by
+    coord_from_json.  Anything else, a string included, is refused."""
     if not isinstance(row, list):
         raise InputError(f"vector {row!r} is not a JSON list")
-    if d is not None and len(row) != d:
+    if len(row) != d:
         raise InputError(f"vector {row!r} does not have length {d}")
     return tuple(map(coord_from_json, row))
 
@@ -221,25 +221,26 @@ def emit(report: dict, pretty: bool) -> None:
 # Input plumbing
 
 
-def load_instance(args) -> tuple[VectorSet, str]:
-    path = getattr(args, "input", None)
+def _read_json(path: str | None, what: str):
+    """The JSON value in the file at path, or on stdin if path is None;
+    a file or JSON error is an InputError that names what was read."""
     try:
-        if path:
-            with open(path, "r", encoding="utf-8") as fh:
-                obj = json.load(fh)
-        else:
-            obj = json.load(sys.stdin)
+        if path is None:
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"cannot read instance: {exc}") from exc
-    return instance_from_json(obj)
+        raise InputError(f"cannot read {what}: {exc}") from exc
+
+
+def load_instance(args) -> tuple[VectorSet, str]:
+    """The instance at --input, or on stdin when --input is absent or empty."""
+    path = getattr(args, "input", None) or None
+    return instance_from_json(_read_json(path, "instance"))
 
 
 def load_report(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rep = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        raise InputError(f"cannot read report: {exc}") from exc
+    rep = _read_json(path, "report")
     if not isinstance(rep, dict) or not isinstance(rep.get("result"), dict):
         raise InputError("a report must be a JSON object with a result object")
     return rep
@@ -424,9 +425,12 @@ def _check_membership(vs: VectorSet, inputs: dict, res: dict) -> bool:
     x_i / den = a_i c_b / c_i, so sum_i x_i r_i = den t iff sum_i a_i g_i = b."""
     cb, t = int_row(tuple(map(coord_from_json, inputs["point"])))
     if not res["member"]:
-        y = int_row(row_from_json(res["separator"]))[1]
+        y = int_row(row_from_json(res["separator"], vs.ambient_dim))[1]
         return _certifies(vs.int_rows, t, lp.LPResult(lp.INFEASIBLE, farkas=y))
     pairs = res["combination"]
+    if not (isinstance(pairs, list)
+            and all(isinstance(term, list) and len(term) == 2 for term in pairs)):
+        raise InputError("a combination must be a JSON list of [index, coefficient] pairs")
     if not is_index_set([pair[0] for pair in pairs], len(vs)):
         return False
     coeffs = [(i, coord_from_json(a), vs.int_scales[i]) for i, a in pairs]
@@ -491,8 +495,7 @@ def _params(cmd: Command, d: int, raw: dict) -> dict:
             raise InputError("--k is required")
         if type(k) is not int:
             raise InputError(f"k must be an integer, got {k!r}")
-        if not cmd.k_min <= k <= d:
-            raise ValueError(f"k must lie in [{cmd.k_min}, {d}], got {k}")
+        _check_k(k, d, cmd.k_min)
         return {"k": k}
     if cmd.point:
         if raw.get("point") is None:
@@ -537,39 +540,37 @@ def _verify_report(name: str, rep: dict) -> dict:
     }
 
 
+def _required(args, *flags: str) -> dict:
+    """{flag: value} for the named flags, each of which must be given."""
+    missing = [f"--{f}" for f in flags if getattr(args, f) is None]
+    if missing:
+        raise InputError(f"{args.command} --example {args.example} requires "
+                         + " and ".join(missing))
+    return {f: getattr(args, f) for f in flags}
+
+
 def cmd_gen(args) -> dict:
     name = args.example
-    if name == "simplex":
-        if args.d is None:
-            raise InputError("gen simplex requires --d")
-        return instance_to_json(gen_simplex_like(args.d), "generators")
-    if name == "axis-pairs":
-        if args.d is None or args.k is None:
-            raise InputError("gen axis-pairs requires --k and --d")
-        return instance_to_json(gen_axis_pairs(args.k, args.d), "generators")
     if name == "example2":
-        if args.d is None or args.k is None:
-            raise InputError("gen example2 requires --k and --d")
-        return instance_to_json(gen_example2(args.d, args.k).normals, "normals")
-    # "random", the one choice left
-    if args.d is None or args.n is None:
-        raise InputError("gen random requires --d and --n")
-    vs = gen_random(args.d, args.n, args.bound, args.seed)
+        return instance_to_json(gen_example2(**_required(args, "d", "k")).normals, "normals")
+    if name == "simplex":
+        vs = gen_simplex_like(**_required(args, "d"))
+    elif name == "axis-pairs":
+        vs = gen_axis_pairs(**_required(args, "k", "d"))
+    else:  # "random", the one choice left
+        vs = gen_random(**_required(args, "d", "n"), bound=args.bound, seed=args.seed)
     return instance_to_json(vs, "generators")
 
 
 def cmd_verify_tightness(args) -> dict:
     if args.example == "1":
-        if args.d is None:
-            raise InputError("--d is required")
-        holds = verify_tightness_example1(args.d)
-        inputs = {"example": "1", "d": args.d}
+        inputs = _required(args, "d")
+        holds = verify_tightness_example1(**inputs)
     else:  # "2", the one choice left
-        if args.d is None or args.k is None:
-            raise InputError("--d and --k are required")
-        holds = verify_tightness_example2(args.d, args.k)
-        inputs = {"example": "2", "d": args.d, "k": args.k}
-    return make_report("verify-tightness", inputs, {"holds": holds})
+        inputs = _required(args, "d", "k")
+        holds = verify_tightness_example2(**inputs)
+    return make_report("verify-tightness", {"example": args.example} | inputs,
+                       {"holds": holds})
 
 
 def cmd_fuzz(args) -> tuple[dict, int]:
@@ -636,8 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--point", help="comma-separated rational coordinates")
         p.add_argument("--verify", metavar="REPORT",
                        help="re-verify an existing report instead of computing")
-        p.add_argument("--pretty", action="store_true")
-        p.add_argument("--json", action="store_true", help="JSON output (default)")
 
     p = sub.add_parser("gen")
     p.add_argument("--example", required=True,
@@ -647,15 +646,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--bound", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pretty", action="store_true")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify-tightness")
     p.add_argument("--example", required=True, choices=["1", "2"])
     p.add_argument("--d", type=int)
     p.add_argument("--k", type=int)
-    p.add_argument("--pretty", action="store_true")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("fuzz")
     p.add_argument("--d-max", type=int, default=4)
@@ -667,9 +662,10 @@ def build_parser() -> argparse.ArgumentParser:
                    + ",".join(ALL_CHECKS))
     p.add_argument("--dump-dir", default=".",
                    help="directory for failing-instance dumps")
-    p.add_argument("--pretty", action="store_true")
-    p.add_argument("--json", action="store_true")
 
+    for p in sub.choices.values():
+        p.add_argument("--pretty", action="store_true")
+        p.add_argument("--json", action="store_true", help="JSON output (default)")
     return parser
 
 

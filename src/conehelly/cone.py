@@ -408,6 +408,12 @@ def relative_interior_point(h: HalfspaceSystem) -> Vec:
     return tuple(map(Fraction, complementary_point(h.normals)))
 
 
+def _check_k(k: int, d: int, lowest: int = 1) -> None:
+    """The one range check of a dimension k in dimension d."""
+    if not lowest <= k <= d:
+        raise ValueError(f"k must lie in [{lowest}, {d}], got {k}")
+
+
 @dataclass(frozen=True)
 class InfeasibleCone:
     """Obstruction returned when no k-dimensional cone fits inside the
@@ -431,8 +437,7 @@ def extract_cone(h: HalfspaceSystem, k: int) -> VectorSet | InfeasibleCone:
     Fraction is built.
     """
     d = h.ambient_dim
-    if not 0 <= k <= d:
-        raise ValueError(f"k must lie in [0, {d}], got {k}")
+    _check_k(k, d, lowest=0)
     ldim = lineality_dim(h.normals)
     if k > d - ldim:
         return InfeasibleCone(requested_k=k, max_dim=d - ldim, lineality_dim=ldim)

@@ -27,7 +27,7 @@ form, with scale 1, and builds no Fraction.
 
 from __future__ import annotations
 
-from .cone import HalfspaceSystem, max_cone_dim
+from .cone import HalfspaceSystem, _check_k, max_cone_dim
 from .ratlin import VectorSet
 
 __all__ = [
@@ -85,8 +85,7 @@ def gen_simplex_like(d: int) -> VectorSet:
 def gen_axis_pairs(k: int, d: int) -> VectorSet:
     """+-e_1, ..., +-e_k embedded in dimension d, interleaved as
     +e_1, -e_1, +e_2, -e_2, ..."""
-    if not 1 <= k <= d:
-        raise ValueError(f"k must lie in [1, {d}], got {k}")
+    _check_k(k, d)
     return _int_set(d, [tuple(sign * (i == j) for j in range(d))
                         for i in range(k) for sign in (1, -1)])
 
@@ -95,8 +94,7 @@ def gen_example2(d: int, k: int) -> HalfspaceSystem:
     """Halfspace system with normals +-e_i for i <= d-k+1; its
     intersection is a copy of R^(k-1), one halfspace short of holding a
     k-dimensional cone."""
-    if not 1 <= k <= d:
-        raise ValueError(f"k must lie in [1, {d}], got {k}")
+    _check_k(k, d)
     return HalfspaceSystem(gen_axis_pairs(d - k + 1, d))
 
 

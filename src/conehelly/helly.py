@@ -61,6 +61,7 @@ from operator import mul
 from .errors import CapacityError, TheoremContradiction
 from .cone import (
     HalfspaceSystem,
+    _check_k,
     _lp_separator,
     lineality_dim,
     lineality_of_polar,
@@ -97,11 +98,6 @@ __all__ = [
 # The minimal-witness scan is exponential in the reversible generators;
 # refuse more than this many instead of silently running forever.
 ENUMERATION_CUTOFF = 24
-
-
-def _check_k(k: int, d: int, lowest: int = 1) -> None:
-    if not lowest <= k <= d:
-        raise ValueError(f"k must lie in [{lowest}, {d}], got {k}")
 
 
 def _h(k: int, d: int) -> int:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import TheoremContradiction
 from .ratlin import _pivot
 
 OPTIMAL = "optimal"
@@ -101,7 +102,8 @@ def nonneg_combination(columns, target) -> LPResult:
                     better = lhs < rhs or (lhs == rhs and basis[i] < basis[leave])
                 if better:
                     leave, best_num, best_den = i, num, a
-        assert leave >= 0, "phase 1 is bounded below by 0"
+        if leave < 0:  # Bland's rule never gets here
+            raise TheoremContradiction("no leaving row, though phase 1 is bounded below by 0")
         den = _pivot(tab, leave, enter, den, exchange=True)
         basis[leave], slots[enter] = slots[enter], basis[leave]
     if tab[m][n]:

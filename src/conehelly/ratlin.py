@@ -275,34 +275,22 @@ def rows_memo(fn):
 @rows_memo
 def rank_of_rows(rows: Sequence[Sequence[int]], ncols: int) -> int:
     """Rank of integer rows, such as :attr:`VectorSet.int_rows`, by
-    forward-only Bareiss elimination; builds no Fraction.  The exact
-    divisions are floor divisions, so rows must hold ints: a non-integer
-    Fraction would floor silently.  Memoized by :func:`rows_memo`.
-
-    It keeps its own forward-only loop rather than count the pivots of
-    :func:`_gauss_jordan`: on the ranks a Helly search asks, the hottest
-    kernel of the package, that takes about a quarter less time."""
+    forward-only Bareiss elimination; builds no Fraction.  Each step is
+    :func:`_pivot` on the rows not yet used as pivots, after which the
+    pivot row is dropped, so no row above a pivot is ever updated.  The
+    exact divisions are floor divisions, so rows must hold ints: a
+    non-integer Fraction would floor silently.  Memoized by
+    :func:`rows_memo`."""
     m = list(rows)
-    nrows = len(m)
     prev = 1
-    r = 0
     for c in range(ncols):
-        if r == nrows:
+        if not m:
             break
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        prow = m[r]
-        p = prow[c]
-        for i in range(r + 1, nrows):
-            row = m[i]
-            f = row[c]
-            if f or p != prev:  # else the update would leave the row as is
-                m[i] = [(p * a - f * b) // prev for a, b in zip(row, prow)]
-        prev = p
-        r += 1
-    return r
+        pr = next((i for i, row in enumerate(m) if row[c]), None)
+        if pr is not None:
+            prev = _pivot(m, pr, c, prev)
+            del m[pr]
+    return len(rows) - len(m)
 
 
 def span_basis(rows: Sequence[Sequence[int]], ncols: int) -> SubspaceBasis:

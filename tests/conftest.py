@@ -1,7 +1,9 @@
 import importlib
+import json
 import pkgutil
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -24,6 +26,11 @@ def cold_caches():
     earlier test cannot stand in for a call the test makes or patches."""
     for cache in CACHES:
         cache.cache_clear()
+
+# The golden CLI corpus: recorded invocations, each with its argv, stdin,
+# exit code and exact stdout (see test_golden).
+with open(Path(__file__).parent / "fixtures" / "golden_cli.json", encoding="utf-8") as _fh:
+    GOLDEN = json.load(_fh)
 
 # The two fuzz streams of the acceptance criteria.
 POS_FUZZ = FuzzConfig(d_max=5, n_max=12, bound=3, trials=1000,

@@ -28,7 +28,7 @@ from conehelly.ratlin import VectorSet
 from fractions import Fraction
 from math import lcm
 
-from conftest import POS_FUZZ, fractions_built
+from conftest import GOLDEN, POS_FUZZ, fractions_built
 
 
 def invoke(capsys, monkeypatch, argv, stdin=None):
@@ -638,6 +638,41 @@ class TestVerifyMode:
             "separator", lambda _: "10")
         assert code == EXIT_INPUT and out == ""
 
+    def test_wrong_length_separator_rejected(self, capsys, monkeypatch, tmp_path):
+        # A certificate vector is read at the instance's length, as a
+        # generator row is: a separator with one coordinate too many is
+        # malformed, not a false certificate.
+        cone = json.dumps({"d": 2, "role": "generators", "vectors": [[-1, 0], [0, -1]]})
+        code, out, _ = self._verify_altered(
+            capsys, monkeypatch, tmp_path, ["membership", "--point", "1,1"], cone,
+            "separator", lambda y: y + [0])
+        assert code == EXIT_INPUT and out == ""
+
+    @pytest.mark.parametrize("terms", [[[]], [{}], [[0]], [[0, 1, 1]], ["01"], {"0": 1}],
+                             ids=["empty term", "object term", "one item",
+                                  "three items", "string term", "object"])
+    def test_malformed_combination_rejected(self, capsys, monkeypatch, tmp_path, terms):
+        # Each term is a two-item JSON list [index, coefficient], as a
+        # vector is a JSON list; anything else exits 2, never with a traceback.
+        plane = json.dumps({"d": 2, "role": "generators", "vectors": [[1, 0], [0, 1]]})
+        code, out, _ = self._verify_altered(
+            capsys, monkeypatch, tmp_path, ["membership", "--point", "1,1"], plane,
+            "combination", lambda _: terms)
+        assert code == EXIT_INPUT and out == ""
+
+    @pytest.mark.parametrize("terms", [[[0, 1], [1, 1], [1, 1]], [[0, 1], [1, 1], [-1, 1]],
+                                       [[0, 1], [True, 1]]],
+                             ids=["repeated index", "out-of-range index", "boolean index"])
+    def test_combination_indices_checked(self, capsys, monkeypatch, tmp_path, terms):
+        # Read as array positions, each of these would sum to the point
+        # (1, 1) = e1 + e2; the indices must be a set of generators.
+        plane = json.dumps({"d": 2, "role": "generators", "vectors": [[1, 0], [0, 1]]})
+        code, out, _ = self._verify_altered(
+            capsys, monkeypatch, tmp_path, ["membership", "--point", "1,1"], plane,
+            "combination", lambda _: terms)
+        assert code == EXIT_INTERNAL
+        assert json.loads(out)["result"]["verified"] is False
+
     def test_string_generators_rejected(self, capsys, monkeypatch, tmp_path):
         # Read digit by digit, "10" and "01" would be e1 and e2, which do
         # span a 2-dimensional cone inside -x - y <= 0; the rows are
@@ -704,6 +739,52 @@ class TestVerifyMode:
                               ["helly-cone", "--verify", str(path)])
         assert code == EXIT_INTERNAL
         assert json.loads(out)["result"]["verified"] is False
+
+
+# One golden report per instance command and last result field, so each
+# optional certificate and witness field appears.
+MALFORMED_BASES = {}
+for _e in GOLDEN:
+    if (_e["exit"] == 0 and _e["argv"][0] in cli.COMMANDS
+            and "--verify" not in _e["argv"] and "--pretty" not in _e["argv"]):
+        _rep = json.loads(_e["stdout"])
+        MALFORMED_BASES.setdefault(f"{_e['argv'][0]} {list(_rep['result'])[-1]}", _rep)
+MALFORMED_VALUES = [None, [], [[]], {}, "x", 1.5, True, [None], [[None]], [{}], -1, [[-1]]]
+
+
+def malformed(report):
+    """Copies of the report with one field set to each of MALFORMED_VALUES:
+    each top-level field, each field of a top-level object and of an
+    object inside one, and the first item of each nonempty list among them."""
+    def paths(obj, prefix, depth):
+        for key, value in obj.items():
+            yield prefix + (key,)
+            if isinstance(value, list) and value:
+                yield prefix + (key, 0)
+            if isinstance(value, dict) and depth < 2:
+                yield from paths(value, prefix + (key,), depth + 1)
+
+    for path in paths(report, (), 0):
+        for value in MALFORMED_VALUES:
+            bad = copy.deepcopy(report)
+            holder = bad
+            for step in path[:-1]:
+                holder = holder[step]
+            holder[path[-1]] = value
+            yield path, value, bad
+
+
+class TestMalformedReports:
+    @pytest.mark.parametrize("report", MALFORMED_BASES.values(), ids=MALFORMED_BASES)
+    def test_verify_never_crashes(self, capsys, tmp_path, report):
+        # --verify on a report with any field malformed exits with a
+        # documented code and raises nothing.
+        path = tmp_path / "report.json"
+        for field, value, bad in malformed(report):
+            path.write_text(json.dumps(bad))
+            code = run([report["operation"], "--verify", str(path)])
+            capsys.readouterr()
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_CAPACITY, EXIT_INTERNAL), (field, value)
 
 
 # (gen arguments, command arguments, a result field the report must carry):

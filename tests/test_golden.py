@@ -20,8 +20,6 @@ other entry byte-identical and every new report verified.
 """
 
 import io
-import json
-import os
 from collections import defaultdict
 
 import pytest
@@ -31,11 +29,7 @@ from conehelly import cli, cone, helly, posbasis, ratlin
 from conehelly.cli import run
 from conehelly.fuzzing import run_trial_checks, trial_instance
 
-from conftest import CACHES, CONE_FUZZ
-
-with open(os.path.join(os.path.dirname(__file__), "fixtures", "golden_cli.json"),
-          encoding="utf-8") as _fh:
-    ENTRIES = json.load(_fh)
+from conftest import CACHES, CONE_FUZZ, GOLDEN as ENTRIES
 
 BY_COMMAND = defaultdict(list)
 for _i, _entry in enumerate(ENTRIES):

@@ -6,14 +6,20 @@ pivots are the reference's up to the point where phase 1 is feasible,
 where the condensed solver stops, and all of them on an infeasible
 system, so equal outputs there mean equal pivot sequences."""
 
+import ast
+import os
+import subprocess
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import conehelly
 import oracles
 from conehelly import cone
 from conehelly.gens import gen_simplex_like
@@ -293,3 +299,43 @@ class TestCases:
         assert res.status == OPTIMAL and [F(x, res.den) for x in res.x] == [F(1, 2), F(3)]
         res = nonneg_combination([[1, 0]], [-1, 0])
         assert res.status == INFEASIBLE
+
+
+# A pivot that, after each real step, zeroes every positive entry of the
+# constraint rows: the next entering column then has no leaving row.
+NO_LEAVING_ROW = """
+from conehelly import lp
+from conehelly.errors import TheoremContradiction
+
+real = lp._pivot
+
+def pivot(m, r, c, prev, exchange=False):
+    p = real(m, r, c, prev, exchange)
+    for row in m[:-1]:
+        row[:] = [0 if a > 0 else a for a in row]
+    return p
+
+lp._pivot = pivot
+try:
+    print(lp.nonneg_combination([[1, 0], [0, 1], [1, 1]], [1, 1]))
+except TheoremContradiction:
+    print("TheoremContradiction")
+"""
+
+
+class TestGuards:
+    def test_no_leaving_row_raises_under_optimization(self):
+        # python -O strips assert statements; the guard must still fire.
+        src = str(Path(conehelly.__file__).parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-O", "-c", NO_LEAVING_ROW],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.stdout.strip() == "TheoremContradiction", proc.stdout + proc.stderr
+
+    def test_no_assert_statement_in_the_package(self):
+        # Every check the package relies on survives python -O.
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(Path(conehelly.__file__).parent.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Assert)]
+        assert found == []

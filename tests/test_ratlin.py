@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conehelly import ratlin
+from conehelly.gens import gen_simplex_like
 from conehelly.ratlin import (
     SubspaceBasis,
     VectorSet,
@@ -214,6 +215,25 @@ class TestRank:
         scaled = [[int(x * den * (i + 1)) for x in r] for i, r in enumerate(rows)]
         assert rank_of_rows(scaled, ncols) == rank_of_rows(ints(rows), ncols)
         assert rref(scaled, ncols) == rref(ints(rows), ncols) == ref_rref(rows, ncols)
+
+
+class TestRankPivots:
+    """rank_of_rows takes each elimination step by ratlin._pivot: one call
+    per pivot, and none on rows with no nonzero entry."""
+
+    def _pivots(self, monkeypatch, rows, ncols):
+        calls = []
+        real = ratlin._pivot
+        monkeypatch.setattr(ratlin, "_pivot",
+                            lambda *args: calls.append(1) or real(*args))
+        return rank_of_rows(rows, ncols), len(calls)
+
+    def test_one_pivot_per_rank(self, monkeypatch):
+        rows = gen_simplex_like(5).int_rows
+        assert self._pivots(monkeypatch, rows, 5) == (5, 5)
+
+    def test_zero_rows_take_no_pivot(self, monkeypatch):
+        assert self._pivots(monkeypatch, [(0,) * 5] * 3, 5) == (0, 0)
 
 
 class TestRankMemo:
