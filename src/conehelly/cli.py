@@ -235,7 +235,7 @@ def _read_json(path: str | None, what: str):
 
 def load_instance(args) -> tuple[VectorSet, str]:
     """The instance at --input, or on stdin when --input is absent or empty."""
-    path = getattr(args, "input", None) or None
+    path = args.input or None
     return instance_from_json(_read_json(path, "instance"))
 
 
