@@ -234,9 +234,8 @@ def _read_json(path: str | None, what: str):
 
 
 def load_instance(args) -> tuple[VectorSet, str]:
-    """The instance at --input, or on stdin when --input is absent or empty."""
-    path = args.input or None
-    return instance_from_json(_read_json(path, "instance"))
+    """The instance at --input, or on stdin when --input is absent."""
+    return instance_from_json(_read_json(args.input, "instance"))
 
 
 def load_report(path: str) -> dict:
@@ -515,7 +514,7 @@ def _build_report(name: str, vs: VectorSet, role: str, raw: dict, certs):
             raise InputError(str(exc)) from exc
     params = _params(cmd, vs.ambient_dim, raw)
     result = cmd.build(x, params, certs)
-    bounds = HellyBounds.of(params["k"], vs.ambient_dim) if cmd.bounds else None
+    bounds = HellyBounds(params["k"], vs.ambient_dim) if cmd.bounds else None
     return x, make_report(name, instance_to_json(vs, role) | params, result, bounds)
 
 
@@ -581,7 +580,7 @@ def cmd_fuzz(args) -> tuple[dict, int]:
             seed = int(env)
         except ValueError as exc:
             raise InputError(f"bad CONEHELLY_SEED: {exc}") from exc
-    checks = tuple(args.checks.split(",")) if args.checks else ALL_CHECKS
+    checks = ALL_CHECKS if args.checks is None else tuple(args.checks.split(","))
     try:
         config = FuzzConfig(d_max=args.d_max, n_max=args.n_max,
                             bound=args.bound, trials=args.trials, seed=seed,
@@ -623,6 +622,14 @@ def cmd_fuzz(args) -> tuple[dict, int]:
 # Argument parsing and dispatch
 
 
+def _nonempty(value: str) -> str:
+    """A string flag's value: an empty one is refused, never taken for an
+    absent flag."""
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="conehelly",
@@ -632,10 +639,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--input", help="instance JSON path (default: stdin)")
+        p.add_argument("--input", type=_nonempty,
+                       help="instance JSON path (default: stdin)")
         p.add_argument("--k", type=int)
-        p.add_argument("--point", help="comma-separated rational coordinates")
-        p.add_argument("--verify", metavar="REPORT",
+        p.add_argument("--point", type=_nonempty,
+                       help="comma-separated rational coordinates")
+        p.add_argument("--verify", type=_nonempty, metavar="REPORT",
                        help="re-verify an existing report instead of computing")
 
     p = sub.add_parser("gen")
@@ -658,9 +667,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=3)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--checks", help="comma-separated subset of "
+    p.add_argument("--checks", type=_nonempty, help="comma-separated subset of "
                    + ",".join(ALL_CHECKS))
-    p.add_argument("--dump-dir", default=".",
+    p.add_argument("--dump-dir", type=_nonempty, default=".",
                    help="directory for failing-instance dumps")
 
     for p in sub.choices.values():
@@ -703,7 +712,7 @@ def run(argv: list[str]) -> int:
             report = cmd_verify_tightness(args)
         elif args.command == "fuzz":
             report, code = cmd_fuzz(args)
-        elif args.verify:
+        elif args.verify is not None:
             report = _verify_report(args.command, load_report(args.verify))
             code = EXIT_OK if report["result"]["verified"] else EXIT_INTERNAL
         else:

@@ -6,11 +6,12 @@ questions answered about it:
 
 * membership: is b in pos A?
 * linearity: is pos A a linear subspace?  It is iff -sum A is in pos A,
-  so this is membership again, behind a sign pretest.  The lineality
-  space, positive bases and Reay prefixes all rest on it.  Once a set is
-  known to be linear, a smaller question settles whether one element can
-  go: pos(A - a) = pos A iff a is in pos(A - a), a membership question
-  that :mod:`posbasis` answers by signs where it can, else by the LP.
+  so this is membership again, decided by the checked LP of
+  :func:`_lp_separator`.  The lineality space, positive bases and Reay
+  prefixes all rest on it.  Once a set is known to be linear, a smaller
+  question settles whether one element can go: pos(A - a) = pos A iff a
+  is in pos(A - a), a membership question that :mod:`posbasis` answers
+  by signs where it can, else by the LP.
 * polar quantities of a homogeneous halfspace system {x : a.x <= 0}: the
   largest dimension of a cone inside the intersection, a relative
   interior point, and an explicit k-dimensional cone when one exists.
@@ -33,7 +34,9 @@ generators are built straight into a vector set's integer form.
 
 The deflation that finds the reversible set keeps the separator of each
 round, in one memo, and :func:`complementary_point` folds those
-separators into an integer point; no LP is solved for it.  With the
+separators into an integer point; no LP is solved for it.  A round
+reads its separator off signs before it asks the LP, as those separators
+fix the point; no other linearity question tries signs first.  With the
 checked zero-combination on the reversible set, that point certifies the
 set from both sides, for generators and normals alike.
 
@@ -169,8 +172,8 @@ def _sign_farkas(rest: Sequence[Sequence[int]], x: Sequence[int]) -> list[int] |
     """y = +-e_j for the first coordinate j with x_j != 0 on which no row
     of rest has the sign of x_j, or None: then y.x = |x_j| > 0 and
     y.r <= 0 on every row of rest, a Farkas certificate that x is not in
-    pos(rest) read off signs.  The one sign test, of :func:`_sign_separator`
-    and of the drop-one test of :mod:`posbasis`."""
+    pos(rest) read off signs.  The one sign test, of a round of
+    :func:`_deflation` and of the drop-one test of :mod:`posbasis`."""
     for j, xj in enumerate(x):
         if xj and all(r[j] * xj <= 0 for r in rest):
             y = [0] * len(x)
@@ -212,32 +215,13 @@ def membership(b: Vec, gens: VectorSet) -> FarkasCertificate:
     return FarkasCertificate(separator=tuple(Fraction(v, res.den) for v in res.farkas))
 
 
-def _sign_separator(rows: list[list[int]],
-                    t: Sequence[int] | None = None) -> list[int] | None:
-    """A separator of pos(rows) read off signs, or None; t is -sum(rows),
-    computed here when not given.
-
-    On a linear set a functional negative somewhere is positive
-    somewhere.  Trying the sign certificate +-e_j of t (:func:`_sign_farkas`:
-    a coordinate where the rows are one-signed and not all 0), and
-    x -> -v.x for a nonzero v that no row meets at an obtuse angle,
-    spares the LP in the deflation of :func:`_deflation`, in
-    positive-basis extraction and in the Reay search.  The minimal-witness
-    search of :mod:`helly` seeds its cut pool with these same functionals,
-    so it skips this test and calls :func:`_lp_separator` directly.
-    """
-    if t is None:
-        t = [-sum(col) for col in zip(*rows)]
-    return _sign_farkas(rows, t) or next(
-        ([-c for c in v] for v in rows
-         if any(v) and all(sum(map(mul, v, w)) >= 0 for w in rows)), None)
-
-
-def _separator(rows: Sequence[Sequence[int]]) -> Sequence[int] | None:
+@rows_memo
+def _lp_separator(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
     """None when pos(rows) is a linear subspace; otherwise an integer
     functional y with y.r <= 0 on every row and y.r < 0 on at least one.
-    The sign pretest answers first where it can, and
-    :func:`_lp_separator` decides the rest.
+    The one linearity test: :func:`is_linear`, the certificate of
+    :func:`complementary_point`, the witness scan of :mod:`helly` and
+    each deflation round that signs leave open ask it.
 
     pos S is linear iff sum_i lambda_i s_i = 0 for some lambda >= 1: such
     a combination makes every s_i reversible, and conversely, when every
@@ -246,24 +230,7 @@ def _separator(rows: Sequence[Sequence[int]]) -> Sequence[int] | None:
     pos S: a checked x >= 0 with sum_i x_i s_i = den t gives lambda =
     den + x, and a checked Farkas vector is the y above, since y.t > 0
     makes y negative somewhere on S (Farkas; Schrijver, Theory of Linear
-    and Integer Programming, 1986).  The sign pretest's y is checked the
-    same way.
-    """
-    if not rows:
-        return None
-    t = [-sum(col) for col in zip(*rows)]
-    y = _sign_separator(rows, t)
-    if y is None:
-        return _lp_separator(rows)
-    return _checked(rows, t, lp.LPResult(lp.INFEASIBLE, farkas=y)).farkas
-
-
-@rows_memo
-def _lp_separator(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
-    """:func:`_separator` without the sign pretest, for nonempty rows: the
-    checked LP certificate alone.  The minimal-witness search of
-    :mod:`helly` calls it directly, as its cut pool has already tried
-    every functional the pretest could return.
+    and Integer Programming, 1986).  The empty set is linear.
 
     Memoized by :func:`rows_memo`, whose key keeps the row order: the
     rows are the LP's columns and the Bland pivots follow their order.
@@ -276,8 +243,8 @@ def _lp_separator(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
 def is_linear(rows: Sequence[Sequence[int]]) -> bool:
     """True iff pos(rows) is a linear subspace, for integer rows such as
     those of :attr:`VectorSet.int_rows`; decided by the checked
-    certificate of :func:`_separator`."""
-    return _separator(rows) is None
+    certificate of :func:`_lp_separator`."""
+    return _lp_separator(rows) is None
 
 
 @lru_cache(maxsize=4096)
@@ -293,14 +260,34 @@ def _deflation(gens: VectorSet) -> tuple[tuple[int, ...], tuple[tuple[int, ...],
     and y is <= 0 on every term, so y.s = 0.  Once the live set is
     linear, each of its generators is reversible in it, hence in gens.
     Each round drops at least one generator.
+
+    A round reads y off signs where it can, before it asks
+    :func:`_lp_separator`: the sign certificate +-e_j of t = -sum(live)
+    (:func:`_sign_farkas`), then x -> -v.x for the first nonzero live v
+    that no live vector meets at an obtuse angle, so y.v < 0 and
+    y.t >= v.v > 0.  Either is checked by substitution like the LP's;
+    on a linear set both fail, as a zero-combination with every
+    coefficient positive rules them out.  The signs stay here and nowhere
+    else because this is the one linearity question whose separator
+    outlives it: :func:`complementary_point` folds the rounds' separators
+    into x0, from which :func:`extract_cone` builds its generators.
+    Every other caller asks only whether pos is linear.
     """
     rows = gens.int_rows
     live = list(range(len(rows)))
     ys = []
-    while (y := _separator([rows[i] for i in live])) is not None:
+    while True:
+        s = [rows[i] for i in live]
+        t = [-sum(col) for col in zip(*s)]
+        y = _sign_farkas(s, t) or next(
+            ([-c for c in v] for v in s
+             if any(v) and all(sum(map(mul, v, w)) >= 0 for w in s)), None)
+        if y is not None:
+            _checked(s, t, lp.LPResult(lp.INFEASIBLE, farkas=y))
+        elif (y := _lp_separator(s)) is None:
+            return tuple(live), tuple(ys)
         ys.append(tuple(y))
         live = [i for i in live if sum(map(mul, y, rows[i])) == 0]
-    return tuple(live), tuple(ys)
 
 
 def reversible_indices(gens: VectorSet) -> tuple[int, ...]:
@@ -346,17 +333,15 @@ def complementary_point(vs: VectorSet) -> tuple[int, ...]:
     and r.x0 < 0 off R, after checking that pos R is linear.
 
     The two sides are a strictly complementary pair (Goldman and Tucker,
-    in Linear Inequalities and Related Systems, 1956).  The empty R is
-    linear, and on a nonempty R :func:`_lp_separator` answers None only
-    on a checked positive zero-combination of R, so every vector of R is
-    reversible and span R lies in the lineality space.  (The sign pretest
-    of :func:`_separator` is skipped: it never fires on a linear set, as
-    a zero-combination with every coefficient positive rules out both of
-    its tests.)  x0 is <= 0 on pos(vs) and < 0 on each vector off R,
-    so none of those is reversible, and the lineality space is span R.  A
-    zero generator lies in R and meets x0 at 0, and the zero point answers
-    a set whose vectors are all reversible.  A failed check can only come
-    from a fault in the deflation and raises TheoremContradiction.
+    in Linear Inequalities and Related Systems, 1956).
+    :func:`_lp_separator` answers None only on a checked positive
+    zero-combination of R, the empty one when R is empty, so every vector
+    of R is reversible and span R lies in the lineality space.  x0 is
+    <= 0 on pos(vs) and < 0 on each vector off R, so none of those is
+    reversible, and the lineality space is span R.  A zero generator lies
+    in R and meets x0 at 0, and the zero point answers a set whose vectors
+    are all reversible.  A failed check can only come from a fault in the
+    deflation and raises TheoremContradiction.
 
     Folded from the separators y_1, y_2, ... of the deflation, in order:
     x <- M x + y_r, with M the least integer >= 1 such that
@@ -370,7 +355,7 @@ def complementary_point(vs: VectorSet) -> tuple[int, ...]:
     """
     rows = vs.int_rows
     live, ys = _deflation(vs)
-    if live and _lp_separator([rows[i] for i in live]) is not None:
+    if _lp_separator([rows[i] for i in live]) is not None:
         raise TheoremContradiction("reversible set has no positive zero-combination")
     x = [0] * vs.ambient_dim
     for y in ys:

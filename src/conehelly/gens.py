@@ -112,33 +112,24 @@ def gen_random(d: int, n: int, bound: int, seed: int) -> VectorSet:
     return _int_set(d, rows)
 
 
+def _drop_one_tight(full: HalfspaceSystem, below: int, above: int) -> bool:
+    """The largest cone in the full intersection has dimension below, and
+    dropping any one halfspace makes room for one of dimension above."""
+    n = len(full)
+    return max_cone_dim(full) == below and all(
+        max_cone_dim(full.subsystem([i for i in range(n) if i != j])) >= above
+        for j in range(n))
+
+
 def verify_tightness_example1(d: int) -> bool:
     """The simplex-like system pins m(k,d) >= d+1: the full intersection
     is the origin alone, yet dropping any one halfspace leaves a
     d-dimensional cone."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    full = HalfspaceSystem(gen_simplex_like(d))
-    if max_cone_dim(full) != 0:
-        return False
-    n = len(full)
-    for j in range(n):
-        sub = full.subsystem([i for i in range(n) if i != j])
-        if max_cone_dim(sub) != d:
-            return False
-    return True
+    return _drop_one_tight(HalfspaceSystem(gen_simplex_like(d)), 0, d)
 
 
 def verify_tightness_example2(d: int, k: int) -> bool:
     """The axis-pair system pins m(k,d) >= 2(d-k+1): the full intersection
     holds only a (k-1)-dimensional cone, yet dropping any one halfspace
     makes room for a k-dimensional one."""
-    full = gen_example2(d, k)
-    if max_cone_dim(full) != k - 1:
-        return False
-    n = len(full)
-    for j in range(n):
-        sub = full.subsystem([i for i in range(n) if i != j])
-        if max_cone_dim(sub) < k:
-            return False
-    return True
+    return _drop_one_tight(gen_example2(d, k), k - 1, k)

@@ -53,7 +53,7 @@ qualifies at 0 exactly when it qualifies at 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import gcd
 from operator import mul
@@ -118,19 +118,16 @@ def bound_h(k: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class HellyBounds:
+    """Both Helly numbers at (k, d), derived from k and d alone."""
+
     k: int
     d: int
-    m: int
-    h: int
+    m: int = field(init=False)
+    h: int = field(init=False)
 
     def __post_init__(self):
-        _check_k(self.k, self.d)
-        if self.m != bound_m(self.k, self.d) or self.h != bound_h(self.k, self.d):
-            raise ValueError("inconsistent bounds")
-
-    @classmethod
-    def of(cls, k: int, d: int) -> "HellyBounds":
-        return cls(k=k, d=d, m=bound_m(k, d), h=bound_h(k, d))
+        object.__setattr__(self, "m", bound_m(self.k, self.d))
+        object.__setattr__(self, "h", bound_h(self.k, self.d))
 
 
 def _no_k_dim_cone(h: HalfspaceSystem, ids, k: int) -> bool:
@@ -248,10 +245,8 @@ def _minimal_lineality_witness(a: VectorSet,
     y.s > 0 and neg where y.s < 0.  A candidate meets exactly one of
     them iff y or -y is <= 0 on all of it and < 0 somewhere on it, and
     then, whatever y is, its positive hull is not linear.  The pool
-    starts from the functionals of the sign pretest in
-    cone._sign_separator (the coordinates, and x -> v.x for each
-    representative v), so it settles all that the pretest would, and a
-    candidate no cut settles goes straight to the checked LP of
+    starts from the coordinates and x -> v.x for each representative v,
+    and a candidate no cut settles goes to the checked LP of
     cone._lp_separator; a separator it returns joins the pool at the
     front, and a cut that fires moves to the front.  Every rejection
     rests on exact integer dot products and every acceptance on the
@@ -426,8 +421,7 @@ def verify_cone_helly(h: HalfspaceSystem, k: int) -> ConeHellyReport:
     hypothesis at d - k on the normals, m(k,d) = h(d-k,d), and the
     minimal-witness search decides it exactly."""
     d = h.ambient_dim
-    _check_k(k, d)
-    bounds = HellyBounds.of(k, d)
+    bounds = HellyBounds(k, d)
     ldim = lineality_dim(h.normals)
     mcd = d - ldim
     combo = _minimal_lineality_witness(h.normals, d - k)

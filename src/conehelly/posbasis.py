@@ -69,9 +69,9 @@ def _in_pos_of_rest(rows: list, i: int) -> bool:
     positive hull kept (module docstring).
 
     A no is first sought in signs (:func:`cone._sign_farkas`) and checked by
-    substitution through :func:`cone._checked`, as the sign pretest of
-    :func:`cone._separator` is; only where the signs settle nothing is
-    the question one checked membership LP.  A zero row has no nonzero
+    substitution through :func:`cone._checked`, as a deflation round's
+    is; only where the signs settle nothing is the question one checked
+    membership LP.  A zero row has no nonzero
     coordinate, so it always goes to the LP, which puts it in pos(rest)."""
     rest, x = rows[:i] + rows[i + 1:], rows[i]
     y = _sign_farkas(rest, x)

@@ -22,10 +22,9 @@ from conehelly.ratlin import VectorSet
 
 
 def _is_linear(rows):
-    """is_linear without its memo: the sign pretest, then the uncached
-    checked LP, so the reference shares no stored answer with the library."""
-    return (cone._sign_separator(rows) is None
-            and cone._lp_separator.__wrapped__(rows) is None)
+    """is_linear without its memo: the uncached checked LP, so the
+    reference shares no stored answer with the library."""
+    return cone._lp_separator.__wrapped__(rows) is None
 
 
 def _rank(vectors, d):

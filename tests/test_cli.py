@@ -311,6 +311,16 @@ def reference_parse(argv):
     return cli.build_parser().parse_args(argv)
 
 
+# An empty string flag is refused by the parser, never taken for an absent
+# flag: stdin, a fresh report, all checks or the working directory.
+EMPTY_FLAGS = {
+    "empty --input": (["lineality", "--input", ""], SIMPLEX2),
+    "empty --point": (["membership", "--point", ""], SIMPLEX2),
+    "empty --verify": (["lineality", "--verify", ""], SIMPLEX2),
+    "empty --checks": (["fuzz", "--trials", "1", "--checks", ""], None),
+    "empty --dump-dir": (["fuzz", "--trials", "1", "--dump-dir", ""], None),
+}
+
 DISPATCH_CASES = {
     **{name: ([name] + (["--k", "1"] if cmd.k_min is not None else [])
               + (["--point", "1,1"] if cmd.point else []), SIMPLEX2)
@@ -327,6 +337,7 @@ DISPATCH_CASES = {
     "unrecognized flag": (["lineality", "--bogus"], SIMPLEX2),
     "extra positional": (["lineality", "extra"], SIMPLEX2),
     "gen without --example": (["gen", "--d", "2"], None),
+    **EMPTY_FLAGS,
 }
 
 
@@ -503,6 +514,7 @@ INPUT_ERRORS = {
         {"d": 1, "role": "generators", "vectors": [["1e3000000"]]})),
     "point with a huge exponent": (["membership", "--point", "0e99999999,1"],
                                    SIMPLEX2),
+    **EMPTY_FLAGS,
 }
 
 

@@ -413,11 +413,24 @@ class TestRelativeInteriorPoint:
         assert complementary_point(a) == (3, -1, 3, 0)
         assert relative_interior_point(HalfspaceSystem(a)) == vec([3, -1, 3, 0])
 
+    # No coordinate is one-signed on these normals, so t = (6, 6) has no
+    # sign certificate, but none meets (-3, -2) at an obtuse angle: the
+    # first separator is the obtuse functional (3, 2), and it drops all five.
+    OBTUSE = [[1, -3], [-3, -2], [0, -1], [-3, 2], [-1, -2]]
+
+    def test_obtuse_functional_comes_before_the_lp(self, monkeypatch):
+        a = vs(self.OBTUSE, 2)
+        assert cone._sign_farkas(a.int_rows, [6, 6]) is None
+        separator = cone._lp_separator  # still asked of the empty rest
+        monkeypatch.setattr(cone, "_lp_separator", lambda rows: pytest.fail(
+            "LP asked before the obtuse functional") if rows else separator(rows))
+        assert cone._deflation(a) == ((), ((3, 2),))
+
     def test_shares_the_deflation_memo(self, monkeypatch):
         calls = []
-        separator = cone._separator
-        monkeypatch.setattr(cone, "_separator",
-                            lambda rows: calls.append(len(rows)) or separator(rows))
+        sign = cone._sign_farkas
+        monkeypatch.setattr(cone, "_sign_farkas",
+                            lambda rest, x: calls.append(len(rest)) or sign(rest, x))
         cone._deflation.cache_clear()
         a = vs(self.CHAIN, 4)
         assert lineality_dim(a) == 1

@@ -91,10 +91,12 @@ class TestBounds:
                     assert F(j * k, j - 1) + j <= h, (j, k, d)
 
     def test_bounds_record(self):
-        b = HellyBounds.of(2, 5)
+        b = HellyBounds(2, 5)
         assert (b.m, b.h) == (8, 6)
         with pytest.raises(ValueError):
-            HellyBounds(k=2, d=5, m=7, h=6)
+            HellyBounds(6, 5)
+        with pytest.raises(TypeError):
+            HellyBounds(k=2, d=5, m=8, h=6)
 
 
 class TestWitnessType:
@@ -262,7 +264,7 @@ class TestCutPool:
         a = gen_random(6, 16, 3, 1)
         reversible_indices(a)  # the deflation does use the pretest
         helly._witness_answers.cache_clear()
-        monkeypatch.setattr(cone, "_sign_separator", lambda rows: pytest.fail(
+        monkeypatch.setattr(cone, "_sign_farkas", lambda rest, x: pytest.fail(
             "sign pretest inside the witness search"))
         assert helly._minimal_lineality_witness(a, 2) is not None
 

@@ -122,7 +122,7 @@ class TestExtract:
         assert extract_positive_basis_indices(a) == ref_extract_positive_basis_indices(a)
 
     def test_one_membership_lp_per_member_examined(self, monkeypatch):
-        # The deletion test asks no rank and no pretest, only one LP; the
+        # The deletion test asks no rank, only one LP; the
         # one rank left is that of the target, the lineality dimension.
         _, a = trial_instance(POS_FUZZ, 16)
         members = reversible_indices(a)  # its deflation LPs come first
@@ -132,8 +132,6 @@ class TestExtract:
                             lambda rows, d: ranks.append(rows) or rank(rows, d))
         monkeypatch.setattr(posbasis, "rank_of_rows", lambda *args: pytest.fail(
             "rank in a drop-one test"))
-        monkeypatch.setattr(cone, "_sign_separator", lambda rows: pytest.fail(
-            "sign pretest in a drop-one test"))
         with counting_lps() as lps:
             kept = extract_positive_basis_indices(a)
         assert ranks == [[a.int_rows[i] for i in members]]
@@ -164,8 +162,8 @@ class TestSizeRule:
     @pytest.fixture
     def separators(self, monkeypatch):
         calls = []
-        separator = cone._separator
-        monkeypatch.setattr(cone, "_separator",
+        separator = cone._lp_separator
+        monkeypatch.setattr(cone, "_lp_separator",
                             lambda rows: calls.append(rows) or separator(rows))
         return calls
 
@@ -184,7 +182,7 @@ class TestSizeRule:
             raise AssertionError("asked a rank or an LP")
 
         monkeypatch.setattr(posbasis, "rank_of_rows", refuse)
-        monkeypatch.setattr(cone, "_separator", refuse)
+        monkeypatch.setattr(cone, "_lp_separator", refuse)
         for d in (1, 2, 3):
             for n in range(d + 1):
                 rows = list(gen_simplex_like(d).int_rows[:n])
