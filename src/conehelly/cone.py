@@ -26,30 +26,32 @@ certificate back into Fractions.
 
 Nearly every Helly question needs only the dimension of the lineality
 space, and :func:`lineality_dim` answers it by one integer rank of the
-reversible generators.  A basis, :func:`lineality_space`, is built only
-where the subspace itself is used: the lineality report and the target
-of a positive basis.  The complement that :func:`extract_cone` works in
-is the kernel of the reversible normals' integer rows, and the cone's
-generators are built straight into a vector set's integer form.
+reversible generators, once per vector set.  A basis,
+:func:`lineality_space`, is built only where the subspace itself is
+used: the lineality report and the target of a positive basis.  The
+complement that :func:`extract_cone` works in is the kernel of the
+reversible normals' integer rows, and the cone's generators are built
+straight into a vector set's integer form.
 
 The deflation that finds the reversible set keeps the separator of each
 round, in one memo, and :func:`complementary_point` folds those
 separators into an integer point; no LP is solved for it.  A round
-reads its separator off signs before it asks the LP, as those separators
-fix the point; no other linearity question tries signs first.  With the
-checked zero-combination on the reversible set, that point certifies the
-set from both sides, for generators and normals alike.
+reads its separator off signs, a one-signed coordinate, before it asks
+the LP, as those separators fix the point; no other linearity question
+tries signs first.  With the checked zero-combination on the reversible
+set, that point certifies the set from both sides, for generators and
+normals alike.
 
 The deflation, positive-basis extraction and re-certification, the Reay
 search and the witness searches put the same row sets to the LP many
 times over, so :func:`_lp_separator` is memoized by
 :func:`ratlin.rows_memo`, storing only answers that passed
 :func:`_checked`.  The fuzz checks and the CLI ask the same instance for
-its reversible set, lineality basis and certificate point several times,
-so :func:`_deflation`, :func:`lineality_space` and
-:func:`complementary_point` keep one answer per vector set.  Each is a
-fact of the instance alone, and only an answer that returned is stored,
-so one whose check raised never is.
+its reversible set, lineality dimension and basis and certificate point
+several times, so :func:`_deflation`, :func:`lineality_dim`,
+:func:`lineality_space` and :func:`complementary_point` keep one answer
+per vector set.  Each is a fact of the instance alone, and only an
+answer that returned is stored, so one whose check raised never is.
 
 All cones have apex at the origin.
 """
@@ -230,11 +232,15 @@ def _lp_separator(rows: Sequence[Sequence[int]]) -> tuple[int, ...] | None:
     pos S: a checked x >= 0 with sum_i x_i s_i = den t gives lambda =
     den + x, and a checked Farkas vector is the y above, since y.t > 0
     makes y negative somewhere on S (Farkas; Schrijver, Theory of Linear
-    and Integer Programming, 1986).  The empty set is linear.
+    and Integer Programming, 1986).  The empty set is linear, with no LP:
+    pos of no rows is {0}, and the empty combination that certifies it
+    has nothing to substitute, so no check is lost.
 
     Memoized by :func:`rows_memo`, whose key keeps the row order: the
     rows are the LP's columns and the Bland pivots follow their order.
     A failed check raises and leaves no entry."""
+    if not rows:
+        return None
     t = [-sum(col) for col in zip(*rows)]
     y = _checked_membership(rows, t).farkas
     return None if y is None else tuple(y)
@@ -261,17 +267,17 @@ def _deflation(gens: VectorSet) -> tuple[tuple[int, ...], tuple[tuple[int, ...],
     linear, each of its generators is reversible in it, hence in gens.
     Each round drops at least one generator.
 
-    A round reads y off signs where it can, before it asks
-    :func:`_lp_separator`: the sign certificate +-e_j of t = -sum(live)
-    (:func:`_sign_farkas`), then x -> -v.x for the first nonzero live v
-    that no live vector meets at an obtuse angle, so y.v < 0 and
-    y.t >= v.v > 0.  Either is checked by substitution like the LP's;
-    on a linear set both fail, as a zero-combination with every
-    coefficient positive rules them out.  The signs stay here and nowhere
-    else because this is the one linearity question whose separator
-    outlives it: :func:`complementary_point` folds the rounds' separators
-    into x0, from which :func:`extract_cone` builds its generators.
-    Every other caller asks only whether pos is linear.
+    A round reads y off signs where it can: the sign certificate +-e_j of
+    t = -sum(live) (:func:`_sign_farkas`), checked by substitution like
+    the LP's; else it asks :func:`_lp_separator`.  On a linear set the
+    signs fail, as a zero-combination with every coefficient positive
+    rules them out.  The reversible set is unique whichever separators
+    find it; the signs stay here and nowhere else because this is the one
+    linearity question whose separator outlives it:
+    :func:`complementary_point` folds the rounds' separators into x0, from
+    which :func:`extract_cone` builds its generators.  Every other caller
+    asks only whether pos is linear.  A pointed set's last round asks of
+    the empty set, which :func:`_lp_separator` answers with no LP.
     """
     rows = gens.int_rows
     live = list(range(len(rows)))
@@ -279,9 +285,7 @@ def _deflation(gens: VectorSet) -> tuple[tuple[int, ...], tuple[tuple[int, ...],
     while True:
         s = [rows[i] for i in live]
         t = [-sum(col) for col in zip(*s)]
-        y = _sign_farkas(s, t) or next(
-            ([-c for c in v] for v in s
-             if any(v) and all(sum(map(mul, v, w)) >= 0 for w in s)), None)
+        y = _sign_farkas(s, t)
         if y is not None:
             _checked(s, t, lp.LPResult(lp.INFEASIBLE, farkas=y))
         elif (y := _lp_separator(s)) is None:
@@ -311,9 +315,11 @@ def lineality_space(gens: VectorSet) -> SubspaceBasis:
     return span_basis([rows[i] for i in reversible_indices(gens)], gens.ambient_dim)
 
 
+@lru_cache(maxsize=4096)
 def lineality_dim(gens: VectorSet) -> int:
     """Dimension of :func:`lineality_space`: the rank of the reversible
-    generators' integer rows, which span it; builds no Fraction."""
+    generators' integer rows, which span it; builds no Fraction.
+    Memoized per instance, for the Helly checks and witness scans."""
     rows = gens.int_rows
     return rank_of_rows([rows[i] for i in reversible_indices(gens)],
                         gens.ambient_dim)

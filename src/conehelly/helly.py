@@ -296,11 +296,12 @@ def _antipodal_pair(rows, reps) -> tuple[int, int] | None:
 def _scan_for_witness(a: VectorSet, threshold: int,
                       answers: dict) -> tuple[int, ...] | None:
     """The search of _minimal_lineality_witness, resumed after the stored
-    answer of the largest threshold below, if there is one."""
+    answer of the largest threshold below, if there is one; it opens on
+    the memoized lineality_dim of a."""
+    if lineality_dim(a) <= threshold:
+        return None  # dim lpos(a) itself is within the threshold
     rows, d = a.int_rows, a.ambient_dim
     members = reversible_indices(a)
-    if rank_of_rows([rows[i] for i in members], d) <= threshold:
-        return None  # dim lpos(a) itself is within the threshold
     # A None below would put dim lpos(a) within the threshold, so any
     # answer below is a witness.
     below = [t for t in answers if t < threshold]

@@ -28,7 +28,14 @@ from conehelly.fuzzing import run_trial_checks, trial_instance
 from conehelly.gens import gen_axis_pairs, gen_example2, gen_simplex_like
 from conehelly.ratlin import VectorSet, vec
 
-from conftest import CACHES, CONE_FUZZ, POS_FUZZ, int_vector_sets, small_fraction
+from conftest import (
+    CACHES,
+    CONE_FUZZ,
+    POS_FUZZ,
+    counting_lps,
+    int_vector_sets,
+    small_fraction,
+)
 from oracles import (
     dot,
     in_span,
@@ -245,6 +252,14 @@ class TestLinealityDim:
         self._agrees(vs([[F(1, 2), F(1, 3), 0], [F(-3, 2), -1, 0],
                          [0, F(2, 5), 1], [F(1, 7), 0, F(-1, 4)]], 3))
 
+    def test_signs_settle_a_pointed_set_with_no_lp(self):
+        # -e1 drops both rows, and the empty set left is linear with no LP.
+        a = vs([[1, 0], [1, 1]], 2)
+        with counting_lps() as solved:
+            assert lineality_dim(a) == 0
+        assert solved == []
+        assert cone._deflation(a) == ((), ((-1, 0),))
+
     def test_dimension_only_paths_build_no_basis(self, monkeypatch):
         # These answers need only dimensions; none may build a Fraction
         # basis of a lineality space.
@@ -414,17 +429,18 @@ class TestRelativeInteriorPoint:
         assert relative_interior_point(HalfspaceSystem(a)) == vec([3, -1, 3, 0])
 
     # No coordinate is one-signed on these normals, so t = (6, 6) has no
-    # sign certificate, but none meets (-3, -2) at an obtuse angle: the
-    # first separator is the obtuse functional (3, 2), and it drops all five.
+    # sign certificate and the first round asks the LP of all five.
     OBTUSE = [[1, -3], [-3, -2], [0, -1], [-3, 2], [-1, -2]]
 
-    def test_obtuse_functional_comes_before_the_lp(self, monkeypatch):
+    def test_a_round_without_a_sign_certificate_asks_the_lp(self, monkeypatch):
         a = vs(self.OBTUSE, 2)
         assert cone._sign_farkas(a.int_rows, [6, 6]) is None
-        separator = cone._lp_separator  # still asked of the empty rest
-        monkeypatch.setattr(cone, "_lp_separator", lambda rows: pytest.fail(
-            "LP asked before the obtuse functional") if rows else separator(rows))
-        assert cone._deflation(a) == ((), ((3, 2),))
+        asked = []
+        separator = cone._lp_separator
+        monkeypatch.setattr(cone, "_lp_separator",
+                            lambda rows: asked.append(len(rows)) or separator(rows))
+        assert reversible_indices(a) == ()
+        assert asked[0] == 5
 
     def test_shares_the_deflation_memo(self, monkeypatch):
         calls = []

@@ -16,7 +16,14 @@ instances with a nonzero relative interior point were re-recorded, by
 ``rerecord_golden.py extract-cone --write``, when that point came to be
 folded from the deflation's separators instead of solved for by an LP:
 their generators start from the new point.  The script checked every
-other entry byte-identical and every new report verified.
+other entry byte-identical and every new report verified.  Entries 566
+and 568, ``extract-cone --k 1`` and ``--k 2`` on the normals
+[[1, -3], [-3, -2], [0, -1], [-3, 2], [-1, -2]], were re-recorded by
+the same script when a deflation round stopped trying an obtuse-angle
+functional between its sign certificate and its LP: the first round's
+separator became the LP's (1, 1), in place of (3, 2), and so did x0
+and the generators built from it.  The reversible set is unique, so no
+other entry changed.
 """
 
 import io

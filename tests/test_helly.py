@@ -132,6 +132,17 @@ class TestLinealityHypothesis:
         a = vs([[1, 0], [0, 1]], 2)
         assert check_lineality_hypothesis(a, 1)
 
+    def test_known_lineality_within_k_ranks_nothing(self, monkeypatch):
+        # e1, e2 and -e1-e2 span a reversible plane; e3 is not reversible.
+        a = vs([[1, 0, 0], [0, 1, 0], [-1, -1, 0], [0, 0, 1]], 3)
+        assert cone.lineality_dim(a) == 2
+        ranked = []
+        rank = helly.rank_of_rows
+        monkeypatch.setattr(helly, "rank_of_rows",
+                            lambda rows, d: ranked.append(rows) or rank(rows, d))
+        assert check_lineality_hypothesis(a, 2)
+        assert ranked == []
+
     def test_capacity_cutoff(self):
         # All 25 generators are reversible, and the scan must run at k = 1.
         a = vs(AXIS_PAIRS_25, 2)
