@@ -10,8 +10,8 @@ questions answered about it:
   :func:`_lp_separator`.  The lineality space, positive bases and Reay
   prefixes all rest on it.  Once a set is known to be linear, a smaller
   question settles whether one element can go: pos(A - a) = pos A iff a
-  is in pos(A - a), a membership question that :mod:`posbasis` answers
-  by signs where it can, else by the LP.
+  is in pos(A - a), the membership question of :func:`_in_pos_of_rest`
+  that :mod:`posbasis` asks.
 * polar quantities of a homogeneous halfspace system {x : a.x <= 0}: the
   largest dimension of a cone inside the intersection, a relative
   interior point, and an explicit k-dimensional cone when one exists.
@@ -35,12 +35,11 @@ straight into a vector set's integer form.
 
 The deflation that finds the reversible set keeps the separator of each
 round, in one memo, and :func:`complementary_point` folds those
-separators into an integer point; no LP is solved for it.  A round
-reads its separator off signs, a one-signed coordinate, before it asks
-the LP, as those separators fix the point; no other linearity question
-tries signs first.  With the checked zero-combination on the reversible
-set, that point certifies the set from both sides, for generators and
-normals alike.
+separators into an integer point; no LP is solved for it.  With the
+checked zero-combination on the reversible set, that point certifies the
+set from both sides, for generators and normals alike.  A deflation
+round and a drop-one test ask signs, a one-signed coordinate, before
+the LP, both through the checked :func:`_sign_certificate`.
 
 The deflation, positive-basis extraction and re-certification, the Reay
 search and the witness searches put the same row sets to the LP many
@@ -174,8 +173,8 @@ def _sign_farkas(rest: Sequence[Sequence[int]], x: Sequence[int]) -> list[int] |
     """y = +-e_j for the first coordinate j with x_j != 0 on which no row
     of rest has the sign of x_j, or None: then y.x = |x_j| > 0 and
     y.r <= 0 on every row of rest, a Farkas certificate that x is not in
-    pos(rest) read off signs.  The one sign test, of a round of
-    :func:`_deflation` and of the drop-one test of :mod:`posbasis`."""
+    pos(rest) read off signs.  A search only: :func:`_sign_certificate`
+    checks what it finds."""
     for j, xj in enumerate(x):
         if xj and all(r[j] * xj <= 0 for r in rest):
             y = [0] * len(x)
@@ -184,12 +183,23 @@ def _sign_farkas(rest: Sequence[Sequence[int]], x: Sequence[int]) -> list[int] |
     return None
 
 
+def _sign_certificate(rows: Sequence[Sequence[int]], t: Sequence[int]) -> list[int] | None:
+    """The sign certificate of :func:`_sign_farkas` that t is not in
+    pos(rows), once :func:`_checked` has passed it, or None when signs
+    settle nothing.  The one checked sign step, of a round of
+    :func:`_deflation` and of the drop-one test :func:`_in_pos_of_rest`."""
+    y = _sign_farkas(rows, t)
+    if y is not None:
+        _checked(rows, t, lp.LPResult(lp.INFEASIBLE, farkas=y))
+    return y
+
+
 def _checked_membership(rows: Sequence[Sequence[int]],
                         t: Sequence[int]) -> lp.LPResult:
     """The phase-1 LP's answer to "t in pos(rows)?", checked by
     :func:`_checked`: the one call behind :func:`membership`, the
     linearity certificate of :func:`_lp_separator` and the drop-one test
-    of :mod:`posbasis`.  Empty rows and a zero target are answered like
+    :func:`_in_pos_of_rest`.  Empty rows and a zero target are answered like
     any other."""
     return _checked(rows, t, lp.nonneg_combination(rows, t))
 
@@ -267,13 +277,13 @@ def _deflation(gens: VectorSet) -> tuple[tuple[int, ...], tuple[tuple[int, ...],
     linear, each of its generators is reversible in it, hence in gens.
     Each round drops at least one generator.
 
-    A round reads y off signs where it can: the sign certificate +-e_j of
-    t = -sum(live) (:func:`_sign_farkas`), checked by substitution like
-    the LP's; else it asks :func:`_lp_separator`.  On a linear set the
-    signs fail, as a zero-combination with every coefficient positive
-    rules them out.  The reversible set is unique whichever separators
-    find it; the signs stay here and nowhere else because this is the one
-    linearity question whose separator outlives it:
+    A round reads y off signs where it can: the checked sign certificate
+    +-e_j of t = -sum(live) (:func:`_sign_certificate`); else it asks
+    :func:`_lp_separator`.  On a linear set the signs fail, as a
+    zero-combination with every coefficient positive rules them out.
+    The reversible set is unique whichever separators find it; of the
+    linearity questions, only this one tries signs, because it is the
+    one whose separator outlives it:
     :func:`complementary_point` folds the rounds' separators into x0, from
     which :func:`extract_cone` builds its generators.  Every other caller
     asks only whether pos is linear.  A pointed set's last round asks of
@@ -285,13 +295,25 @@ def _deflation(gens: VectorSet) -> tuple[tuple[int, ...], tuple[tuple[int, ...],
     while True:
         s = [rows[i] for i in live]
         t = [-sum(col) for col in zip(*s)]
-        y = _sign_farkas(s, t)
-        if y is not None:
-            _checked(s, t, lp.LPResult(lp.INFEASIBLE, farkas=y))
-        elif (y := _lp_separator(s)) is None:
+        y = _sign_certificate(s, t)
+        if y is None and (y := _lp_separator(s)) is None:
             return tuple(live), tuple(ys)
         ys.append(tuple(y))
         live = [i for i in live if sum(map(mul, y, rows[i])) == 0]
+
+
+def _in_pos_of_rest(rows: Sequence[Sequence[int]], i: int) -> bool:
+    """Whether rows[i] lies in the positive hull of the other rows: the
+    drop-one test of :mod:`posbasis`, as on a linear set rows[i] can be
+    dropped with the positive hull kept exactly when it does.  A no is
+    first sought in signs (:func:`_sign_certificate`), as in a deflation
+    round; only where signs settle nothing is it one checked membership
+    LP (Farkas; Schrijver, Theory of Linear and Integer Programming,
+    1986).  A zero row has no nonzero coordinate, so it always goes to
+    the LP, which puts it in pos(rest)."""
+    rest, x = rows[:i] + rows[i + 1:], rows[i]
+    return (_sign_certificate(rest, x) is None
+            and _checked_membership(rest, x).status == lp.OPTIMAL)
 
 
 def reversible_indices(gens: VectorSet) -> tuple[int, ...]:

@@ -65,14 +65,13 @@ from .cone import (
     _lp_separator,
     lineality_dim,
     lineality_of_polar,
-    lineality_space,
     max_cone_dim,
     reversible_indices,
 )
 from .posbasis import (
+    extract_positive_basis,
     extract_positive_basis_indices,
     reay_parts,
-    PositiveBasis,
 )
 from .ratlin import VectorSet, is_index_set, rank_of_rows
 
@@ -371,8 +370,8 @@ def _reay_input_parts(a: VectorSet) -> tuple[tuple[int, ...], ...]:
     extracted positive basis of the lineality space.  Nothing here
     depends on k, so it is memoized for the witnesses at every k."""
     kept = extract_positive_basis_indices(a)
-    basis = PositiveBasis(target=lineality_space(a), elements=a.subset(kept))
-    return tuple(tuple(kept[i] for i in part) for part in reay_parts(basis))
+    return tuple(tuple(kept[i] for i in part)
+                 for part in reay_parts(extract_positive_basis(a)))
 
 
 def witness_lineality_reay(a: VectorSet, k: int) -> Witness:

@@ -13,10 +13,8 @@ coefficients or a separating functional, is checked by substitution.
 Once X is linear, x can be dropped exactly when x lies in pos(X - x):
 -x lies in pos(X - x) already, so pos(X - x) then holds X and equals
 pos X, and otherwise it misses x.  That is one membership question,
-with no rank: a no is first read off signs, a coordinate where x is
-nonzero and no other element shares its sign (Farkas; Schrijver,
-Theory of Linear and Integer Programming, 1986), and only where signs
-settle nothing is it one membership LP; either certificate is checked
+with no rank: the drop-one test :func:`cone._in_pos_of_rest`, read off
+signs where it can and else one membership LP, either answer checked
 by substitution.  So a positive basis is certified by one linearity
 certificate and one membership certificate per element, a Reay prefix
 B_j by the same test with dim L = |B_j| - j, and the extraction below
@@ -38,12 +36,9 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import lp
 from .errors import TheoremContradiction
 from .cone import (
-    _checked,
-    _checked_membership,
-    _sign_farkas,
+    _in_pos_of_rest,
     is_linear,
     lineality_dim,
     lineality_space,
@@ -63,30 +58,12 @@ __all__ = [
 ]
 
 
-def _in_pos_of_rest(rows: list, i: int) -> bool:
-    """Whether rows[i] lies in the positive hull of the other rows.  On a
-    linear set this is exactly whether rows[i] can be dropped with the
-    positive hull kept (module docstring).
-
-    A no is first sought in signs (:func:`cone._sign_farkas`) and checked by
-    substitution through :func:`cone._checked`, as a deflation round's
-    is; only where the signs settle nothing is the question one checked
-    membership LP.  A zero row has no nonzero
-    coordinate, so it always goes to the LP, which puts it in pos(rest)."""
-    rest, x = rows[:i] + rows[i + 1:], rows[i]
-    y = _sign_farkas(rest, x)
-    if y is None:
-        return _checked_membership(rest, x).status == lp.OPTIMAL
-    _checked(rest, x, lp.LPResult(lp.INFEASIBLE, farkas=y))
-    return False
-
-
 def _minimally_spans(rows: list, d: int, dim: int) -> bool:
     """pos(rows) is a linear subspace of dimension dim, and no set with
     one element removed has both properties; rows are integer rows.
     Once rows is certified linear of that dimension, a smaller set has
     both properties exactly when its positive hull is pos(rows), which
-    :func:`_in_pos_of_rest` decides.
+    :func:`cone._in_pos_of_rest` decides.
 
     For dim > 0, dim vectors never positively span a dim-dimensional
     space: if they span it they are a basis, and each coordinate in that
@@ -151,7 +128,7 @@ def extract_positive_basis_indices(a: VectorSet) -> tuple[int, ...]:
     then greedily deleting in input order while positive spanning holds.
     The reversible generators are linear, by the deflation's last
     certificate, and each deletion keeps the positive hull, so one
-    membership LP decides each deletion (:func:`_in_pos_of_rest`).
+    membership test decides each deletion (:func:`cone._in_pos_of_rest`).
 
     Memoized per instance, as the positive-basis check and the Reay
     witness both extract from the same set; a :class:`PositiveBasis`
@@ -194,6 +171,8 @@ def reay_parts(x: PositiveBasis) -> tuple[tuple[int, ...], ...]:
     size profiles in descending lexicographic order, parts filled in
     lexicographic index order, first solution wins.  The output is
     therefore canonical for a given input order, and each part is sorted.
+    The last part is the indices left: its prefix is the whole basis,
+    certified when x was built, and its size is the last of the profile.
     Existence is guaranteed, so exhausting the search raises
     TheoremContradiction."""
     elements = x.elements
@@ -207,10 +186,9 @@ def reay_parts(x: PositiveBasis) -> tuple[tuple[int, ...], ...]:
     def search(remaining: list[int], chosen: list[tuple[int, ...]],
                sizes: tuple[int, ...]) -> list[tuple[int, ...]] | None:
         j = len(chosen)
-        if j == len(sizes):
-            return chosen if not remaining else None
-        size = sizes[j]
-        for combo in itertools.combinations(remaining, size):
+        if j == len(sizes) - 1:
+            return chosen + [tuple(remaining)]
+        for combo in itertools.combinations(remaining, sizes[j]):
             prefix = [rows[i] for c in chosen + [combo] for i in c]
             if not _minimally_spans(prefix, d, len(prefix) - j - 1):
                 continue

@@ -13,7 +13,8 @@ Cramer denominators to be sound.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, product
+from types import SimpleNamespace
 
 from conehelly import cone
 from conehelly.cone import reversible_indices
@@ -244,6 +245,51 @@ def oracle_is_positive_basis(x: VectorSet, target) -> bool:
         _oracle_positively_spans(x.subset([j for j in range(len(x)) if j != i]),
                                  target)
         for i in range(len(x)))
+
+
+def _ordered_partitions(indices, sizes):
+    """Every ordered partition of indices into parts of the given sizes,
+    each part a combination of the indices left, in the order of nested
+    itertools.combinations loops."""
+    if not sizes:
+        yield ()
+        return
+    for part in combinations(indices, sizes[0]):
+        rest = [i for i in indices if i not in part]
+        for tail in _ordered_partitions(rest, sizes[1:]):
+            yield (part,) + tail
+
+
+def oracle_reay_parts(x: VectorSet):
+    """The canonical Reay partition of a positive basis x by brute force:
+    every size profile (n - dim span x parts, each of size >= 2,
+    nonincreasing) in descending lexicographic order, every ordered
+    partition of each profile in the order of :func:`_ordered_partitions`,
+    and the first whose every prefix B_j spans |B_j| - j dimensions and
+    is a positive basis of its span by oracle_is_positive_basis, the last
+    prefix included.  None when no partition qualifies."""
+    n, d = len(x), x.ambient_dim
+    r = n - _rank(list(x), d)
+    answers = {}
+
+    def holds(prefix, j):
+        key = (frozenset(prefix), j)
+        if key not in answers:
+            sub = x.subset(sorted(prefix))
+            red, pivots = ref_rref_rows(list(sub), d)
+            span = SimpleNamespace(basis=tuple(map(tuple, red[:len(pivots)])))
+            answers[key] = (len(pivots) == len(prefix) - j
+                            and oracle_is_positive_basis(sub, span))
+        return answers[key]
+
+    profiles = sorted((p for p in product(range(2, n + 1), repeat=r)
+                       if sum(p) == n and list(p) == sorted(p, reverse=True)),
+                      reverse=True)
+    for sizes in profiles:
+        for parts in _ordered_partitions(list(range(n)), sizes):
+            if all(holds(p, j) for j, p in enumerate(accumulate(parts), start=1)):
+                return parts
+    return None
 
 
 def oracle_check_hypothesis(vs: VectorSet, k: int, cap: int) -> bool:

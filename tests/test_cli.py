@@ -321,6 +321,13 @@ EMPTY_FLAGS = {
     "empty --dump-dir": (["fuzz", "--trials", "1", "--dump-dir", ""], None),
 }
 
+# gen parses these flags, and the generator refuses their values.
+GEN_RANGE_ERRORS = {
+    "gen simplex with --d 0": (["gen", "--example", "simplex", "--d", "0"], None),
+    "gen random with --n 0": (["gen", "--example", "random", "--d", "2", "--n", "0"],
+                              None),
+}
+
 DISPATCH_CASES = {
     **{name: ([name] + (["--k", "1"] if cmd.k_min is not None else [])
               + (["--point", "1,1"] if cmd.point else []), SIMPLEX2)
@@ -337,6 +344,7 @@ DISPATCH_CASES = {
     "unrecognized flag": (["lineality", "--bogus"], SIMPLEX2),
     "extra positional": (["lineality", "extra"], SIMPLEX2),
     "gen without --example": (["gen", "--d", "2"], None),
+    **GEN_RANGE_ERRORS,
     **EMPTY_FLAGS,
 }
 
@@ -501,6 +509,7 @@ INPUT_ERRORS = {
     "gen example2 without --d": (["gen", "--example", "example2", "--k", "1"], None),
     "gen random without --n": (["gen", "--example", "random", "--d", "2"], None),
     "gen unknown example": (["gen", "--example", "bogus", "--d", "2"], None),
+    **GEN_RANGE_ERRORS,
     "tightness 1 without --d": (["verify-tightness", "--example", "1"], None),
     "tightness 2 without --k": (["verify-tightness", "--example", "2", "--d", "3"],
                                 None),
@@ -512,6 +521,8 @@ INPUT_ERRORS = {
     "deep report": (["reay", "--verify", "{tmp}/deep.json"], None),
     "coordinate with a huge exponent": (["lineality"], json.dumps(
         {"d": 1, "role": "generators", "vectors": [["1e3000000"]]})),
+    "coordinate with an exponent that is no number": (["lineality"], json.dumps(
+        {"d": 1, "role": "generators", "vectors": [["1e"]]})),
     "point with a huge exponent": (["membership", "--point", "0e99999999,1"],
                                    SIMPLEX2),
     **EMPTY_FLAGS,

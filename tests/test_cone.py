@@ -26,6 +26,12 @@ from conehelly.cone import (
 from conehelly.errors import TheoremContradiction
 from conehelly.fuzzing import run_trial_checks, trial_instance
 from conehelly.gens import gen_axis_pairs, gen_example2, gen_simplex_like
+from conehelly.posbasis import (
+    extract_positive_basis,
+    extract_positive_basis_indices,
+    is_positive_basis,
+    reay_parts,
+)
 from conehelly.ratlin import VectorSet, vec
 
 from conftest import (
@@ -35,6 +41,7 @@ from conftest import (
     counting_lps,
     int_vector_sets,
     small_fraction,
+    with_negated_copies,
 )
 from oracles import (
     dot,
@@ -566,6 +573,45 @@ class TestOracleCrossChecks:
     @given(int_vector_sets(max_d=4, max_n=7, bound=2))
     def test_deflation_matches_oracle(self, a):
         assert reversible_indices(a) == oracle_reversible(a)
+
+
+class TestDropOneCertificate:
+    """_in_pos_of_rest, the drop-one test of posbasis: a no that signs
+    settle asks no LP, as a coordinate where the element is nonzero and
+    no other row shares its sign gives a Farkas certificate, checked by
+    substitution like the LP's."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(with_negated_copies(int_vector_sets(max_d=3, max_n=5, bound=2, min_n=1)))
+    def test_matches_the_oracle(self, a):
+        rows = list(a.int_rows)
+        for i in range(len(rows)):
+            assert cone._in_pos_of_rest(rows, i) == oracle_in_pos(
+                a[i], a.subset(j for j in range(len(rows)) if j != i))
+
+    def test_zero_row_is_still_dropped(self):
+        rows = [(1, 0), (0, 0), (-1, 0)]
+        with counting_lps() as lps:
+            assert cone._in_pos_of_rest(rows, 1)
+        assert len(lps) == 1  # no sign certificate exists for the zero row
+        assert extract_positive_basis_indices(vs(rows, 2)) == (0, 2)
+        assert not is_positive_basis(vs(rows, 2), lineality_space(vs(rows, 2)))
+
+    def test_wrong_sign_certificate_raises(self, monkeypatch):
+        # The one checked sign step catches a wrong certificate in a
+        # deflation round, in a drop-one test and in the Reay search.  Three
+        # axis pairs, so that a prefix short of the whole basis, which the
+        # search still checks, takes drop-one tests.
+        pb = extract_positive_basis(gen_axis_pairs(3, 3))
+        real = cone._sign_farkas
+        monkeypatch.setattr(cone, "_sign_farkas", lambda rest, x: (
+            (y := real(rest, x)) and [-c for c in y]))
+        with pytest.raises(TheoremContradiction):
+            reversible_indices(vs([[1, 0], [0, 1]], 2))
+        with pytest.raises(TheoremContradiction):
+            cone._in_pos_of_rest([(1, 0), (-1, 0), (0, 1), (0, -1)], 0)
+        with pytest.raises(TheoremContradiction):
+            reay_parts(pb)
 
 
 class TestLinearityCertificate:

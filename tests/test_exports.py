@@ -1,9 +1,11 @@
 """Every name a module exports resolves, so deleting a function cannot
 leave a stale entry in its module's ``__all__``; every memo is a module
-attribute that can be emptied; and one pass of each benchmark workload
-still runs clean, as the benchmark reads library names the tests do
-not."""
+attribute that can be emptied; the LP and the certificate checks stay
+behind their one boundary in ``cone``; and one pass of each benchmark
+workload still runs clean, as the benchmark reads library names the
+tests do not."""
 
+import ast
 import importlib
 import json
 import pkgutil
@@ -37,6 +39,30 @@ def test_every_memo_can_be_emptied():
         len(re.findall(r"^\s*@(?:lru_cache|rows_memo)\b", path.read_text(), re.M))
         for path in Path(conehelly.__file__).parent.glob("*.py"))
     assert decorators == len(CACHES)
+
+
+def _imports(path):
+    """(module, name) for each name that the file at path imports, with
+    the module written as in the source, "" for "from . import"."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            yield from ((node.module or "", alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((alias.name, "") for alias in node.names)
+
+
+def test_certificates_have_one_boundary():
+    # Only cone and the CLI reach the LP, and posbasis takes from cone no
+    # private name but the drop-one test, so the checked sign-then-LP
+    # step cannot be written a second time outside cone unnoticed.
+    paths = sorted(Path(conehelly.__file__).parent.glob("*.py"))
+    lp_users = {path.stem for path in paths for module, name in _imports(path)
+                if module in ("lp", "conehelly.lp")
+                or (module in ("", "conehelly") and name == "lp")}
+    assert "cone" in lp_users and lp_users <= {"cone", "cli"}
+    posbasis = next(path for path in paths if path.stem == "posbasis")
+    assert {name for _, name in _imports(posbasis) if name.startswith("_")} \
+        == {"_in_pos_of_rest"}
 
 
 @pytest.mark.parametrize("workload", ["pos_helly", "cone_helly", "cli"])

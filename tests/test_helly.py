@@ -210,8 +210,11 @@ class TestWitnessExtractors:
             witness_lineality_enum(vs([[1, 0], [-1, 0]], 2), 0)
 
     def test_rejects_satisfied_conclusion(self):
-        with pytest.raises(ValueError):
-            witness_lineality_enum(vs([[1, 0], [0, 1]], 2), 1)
+        # Lineality 0 and lineality 1, both at most k = 1.
+        for witness in (witness_lineality_enum, witness_lineality_reay):
+            for rows in ([[1, 0], [0, 1]], [[1, 0], [-1, 0]]):
+                with pytest.raises(ValueError):
+                    witness(vs(rows, 2), 1)
 
     @settings(max_examples=50, deadline=None)
     @given(int_vector_sets(max_d=3, max_n=5, bound=2))

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import strategies as st
 
 from conehelly import cone, posbasis
 from conehelly.cone import is_linear, lineality_space, reversible_indices
-from conehelly.errors import TheoremContradiction
 from conehelly.fuzzing import trial_instance
 from conehelly.gens import gen_axis_pairs, gen_simplex_like
 from conehelly.helly import witness_lineality_reay
@@ -23,8 +23,8 @@ from conehelly.ratlin import SubspaceBasis, VectorSet, span_basis, vec
 
 from conftest import POS_FUZZ, counting_lps, int_vector_sets, with_negated_copies
 from oracles import (
-    oracle_in_pos,
     oracle_is_positive_basis,
+    oracle_reay_parts,
     oracle_reversible,
     ref_extract_positive_basis_indices,
 )
@@ -202,33 +202,8 @@ class TestSizeRule:
 
 
 class TestDropOneCertificate:
-    """A drop-one test that signs settle asks no LP: a coordinate where
-    the element is nonzero and no other row shares its sign gives a
-    Farkas certificate, checked by substitution like the LP's."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(with_negated_copies(int_vector_sets(max_d=3, max_n=5, bound=2, min_n=1)))
-    def test_matches_the_oracle(self, a):
-        rows = list(a.int_rows)
-        for i in range(len(rows)):
-            assert posbasis._in_pos_of_rest(rows, i) == oracle_in_pos(
-                a[i], a.subset(j for j in range(len(rows)) if j != i))
-
-    def test_zero_row_is_still_dropped(self):
-        rows = [(1, 0), (0, 0), (-1, 0)]
-        with counting_lps() as lps:
-            assert posbasis._in_pos_of_rest(rows, 1)
-        assert len(lps) == 1  # no sign certificate exists for the zero row
-        assert extract_positive_basis_indices(vs(rows, 2)) == (0, 2)
-        assert not is_positive_basis(vs(rows, 2), line(2))
-
-    def test_wrong_sign_certificate_raises(self, monkeypatch):
-        pb = extract_positive_basis(gen_axis_pairs(2, 2))
-        real = posbasis._sign_farkas
-        monkeypatch.setattr(posbasis, "_sign_farkas", lambda rest, x: (
-            (y := real(rest, x)) and [-c for c in y]))
-        with pytest.raises(TheoremContradiction):
-            reay_parts(pb)
+    """The extraction and the Reay search ask the drop-one test of cone,
+    which signs settle with no LP on axis pairs."""
 
     @pytest.mark.parametrize("k, d", [(1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5)])
     def test_axis_pairs_match_the_reference_greedy(self, k, d):
@@ -298,6 +273,66 @@ class TestReayPartition:
             prefix.extend(part.vectors)
             assert span_basis(VectorSet(a.ambient_dim, tuple(prefix)).int_rows,
                               a.ambient_dim).dim >= j
+
+
+# Planar simplices on e1, e2 and on e3, e4, and the pair +-e5.  No four
+# of these vectors positively span a 3-space, so the first size profile
+# (4, 2, 2) fails and the search falls back to (3, 3, 2).
+R5_BLOCKS = [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (-1, -1, 0, 0, 0),
+             (0, 0, 1, 0, 0), (0, 0, 0, 1, 0), (0, 0, -1, -1, 0),
+             (0, 0, 0, 0, 1), (0, 0, 0, 0, -1)]
+
+
+@st.composite
+def block_bases(draw, max_d=5):
+    """Positive bases of blocks on disjoint coordinates, planar simplices
+    e_i, e_j, -e_i - e_j and axis pairs +-e_i, with some coordinates
+    left out and the vectors shuffled."""
+    d = draw(st.integers(1, max_d))
+    free = list(draw(st.permutations(range(d))))
+
+    def unit(i, c=1):
+        return tuple(c * (j == i) for j in range(d))
+
+    rows = []
+    while free:
+        width = draw(st.integers(0, min(2, len(free))))
+        if width == 1:
+            i = free.pop()
+            rows += [unit(i), unit(i, -1)]
+        elif width == 2:
+            i, j = free.pop(), free.pop()
+            rows += [unit(i), unit(j), tuple(-a - b for a, b in zip(unit(i), unit(j)))]
+        else:
+            free.pop()
+    return vs(draw(st.permutations(rows)), d)
+
+
+def reay_of(a):
+    """reay_parts of the positive basis a of its own span."""
+    return reay_parts(PositiveBasis(span_basis(a.int_rows, a.ambient_dim), a))
+
+
+class TestReayFallbackOrder:
+    """The search's fallback order, a size profile that fails and the
+    next one tried, against the brute force of oracle_reay_parts."""
+
+    def test_first_profile_fails(self):
+        a = vs(R5_BLOCKS, 5)
+        assert list(posbasis._profiles(8, 3, 8)) == [(4, 2, 2), (3, 3, 2)]
+        assert reay_of(a) == ((0, 1, 2), (3, 4, 5), (6, 7)) == oracle_reay_parts(a)
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_shuffles(self, seed):
+        rows = R5_BLOCKS[:]
+        random.Random(seed).shuffle(rows)
+        a = vs(rows, 5)
+        assert reay_of(a) == oracle_reay_parts(a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(block_bases())
+    def test_block_bases(self, a):
+        assert reay_of(a) == oracle_reay_parts(a)
 
 
 AXIS_PAIRS = vs([[1, 0], [-1, 0], [0, 1], [0, -1]], 2)
