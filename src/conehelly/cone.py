@@ -442,12 +442,12 @@ def extract_cone(h: HalfspaceSystem, k: int) -> VectorSet | InfeasibleCone:
     """Explicit generators of a k-dimensional cone inside the intersection
     of the halfspaces, or the dimension obstruction if none exists.
 
-    Construction: take the relative interior point x0, extend it (or start
-    fresh when x0 = 0) to a basis u_1..u_k of the complement of the
-    lineality space, and fatten x0 by a small rational step eps along each
-    u_i chosen so every inequality still holds.  The generators are built
-    as integer rows over a common denominator and stored as such; no
-    Fraction is built.
+    Construction: take the relative interior point x0 (when x0 = 0 the
+    intersection is a subspace, and k of its basis vectors answer), extend
+    it greedily to a basis x0, u_1..u_(k-1) of the complement of the
+    lineality space, and list the k generators x0 and x0 + eps u_i, eps a
+    small rational that keeps every inequality.  Triangular in x0 and the
+    u_i, they are independent, so none is zero; no Fraction is built.
     """
     d = h.ambient_dim
     _check_k(k, d, lowest=0)
@@ -462,18 +462,17 @@ def extract_cone(h: HalfspaceSystem, k: int) -> VectorSet | InfeasibleCone:
     x = complementary_point(h.normals)
     if not any(x):
         return complement.subset(range(k))
-    # Basis of the complement that starts with the integer point x0,
-    # extended greedily in the canonical complement order, as pairs (c, u)
-    # of a vector's integer scale and its integer row u = c v.
-    u = [(1, x)]
+    # x0's greedy extension u_1..u_(k-1) in the canonical complement order,
+    # as pairs (c, u) of a vector's integer scale and its row u = c v.
+    u = []
     for c, row in zip(complement.int_scales, complement.int_rows):
-        if len(u) == k:
+        if len(u) == k - 1:
             break
-        if rank_of_rows([r for _, r in u] + [row], d) > len(u):
+        if rank_of_rows([x, *(r for _, r in u), row], d) > len(u) + 1:
             u.append((c, row))
-    # On an integer normal row a with a.v > 0, a.(x0 + t v) <= 0 holds for
-    # t up to -a.x0 / a.v = -a.x0 c / a.u.  The least such bound is kept
-    # as a pair (num, den) with den > 0, and eps = p / q is half of it.
+    # Off the implicit rows a.x0 < 0, so x0 needs no bound, and on a row a
+    # with a.v > 0, a.(x0 + t v) <= 0 holds for t up to -a.x0 c / a.u.  The
+    # least bound is kept as (num, den), den > 0; eps = p / q is half of it.
     bound: tuple[int, int] | None = None
     for i, a in enumerate(rows):
         if i in implicit:
@@ -485,9 +484,8 @@ def extract_cone(h: HalfspaceSystem, k: int) -> VectorSet | InfeasibleCone:
                 bound = (-ax0 * c, au)
     p, q = (1, 1) if bound is None else (bound[0], 2 * bound[1])
     # x0 + eps u / c = (q c x0 + p u) / (q c).
-    gens = [(1, x)] + [int_row_over([q * c * xi + p * r for xi, r in zip(x, row)], q * c)
-                       for c, row in u]
-    return VectorSet.from_int_form(d, (g for g in gens if any(g[1])))
+    return VectorSet.from_int_form(d, [(1, x)] + [
+        int_row_over([q * c * xi + p * r for xi, r in zip(x, row)], q * c) for c, row in u])
 
 
 def verify_cone_generators(h: HalfspaceSystem, gens: VectorSet, k: int) -> bool:

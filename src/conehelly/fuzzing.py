@@ -26,7 +26,7 @@ from .cone import (
     reversible_indices,
     verify_cone_generators,
 )
-from .errors import TheoremContradiction
+from .errors import CapacityError, TheoremContradiction
 from .gens import SplitMix64, gen_random
 from .helly import (
     bound_h,
@@ -189,7 +189,7 @@ def check_cone_helly(vs: VectorSet) -> None:
     complementary_point(vs)
     gens = extract_cone(h, mcd)
     _require(isinstance(gens, VectorSet), "extraction failed at feasible k")
-    _require(verify_cone_generators(h, gens, mcd), "extracted cone invalid")
+    _require(len(gens) == mcd and verify_cone_generators(h, gens, mcd), "bad extracted cone")
     for k in range(1, d + 1):
         rep = verify_cone_helly(h, k)
         _require(rep.conclusion == (mcd >= k), "conclusion flag wrong")
@@ -247,6 +247,8 @@ def run_fuzz(config: FuzzConfig) -> FuzzSummary:
             t0 = time.perf_counter()
             try:
                 res = _CHECK_FUNCS[name](vs)
+            except CapacityError:  # a refusal past the gate, not a failure
+                raise
             except Exception as exc:  # record and continue; replay comes later
                 summary.failures.append(FuzzFailure(
                     trial=trial, trial_seed=trial_seed, check=name,

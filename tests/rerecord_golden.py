@@ -8,8 +8,8 @@ when an entry of another command changes, when an exit code changes, or
 when a changed report differs from its recording in anything but its
 ``result``; every changed report must also verify ``true`` through
 ``--verify``.  A changed ``extract-cone`` report must be feasible, on
-an instance with a nonzero relative interior point, and its generators
-must pass ``verify_cone_generators``.  It prints what changed, and with
+an instance with a nonzero relative interior point, and list exactly
+``k`` generators, which must pass ``verify_cone_generators``.  It prints what changed, and with
 ``--write`` writes the corpus back in its recorded layout.
 """
 
@@ -76,7 +76,9 @@ def check_changed(entry, new_stdout) -> list[str]:
             problems.append("not a feasible report with a nonzero interior point")
         else:
             gens = VectorSet(inputs["d"], tuple(vec(g) for g in new["result"]["generators"]))
-            if not verify_cone_generators(h, gens, inputs["k"]):
+            if len(gens) != inputs["k"]:
+                problems.append(f"{len(gens)} generators, not k = {inputs['k']}")
+            elif not verify_cone_generators(h, gens, inputs["k"]):
                 problems.append("generators fail verify_cone_generators")
     return problems
 

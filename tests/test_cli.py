@@ -1,7 +1,6 @@
 import copy
 import io
 import json
-import os
 import sys
 import time
 
@@ -1009,3 +1008,14 @@ class TestFuzzCommand:
         code, _, _ = invoke(capsys, monkeypatch,
                             ["fuzz", "--trials", "1", "--dump-dir", str(tmp_path)])
         assert code == EXIT_INPUT
+
+    def test_capacity_refusal_is_not_a_failure(self, capsys, monkeypatch, tmp_path):
+        # Trial 1 draws 58 vectors in R^2, all reversible, past the witness
+        # scan's cutoff: fuzz refuses as every command does past the gate,
+        # rather than filing the refusal as a theorem failure.
+        code, out, err = invoke(capsys, monkeypatch,
+                                ["fuzz", "--d-max", "4", "--n-max", "60", "--trials", "20",
+                                 "--seed", "3", "--dump-dir", str(tmp_path)])
+        assert (code, out) == (EXIT_CAPACITY, "")
+        assert "enumeration cutoff" in err
+        assert list(tmp_path.iterdir()) == []

@@ -32,7 +32,7 @@ from conehelly.posbasis import (
     is_positive_basis,
     reay_parts,
 )
-from conehelly.ratlin import VectorSet, vec
+from conehelly.ratlin import VectorSet, rank_of_rows, vec
 
 from conftest import (
     CACHES,
@@ -517,6 +517,23 @@ class TestExtractCone:
             else:
                 assert isinstance(out, InfeasibleCone)
                 assert out.max_dim == top
+
+    def test_one_generator_per_dimension(self):
+        # x0 = (1, 1) heads both lists, and its ray appears once in each.
+        h = HalfspaceSystem(vs([[1, -3], [-3, -2], [0, -1], [-3, 2], [-1, -2]], 2))
+        assert extract_cone(h, 1).int_rows == ((1, 1),)
+        assert extract_cone(h, 2).int_rows == ((1, 1), (2, 1))
+
+    @settings(max_examples=80, deadline=None)
+    @given(int_vector_sets(max_d=4, max_n=6, bound=2, nonzero=True))
+    def test_simplicial_with_one_ray_each(self, a):
+        h = HalfspaceSystem(a)
+        d = h.ambient_dim
+        for k in range(1, max_cone_dim(h) + 1):
+            rows = extract_cone(h, k).int_rows
+            assert len(rows) == k
+            for g, g2 in combinations(rows, 2):
+                assert not (rank_of_rows([g, g2], d) == 1 and dot(g, g2) > 0)
 
 
 class TestPolarQuantities:

@@ -1,9 +1,9 @@
 """Every name a module exports resolves, so deleting a function cannot
 leave a stale entry in its module's ``__all__``; every memo is a module
 attribute that can be emptied; the LP and the certificate checks stay
-behind their one boundary in ``cone``; and one pass of each benchmark
-workload still runs clean, as the benchmark reads library names the
-tests do not."""
+behind their one boundary in ``cone``; no module imports a name it
+never reads; and one pass of each benchmark workload still runs clean,
+as the benchmark reads library names the tests do not."""
 
 import ast
 import importlib
@@ -77,3 +77,29 @@ def test_benchmark_pass_is_correct(workload):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert (result["correct"], result["failed"]) == (True, 0), proc.stdout + proc.stderr
+
+
+def _unread_imports(path):
+    """Names that the file at path imports, other than from __future__,
+    and never reads."""
+    tree = ast.parse(path.read_text())
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            bound |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(bound - read)
+
+
+@pytest.mark.parametrize("path", [
+    *(p for p in sorted(Path(conehelly.__file__).parent.glob("*.py")) if p.name != "__init__.py"),
+    *sorted(Path(__file__).resolve().parent.glob("*.py")),
+], ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unread_import(path):
+    # An import that nothing reads is dead weight a reader must still
+    # check; __init__.py is left out, as its imports are the package's
+    # exports.
+    assert _unread_imports(path) == []

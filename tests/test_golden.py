@@ -23,7 +23,12 @@ the same script when a deflation round stopped trying an obtuse-angle
 functional between its sign certificate and its LP: the first round's
 separator became the LP's (1, 1), in place of (3, 2), and so did x0
 and the generators built from it.  The reversible set is unique, so no
-other entry changed.
+other entry changed.  Those 22 entries were re-recorded again, by the
+same script, for one cause: ``extract_cone`` stopped listing x0's ray
+twice, as x0 and (1 + eps) x0, so each lost its second generator and
+lists exactly k; entry 566 reads [[1, 1]] and entry 568 [[1, 1], [2, 1]].
+The x0 = 0 and k = 0 reports already listed k generators and replay
+unchanged.
 """
 
 import io
@@ -37,6 +42,7 @@ from conehelly.cli import run
 from conehelly.fuzzing import run_trial_checks, trial_instance
 
 from conftest import CACHES, CONE_FUZZ, GOLDEN as ENTRIES
+from rerecord_golden import check_changed
 
 BY_COMMAND = defaultdict(list)
 for _i, _entry in enumerate(ENTRIES):
@@ -114,3 +120,12 @@ def test_elimination_takes_integer_rows(capsys, monkeypatch, tmp_path):
         run_trial_checks(trial_instance(CONE_FUZZ, i)[1], CONE_FUZZ.checks)
     assert calls["rank_of_rows"] > 1000
     assert calls["span_basis"] > 100 and calls["kernel_basis"] > 100
+
+
+def test_rerecord_refuses_a_repeated_ray():
+    # rerecord_golden.py takes a changed extract-cone report only when it
+    # lists exactly k generators; (2, 2) repeats the ray of (1, 1).
+    entry = ENTRIES[566]
+    assert check_changed(entry, entry["stdout"]) == []
+    repeated = entry["stdout"].replace("[[1, 1]]", "[[1, 1], [2, 2]]")
+    assert check_changed(entry, repeated) == ["2 generators, not k = 1"]

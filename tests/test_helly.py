@@ -27,7 +27,7 @@ from conehelly.helly import (
     witness_lineality_enum,
     witness_lineality_reay,
 )
-from conehelly.ratlin import VectorSet, rank_of_rows, vec
+from conehelly.ratlin import VectorSet, rank_of_rows
 
 from conftest import (
     CACHES,
