@@ -69,6 +69,7 @@ from .ratlin import (
     SubspaceBasis,
     Vec,
     VectorSet,
+    independent_rows,
     int_row,
     int_row_over,
     kernel_basis,
@@ -464,12 +465,8 @@ def extract_cone(h: HalfspaceSystem, k: int) -> VectorSet | InfeasibleCone:
         return complement.subset(range(k))
     # x0's greedy extension u_1..u_(k-1) in the canonical complement order,
     # as pairs (c, u) of a vector's integer scale and its row u = c v.
-    u = []
-    for c, row in zip(complement.int_scales, complement.int_rows):
-        if len(u) == k - 1:
-            break
-        if rank_of_rows([x, *(r for _, r in u), row], d) > len(u) + 1:
-            u.append((c, row))
+    u = [(complement.int_scales[i - 1], complement.int_rows[i - 1])
+         for i in independent_rows([x, *complement.int_rows], d)[1:k]]
     # Off the implicit rows a.x0 < 0, so x0 needs no bound, and on a row a
     # with a.v > 0, a.(x0 + t v) <= 0 holds for t up to -a.x0 c / a.u.  The
     # least bound is kept as (num, den), den > 0; eps = p / q is half of it.

@@ -73,7 +73,7 @@ from .posbasis import (
     extract_positive_basis_indices,
     reay_parts,
 )
-from .ratlin import VectorSet, is_index_set, rank_of_rows
+from .ratlin import VectorSet, independent_rows, is_index_set, rank_of_rows
 
 __all__ = [
     "ENUMERATION_CUTOFF",
@@ -487,29 +487,23 @@ def check_flat_helly(h: HalfspaceSystem, k: int) -> FlatHellyReport:
     dependent.  k = 0 is allowed and trivial.  The witness, the
     lexicographically first independent (k+1)-subset of normals, is the
     greedy basis of the matroid truncated to rank k+1 (Gale, J. Comb.
-    Theory 4, 1968), found with one rank test per normal."""
+    Theory 4, 1968): the first k+1 rows of the greedy basis of all the
+    normals, whose size is their rank, from one forward elimination."""
     d = h.ambient_dim
     _check_k(k, d, lowest=0)
     polar_dim = lineality_of_polar(h).dim
     conclusion = polar_dim >= d - k
-    rows = h.normals.int_rows
-    kept: list[int] = []
-    for i in range(len(h)):
-        if len(kept) == k + 1:
-            break
-        if rank_of_rows([rows[j] for j in kept] + [rows[i]], d) > len(kept):
-            kept.append(i)
-    all_dependent = len(kept) <= k
+    basis = independent_rows(h.normals.int_rows, d)
+    all_dependent = len(basis) <= k
     witness = None
     if not all_dependent:
-        witness = Witness(subset_indices=tuple(kept),
+        witness = Witness(subset_indices=tuple(basis[:k + 1]),
                           property="independent_normals", size_bound=k + 1)
     if conclusion != all_dependent:
         raise TheoremContradiction(
             "polar lineality dimension disagrees with normal rank")
-    rank_n = rank_of_rows(rows, d)
     return FlatHellyReport(k=k, d=d, polar_lineality_dim=polar_dim,
-                           normal_rank=rank_n,
+                           normal_rank=len(basis),
                            subspace_conclusion=conclusion,
                            all_small_subsets_dependent=all_dependent,
                            witness=witness)

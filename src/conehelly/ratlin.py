@@ -25,11 +25,11 @@ Fraction basis is the same view.
 
 Integer rows are the one format that reaches elimination, and one
 pivot step, :func:`_pivot`, does every integer-preserving row update,
-here and in the simplex of :mod:`conehelly.lp`.  :func:`rank_of_rows`,
-for callers that need only the dimension of a span, builds no Fraction.
-Callers that need the subspace itself go through :func:`span_basis` and
-:func:`kernel_basis`, which read each basis vector of one Gauss-Jordan
-pass straight into its integer row, and build no Fraction either.
+here and in the simplex of :mod:`conehelly.lp`.  Forward elimination,
+:func:`independent_rows`, serves rank and greedy bases; Gauss-Jordan
+serves canonical bases, as :func:`span_basis` and :func:`kernel_basis`
+read each basis vector of one pass straight into its integer row.
+Neither builds a Fraction.
 
 The Helly searches ask the rank of the same rows many times over, so
 :func:`rank_of_rows` is memoized by :func:`rows_memo`, whose docstring
@@ -272,25 +272,33 @@ def rows_memo(fn):
     return memo
 
 
+def independent_rows(rows: Sequence[Sequence[int]], ncols: int) -> list[int]:
+    """Indices of the integer rows outside the span of the rows before
+    them, the greedy basis of their span, by one forward-only Bareiss pass
+    in row order; builds no Fraction.  A row still nonzero pivots at its
+    first nonzero entry by :func:`_pivot` on it and the rows after it, then
+    is dropped; the pass stops once ncols rows are kept.  Rows must hold
+    ints: the exact divisions are floor divisions, so a Fraction would
+    floor silently."""
+    m = list(rows)
+    kept: list[int] = []
+    prev = 1
+    for i in range(len(m)):
+        if len(kept) == ncols:
+            break
+        c = next((j for j, a in enumerate(m[0]) if a), None)
+        if c is not None:
+            prev = _pivot(m, 0, c, prev)
+            kept.append(i)
+        del m[0]
+    return kept
+
+
 @rows_memo
 def rank_of_rows(rows: Sequence[Sequence[int]], ncols: int) -> int:
-    """Rank of integer rows, such as :attr:`VectorSet.int_rows`, by
-    forward-only Bareiss elimination; builds no Fraction.  Each step is
-    :func:`_pivot` on the rows not yet used as pivots, after which the
-    pivot row is dropped, so no row above a pivot is ever updated.  The
-    exact divisions are floor divisions, so rows must hold ints: a
-    non-integer Fraction would floor silently.  Memoized by
-    :func:`rows_memo`."""
-    m = list(rows)
-    prev = 1
-    for c in range(ncols):
-        if not m:
-            break
-        pr = next((i for i, row in enumerate(m) if row[c]), None)
-        if pr is not None:
-            prev = _pivot(m, pr, c, prev)
-            del m[pr]
-    return len(rows) - len(m)
+    """Rank of integer rows, such as :attr:`VectorSet.int_rows`: the size
+    of their :func:`independent_rows`.  Memoized by :func:`rows_memo`."""
+    return len(independent_rows(rows, ncols))
 
 
 def span_basis(rows: Sequence[Sequence[int]], ncols: int) -> SubspaceBasis:

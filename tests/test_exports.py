@@ -1,7 +1,8 @@
 """Every name a module exports resolves, so deleting a function cannot
 leave a stale entry in its module's ``__all__``; every memo is a module
 attribute that can be emptied; the LP and the certificate checks stay
-behind their one boundary in ``cone``; no module imports a name it
+behind their one boundary in ``cone``; every row update is the one
+pivot step of ``ratlin``; no module imports a name it
 never reads; and one pass of each benchmark workload still runs clean,
 as the benchmark reads library names the tests do not."""
 
@@ -63,6 +64,25 @@ def test_certificates_have_one_boundary():
     posbasis = next(path for path in paths if path.stem == "posbasis")
     assert {name for _, name in _imports(posbasis) if name.startswith("_")} \
         == {"_in_pos_of_rest"}
+
+
+def test_one_pivot_step():
+    # Every integer row update is ratlin._pivot, taken by the forward
+    # elimination, Gauss-Jordan and the simplex only, so no elimination
+    # can be written a second time beside them unnoticed.
+    users = set()
+    for path in Path(conehelly.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            owner = getattr(node, "name", "module")
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.ImportFrom) and any(
+                        alias.name == "_pivot" for alias in sub.names):
+                    users.add((path.stem, "import"))
+                elif ((isinstance(sub, ast.Name) and sub.id == "_pivot")
+                      or (isinstance(sub, ast.Attribute) and sub.attr == "_pivot")):
+                    users.add((path.stem, owner))
+    assert users == {("ratlin", "independent_rows"), ("ratlin", "_gauss_jordan"),
+                     ("lp", "nonneg_combination"), ("lp", "import")}
 
 
 @pytest.mark.parametrize("workload", ["pos_helly", "cone_helly", "cli"])

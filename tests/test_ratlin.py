@@ -12,6 +12,7 @@ from conehelly.gens import gen_simplex_like
 from conehelly.ratlin import (
     SubspaceBasis,
     VectorSet,
+    independent_rows,
     int_row,
     kernel_basis,
     rank_of_rows,
@@ -19,8 +20,8 @@ from conehelly.ratlin import (
     vec,
 )
 
-from conftest import fractions_built, rational_matrices, small_fraction
-from oracles import dot, in_span, ref_kernel_basis, ref_rref_rows
+from conftest import fractions_built, int_vector_sets, rational_matrices, small_fraction
+from oracles import dot, in_span, oracle_first_independent, ref_kernel_basis, ref_rref_rows
 
 F = Fraction
 
@@ -234,6 +235,40 @@ class TestRankPivots:
 
     def test_zero_rows_take_no_pivot(self, monkeypatch):
         assert self._pivots(monkeypatch, [(0,) * 5] * 3, 5) == (0, 0)
+
+
+class TestIndependentRows:
+    """independent_rows keeps row i iff it lies outside the span of the
+    rows before it: the greedy basis, in one forward pass of _pivot."""
+
+    @given(low_rank_rows())
+    def test_kept_iff_the_reference_rank_grows(self, data):
+        rows, ncols = data
+        ranks = [len(ref_rref_rows(rows[:i], ncols)[1]) for i in range(len(rows) + 1)]
+        assert independent_rows(ints(rows), ncols) == [
+            i for i in range(len(rows)) if ranks[i + 1] > ranks[i]]
+
+    def test_zero_rows_are_never_kept(self):
+        assert independent_rows([(0, 0), (0, 2), (0, 0), (3, 1), (0, 0)], 2) == [1, 3]
+        assert independent_rows([], 3) == []
+
+    @given(int_vector_sets(max_d=4, max_n=6), st.integers(1, 5))
+    def test_prefix_is_the_first_independent_subset(self, vs, size):
+        # The lex-first independent subset of each size is the greedy
+        # basis cut to that size, and there is none past the rank.
+        basis = independent_rows(vs.int_rows, vs.ambient_dim)
+        want = tuple(basis[:size]) if size <= len(basis) else None
+        assert oracle_first_independent(vs, size) == want
+
+    def test_tall_full_rank_takes_ncols_pivots(self, monkeypatch):
+        # Ten Vandermonde rows of rank 4: the pass stops at the fourth.
+        calls = []
+        real = ratlin._pivot
+        monkeypatch.setattr(ratlin, "_pivot",
+                            lambda *args: calls.append(1) or real(*args))
+        rows = [(1, i, i ** 2, i ** 3) for i in range(10)]
+        assert independent_rows(rows, 4) == [0, 1, 2, 3]
+        assert len(calls) == 4
 
 
 class TestRankMemo:
